@@ -180,24 +180,26 @@ def read_curve_csv(path) -> dict:
     return {name: np.array(vals) for name, vals in cols.items()}
 
 
+def _jsonable(obj):
+    """``obj`` with numpy scalars and arrays as Python values and every
+    non-finite float as None, ready for ``json.dumps``."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        return v if math.isfinite(v) else None
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    return obj
+
+
 def json_text(payload: dict) -> str:
     """Canonical JSON with NaN rendered as null."""
-
-    def clean(obj):
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        if isinstance(obj, (float, np.floating)):
-            v = float(obj)
-            return v if math.isfinite(v) else None
-        if isinstance(obj, np.integer):
-            return int(obj)
-        if isinstance(obj, np.ndarray):
-            return clean(obj.tolist())
-        return obj
-
-    return json.dumps(clean(payload), sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_output(path: Optional[str], text: str):

@@ -4,6 +4,14 @@ The classical kernel regression estimator fitted directly on the noisy
 predictors is the baseline the ratio estimator is measured against. The
 kernel is fixed to Gaussian; the bandwidth either comes from the caller or
 from leave-one-out CV over a geometric grid.
+
+Leave-one-out CV builds one n x n squared-distance matrix per sample and
+scores the whole bandwidth grid from it, reusing n x n buffers across
+bandwidths, so CV needs O(n^2) memory per call. At the small CV bandwidths
+most kernel cells underflow; their exponents are clamped onto the fast
+vector path of ``np.exp`` and the few cells whose result is subnormal are
+recomputed exactly, so every kernel value equals ``np.exp`` of its exponent
+bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +26,14 @@ from .errors import DegenerateDenominatorError
 from .known import DEGENERACY_THRESHOLD
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# np.exp leaves its vector fast path for arguments below about -708, where
+# results turn subnormal, and runs 15-180x slower there (numpy 2.4, AVX-512);
+# -700 keeps a margin.
+_EXP_FAST_MIN = -700.0
+# exp(a) <= 2**-1075, half the smallest subnormal, rounds to exactly 0 at and
+# below this argument, so only the band [_EXP_ZERO, _EXP_FAST_MIN) needs an
+# exact recomputation.
+_EXP_ZERO = -1075.0 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -93,20 +109,60 @@ def cv_grid(sample: TrainingSample, cfg: NwConfig | None = None) -> np.ndarray:
     )
 
 
+def _gauss_from_exponent(arg: np.ndarray, lowest: float) -> np.ndarray:
+    """``np.exp(arg) / sqrt(2 pi)``, bit for bit, computed in place in ``arg``.
+
+    ``lowest`` is a lower bound on ``arg``; when it is at or above
+    ``_EXP_FAST_MIN`` no lane needs the clamp.
+    """
+    if lowest < _EXP_FAST_MIN:
+        keep = arg >= _EXP_FAST_MIN
+        band = np.flatnonzero((arg >= _EXP_ZERO) & ~keep)
+        band_arg = arg.flat[band]
+        np.maximum(arg, _EXP_FAST_MIN, out=arg)
+        np.exp(arg, out=arg)
+        # a bool multiply zeroes the clamped lanes faster than a masked copy
+        np.multiply(arg, keep, out=arg)
+        arg.flat[band] = np.exp(band_arg)
+    else:
+        np.exp(arg, out=arg)
+    np.divide(arg, _SQRT_2PI, out=arg)
+    return arg
+
+
+def _loo_scores(sample: TrainingSample, bandwidths) -> np.ndarray:
+    """Mean leave-one-out squared prediction errors, one per bandwidth.
+
+    A bandwidth at which some held-out point's remaining kernel weights all
+    underflow to zero scores infinity.
+    """
+    w, y = sample.w, sample.y
+    d2 = np.subtract.outer(w, w)
+    np.square(d2, out=d2)
+    d2_max = float(d2.max())
+    k = np.empty_like(d2)
+    y1 = np.column_stack([y, np.ones_like(y)])
+    scores = np.empty(len(bandwidths))
+    for j, h in enumerate(bandwidths):
+        scale = -0.5 / np.square(h)  # numpy division: h = 0 scores inf, not raises
+        np.multiply(d2, scale, out=k)
+        _gauss_from_exponent(k, d2_max * scale)
+        np.fill_diagonal(k, 0.0)
+        num, den = (k @ y1).T
+        if np.any(den == 0.0):
+            scores[j] = np.inf
+        else:
+            scores[j] = np.mean((y - num / den) ** 2)
+    return scores
+
+
 def loo_score(sample: TrainingSample, h: float) -> float:
     """Mean leave-one-out squared prediction error at bandwidth ``h``.
 
     Held-out points whose remaining kernel weights underflow to zero make
     the score infinite, so such bandwidths are never selected.
     """
-    d = (sample.w[:, None] - sample.w[None, :]) / h
-    k = _gauss(d)
-    np.fill_diagonal(k, 0.0)
-    den = k.sum(axis=1)
-    if np.any(den == 0.0):
-        return float("inf")
-    pred = (k @ sample.y) / den
-    return float(np.mean((sample.y - pred) ** 2))
+    return float(_loo_scores(sample, (h,))[0])
 
 
 def cv_bandwidth(sample: TrainingSample, cfg: NwConfig | None = None) -> float:
@@ -121,7 +177,7 @@ def cv_bandwidth(sample: TrainingSample, cfg: NwConfig | None = None) -> float:
     if sample.n < 3:
         raise ValueError("cross-validation needs at least 3 points")
     grid = cv_grid(sample, cfg)
-    scores = np.array([loo_score(sample, h) for h in grid])
+    scores = _loo_scores(sample, grid)
     if not np.any(np.isfinite(scores)):
         raise DegenerateDenominatorError("every CV bandwidth produced an empty score")
     return float(grid[int(np.argmin(scores))])

@@ -34,7 +34,8 @@ from .data import EvalGrid, RegressionCurve, TrainingSample
 from .densities import ErrorDensity
 from .errors import CoarseRegError, DegenerateDenominatorError
 from .inference import pointwise_ci
-from .known import DEGENERACY_THRESHOLD, fit_known, regression_at
+from .io import _jsonable
+from .known import DEGENERACY_THRESHOLD, _golden_section, fit_known, regression_at
 from .nw import NwConfig, cv_bandwidth, fit_nw, nw_estimate
 
 logger = logging.getLogger(__name__)
@@ -82,20 +83,7 @@ def regression_bound(model: str) -> float:
     vals = np.abs(regression_function(model, xs))
     i = int(np.argmax(vals))
     a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-    phi = (5.0**0.5 - 1.0) / 2.0
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc = abs(regression_function(model, c))
-    fd = abs(regression_function(model, d))
-    while b - a > 1e-12:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = abs(regression_function(model, c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = abs(regression_function(model, d))
-    x = 0.5 * (a + b)
+    x = _golden_section(lambda t: -abs(regression_function(model, t)), a, b, 1e-12)
     return float(max(vals[i], abs(regression_function(model, x))))
 
 
@@ -400,21 +388,6 @@ class StudyReport:
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, no whitespace, NaN encoded as null."""
         return json.dumps(_jsonable(self.to_dict()), sort_keys=True, separators=(",", ":"))
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
 
 
 def _fit_replicate(scn, spec, grid, rng, points):

@@ -271,3 +271,12 @@ class TestRunReplications:
         b = run_replications(LOGISTIC, EstimatorSpec(), threads=3, **kwargs)
         c = run_replications(LOGISTIC, EstimatorSpec(), threads=1, **kwargs)
         assert a.to_json() == b.to_json() == c.to_json()
+
+    def test_nw_byte_determinism_across_threads(self):
+        scn = ScenarioConfig(model="m1", n=250, predictor_noise=0.25, response_noise=0.1,
+                             seed=9)
+        kwargs = dict(reps=4, master_seed=9, rmse_points=(0.5,))
+        a = run_replications(scn, EstimatorSpec(method="nw"), threads=1, **kwargs)
+        b = run_replications(scn, EstimatorSpec(method="nw"), threads=2, **kwargs)
+        assert a.failures == 0
+        assert a.to_json() == b.to_json()
