@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from coarsereg import ErrorDensity, EvalGrid, error_variance, fit_known_proxy
-from coarsereg.heart import _read_columns, heart_disease_calibration
-from coarsereg.io import curve_csv_text, write_output
+from coarsereg.heart import heart_disease_calibration
+from coarsereg.io import curve_csv_text, read_columns, write_output
 
 
 def main(argv=None):
@@ -48,11 +48,10 @@ def main(argv=None):
         "residual_variance": fit.residual_variance,
     }, indent=2), file=sys.stderr)
 
-    cols = _read_columns(args.data, (args.chol_col.lower(), args.ldl_col.lower(),
-                                     args.chd_col.lower()))
-    log_chol = np.log(cols[args.chol_col.lower()])
-    log_ldl = np.log(cols[args.ldl_col.lower()])
-    chd = cols[args.chd_col.lower()]
+    cols = read_columns(args.data, (args.chol_col, args.ldl_col, args.chd_col))
+    log_chol = np.log(cols[args.chol_col])
+    log_ldl = np.log(cols[args.ldl_col])
+    chd = cols[args.chd_col]
 
     # error variance from the differences between the observed proxy and the
     # calibrated imputation, then the ratio fit on (log LDL, CHD)

@@ -36,6 +36,7 @@ from .inference import (
     CovarianceMatrix,
     ProductMoments,
     covariance_matrix,
+    pointwise_band,
     pointwise_ci,
     product_moments,
     simultaneous_band,

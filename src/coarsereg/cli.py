@@ -32,7 +32,7 @@ from .data import EvalGrid, RegressionCurve
 from .densities import ErrorDensity
 from .errors import CoarseRegError, DataFormatError
 from .fourier import FourierConfig, error_cf_from_replicates, fit_fourier, select_cutoff, symmetric_tgrid
-from .inference import pointwise_ci, simultaneous_band, variance_at
+from .inference import pointwise_band, simultaneous_band
 from .io import (
     curve_csv_text,
     format_float,
@@ -42,7 +42,7 @@ from .io import (
     read_training_csv,
     write_output,
 )
-from .known import find_extremum, find_zeros, fit_known, regression_at
+from .known import find_extremum, find_zeros, fit_known
 from .nw import NwConfig, cv_bandwidth, fit_nw
 from .proxy import fit_known_proxy, fit_linear_proxy
 from .simulation import EstimatorSpec, ScenarioConfig, run_replications
@@ -189,29 +189,9 @@ def _cmd_nw(args):
     return 0
 
 
-def _ci_curve(sample, density, grid, alpha) -> RegressionCurve:
-    values = np.full(len(grid), np.nan)
-    var = np.full(len(grid), np.nan)
-    lower = np.full(len(grid), np.nan)
-    upper = np.full(len(grid), np.nan)
-    for i, x in enumerate(grid.points):
-        try:
-            values[i] = regression_at(sample, density, float(x))
-            var[i] = variance_at(sample, density, float(x))
-            lower[i], upper[i] = pointwise_ci(sample, density, float(x), alpha)
-        except CoarseRegError:
-            continue
-    if not np.any(np.isfinite(values)):
-        raise CoarseRegError("interval undefined on the whole grid")
-    return RegressionCurve(
-        grid=grid, values=values, variance=var, band_lower=lower, band_upper=upper,
-        meta={"estimator": "known-error ratio", "alpha": alpha, "kind": "pointwise"},
-    )
-
-
 def _cmd_ci(args):
     sample = read_training_csv(args.train)
-    curve = _ci_curve(sample, parse_delta(args.delta), parse_grid(args.grid), args.alpha)
+    curve = pointwise_band(sample, parse_delta(args.delta), parse_grid(args.grid), args.alpha)
     _emit_curve(args, curve, ci=True)
     return 0
 

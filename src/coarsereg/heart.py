@@ -25,43 +25,11 @@ recorded; the one-shot reading is the documented choice here.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .errors import DataFormatError
+from .io import read_columns
 from .proxy import LinearProxyFit, fit_linear_proxy
-
-
-def _read_columns(path, wanted):
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise DataFormatError(str(exc), file=str(path)) from None
-    with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise DataFormatError("empty file", file=str(path), line=1)
-        lookup = {name.strip().lower(): name for name in reader.fieldnames}
-        missing = [c for c in wanted if c not in lookup]
-        if missing:
-            raise DataFormatError(
-                f"missing columns {missing} (have {sorted(lookup)})",
-                file=str(path),
-                line=1,
-            )
-        cols = {c: [] for c in wanted}
-        for lineno, row in enumerate(reader, start=2):
-            for c in wanted:
-                text = (row[lookup[c]] or "").strip()
-                try:
-                    v = float(text)
-                except ValueError:
-                    raise DataFormatError(
-                        f"invalid number {text!r}", file=str(path), line=lineno, column=c
-                    ) from None
-                cols[c].append(v)
-    return {c: np.array(v) for c, v in cols.items()}
 
 
 def heart_disease_calibration(path, *, chol_col="chol", ldl_col="ldl") -> dict:
@@ -70,9 +38,9 @@ def heart_disease_calibration(path, *, chol_col="chol", ldl_col="ldl") -> dict:
     Returns a dict with the final :class:`LinearProxyFit` (log-chol on
     log-ldl), the retained sample size, and the deletion tally.
     """
-    cols = _read_columns(path, (chol_col.lower(), ldl_col.lower()))
-    chol = cols[chol_col.lower()]
-    ldl = cols[ldl_col.lower()]
+    cols = read_columns(path, (chol_col, ldl_col))
+    chol = cols[chol_col]
+    ldl = cols[ldl_col]
     if np.any(chol <= 0) or np.any(ldl <= 0):
         raise DataFormatError("cholesterol values must be positive for the log transform",
                               file=str(path))

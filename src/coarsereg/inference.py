@@ -171,6 +171,60 @@ def pointwise_ci(
     return est - half, est + half
 
 
+def pointwise_band(
+    sample: TrainingSample, err: ErrorDensity, grid: EvalGrid, alpha: float = 0.05
+) -> RegressionCurve:
+    """:func:`pointwise_ci` on every grid point from one grid-by-sample
+    kernel matrix.
+
+    Grid points with a degenerate denominator carry NaN in every column.
+    The variance is :func:`variance_at`'s expression, evaluated on row
+    means of the kernel and of its square.
+
+    Raises
+    ------
+    DegenerateDenominatorError
+        If every grid point is undefined.
+    ValueError
+        If a defined point's plug-in variance is significantly negative.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if sample.n < 2:
+        raise ValueError("confidence interval needs n >= 2")
+    y = sample.y
+    k = err.pdf(grid.points[:, None] - sample.w[None, :])
+    den = np.mean(k, axis=1)
+    ok = den >= DEGENERACY_THRESHOLD
+    if not np.any(ok):
+        raise DegenerateDenominatorError("interval undefined on the whole grid")
+    num = k @ y / sample.n
+    k *= k
+    plain, resp, resp_sq = (k @ np.column_stack([np.ones_like(y), y, y**2]) / sample.n).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = (
+            resp_sq / den**2
+            + num**2 * plain / den**4
+            - 2.0 * num * resp / den**3
+        )
+        values = num / den
+    var[~ok] = np.nan
+    values[~ok] = np.nan
+    negative = var < -NEGATIVE_VARIANCE_TOL
+    if np.any(negative):
+        raise ValueError(f"plug-in variance {var[negative][0]:.3e} is significantly negative")
+    var = np.maximum(var, 0.0)
+    half = ndtri(1.0 - alpha / 2.0) * np.sqrt(var) / np.sqrt(sample.n)
+    return RegressionCurve(
+        grid=grid,
+        values=values,
+        variance=var,
+        band_lower=values - half,
+        band_upper=values + half,
+        meta={"estimator": "known-error ratio", "alpha": alpha, "kind": "pointwise"},
+    )
+
+
 def simultaneous_band(
     sample: TrainingSample,
     err: ErrorDensity,

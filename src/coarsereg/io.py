@@ -9,7 +9,9 @@ Input schemas (exact headers):
 * proxy analysis pairs:    ``t,y``
 
 All numeric fields must be finite; NaN and infinities are rejected with an
-error naming file, line and column. Curve values are written with 17
+error naming file, line and column. A well-formed file is parsed in one
+vectorised pass; any other file is re-read row by row, and only that scan
+raises, so every error record names the same place either way. Curve values are written with 17
 significant digits so a written curve re-reads bit-exactly; undefined
 points serialize as ``nan`` in outputs only.
 
@@ -24,6 +26,7 @@ import json
 import math
 import os
 import tempfile
+from io import StringIO
 from typing import Optional
 
 import numpy as np
@@ -52,7 +55,13 @@ def _parse_float(text: str, *, path, line, column) -> float:
     return v
 
 
-def _read_rows(path, expected_header):
+def _read_rows(path, columns, *, named=False):
+    """Non-blank data rows of a CSV as ``(line number, stripped cells)``.
+
+    The header must be exactly ``columns``. With ``named`` it need only
+    contain them, matched case-insensitively; each row's cells then come
+    back in ``columns`` order and other columns are dropped unparsed.
+    """
     try:
         handle = open(path, newline="")
     except OSError as exc:
@@ -64,9 +73,20 @@ def _read_rows(path, expected_header):
         except StopIteration:
             raise DataFormatError("empty file", file=str(path), line=1) from None
         header = [h.strip() for h in header]
-        if header != list(expected_header):
+        picks = None
+        if named:
+            lookup = {name.lower(): i for i, name in enumerate(header)}
+            missing = [c.lower() for c in columns if c.lower() not in lookup]
+            if missing:
+                raise DataFormatError(
+                    f"missing columns {missing} (have {sorted(lookup)})",
+                    file=str(path),
+                    line=1,
+                )
+            picks = [lookup[c.lower()] for c in columns]
+        elif header != list(columns):
             raise DataFormatError(
-                f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}",
+                f"expected header {','.join(columns)!r}, got {','.join(header)!r}",
                 file=str(path),
                 line=1,
             )
@@ -74,34 +94,106 @@ def _read_rows(path, expected_header):
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if len(row) != len(expected_header):
+            if len(row) != len(header):
                 raise DataFormatError(
-                    f"expected {len(expected_header)} fields, got {len(row)}",
+                    f"expected {len(header)} fields, got {len(row)}",
                     file=str(path),
                     line=lineno,
                 )
-            rows.append((lineno, [cell.strip() for cell in row]))
+            cells = [cell.strip() for cell in row]
+            rows.append((lineno, cells if picks is None else [cells[i] for i in picks]))
         if not rows:
             raise DataFormatError("no data rows", file=str(path), line=2)
     return rows
 
 
+def _parse_columns(path, rows, names) -> list:
+    """One float array per name from :func:`_read_rows` cells; the first bad
+    cell in file order raises."""
+    values = [[] for _ in names]
+    for lineno, cells in rows:
+        for col, name, text in zip(values, names, cells):
+            col.append(_parse_float(text, path=path, line=lineno, column=name))
+    return [np.array(v) for v in values]
+
+
+def _read_fast(path, header, *, labelled=False):
+    """Parse a well-formed file in one vectorised pass, or return None.
+
+    Only plain CSV gets through: the exact header, no quotes, NULs or bare
+    carriage returns, the header's field count on every non-empty row, at
+    least one row and only finite values. numpy's C parser accepts a subset
+    of what ``float`` accepts and rounds the same way, so every value equals
+    the row-wise one bit for bit. For anything else the caller falls back
+    to the row-wise path, which then locates the fault.
+
+    Returns one array per column; with ``labelled`` the first column is
+    instead a list of stripped label strings.
+    """
+    try:
+        with open(path, newline="") as handle:
+            text = handle.read()
+    except (OSError, UnicodeError):
+        return None
+    if '"' in text or "\x00" in text or ("\r" in text and "\r" in text.replace("\r\n", "")):
+        return None
+    first, _, body = text.partition("\n")
+    if [h.strip() for h in first.split(",")] != list(header) or not body.strip():
+        return None
+    numeric = range(1 if labelled else 0, len(header))
+    try:
+        # usecols would let rows with extra fields through, so only the
+        # labelled form passes it, and checks field counts itself
+        table = np.loadtxt(
+            StringIO(body), delimiter=",", comments=None, ndmin=2, dtype=float,
+            usecols=numeric if labelled else None,
+        )
+    except ValueError:
+        return None
+    if table.shape[1] != len(numeric) or not np.isfinite(table).all():
+        return None
+    columns = [table[:, j].copy() for j in range(table.shape[1])]
+    if not labelled:
+        return columns
+    rows = [line.split(",") for line in body.split("\n") if line not in ("", "\r")]
+    if len(rows) != len(table) or any(len(row) != len(header) for row in rows):
+        return None
+    return [[row[0].strip() for row in rows], *columns]
+
+
+def _read_numeric(path, columns) -> list:
+    columns = tuple(columns)
+    fast = _read_fast(path, columns)
+    if fast is not None:
+        return fast
+    return _parse_columns(path, _read_rows(path, columns), columns)
+
+
+def _group(labels, values) -> dict:
+    """Values grouped by label, groups in order of first appearance."""
+    groups: dict = {}
+    for gid, v in zip(labels, values):
+        groups.setdefault(gid, []).append(v)
+    return groups
+
+
 def read_training_csv(path) -> TrainingSample:
-    rows = _read_rows(path, ("w", "y"))
-    w, y = [], []
-    for lineno, (wtxt, ytxt) in rows:
-        w.append(_parse_float(wtxt, path=path, line=lineno, column="w"))
-        y.append(_parse_float(ytxt, path=path, line=lineno, column="y"))
-    return TrainingSample(w, y)
+    return TrainingSample(*_read_numeric(path, ("w", "y")))
 
 
 def read_replicates_csv(path) -> ReplicatedSample:
-    rows = _read_rows(path, ("group", "u"))
-    groups: dict = {}
-    for lineno, (gid, utxt) in rows:
-        groups.setdefault(gid, []).append(
-            _parse_float(utxt, path=path, line=lineno, column="u")
-        )
+    header = ("group", "u")
+    fast = _read_fast(path, header, labelled=True)
+    if fast is not None:
+        labels, values = fast
+        groups = _group(labels, values.tolist())
+        if all(len(vals) >= 2 for vals in groups.values()):
+            return ReplicatedSample(list(groups.values()))
+    rows = _read_rows(path, header)
+    labels = [gid for _, (gid, _u) in rows]
+    values = [_parse_float(utxt, path=path, line=lineno, column="u")
+              for lineno, (_gid, utxt) in rows]
+    groups = _group(labels, values)
     for gid, vals in groups.items():
         if len(vals) < 2:
             raise DataFormatError(
@@ -112,12 +204,17 @@ def read_replicates_csv(path) -> ReplicatedSample:
 
 
 def read_pairs_csv(path, columns=("t", "x")) -> tuple:
-    rows = _read_rows(path, columns)
-    a, b = [], []
-    for lineno, (atxt, btxt) in rows:
-        a.append(_parse_float(atxt, path=path, line=lineno, column=columns[0]))
-        b.append(_parse_float(btxt, path=path, line=lineno, column=columns[1]))
-    return np.array(a), np.array(b)
+    return tuple(_read_numeric(path, columns))
+
+
+def read_columns(path, names) -> dict:
+    """Named numeric columns of a CSV whose header contains them.
+
+    Header names match case-insensitively; other columns, numeric or not,
+    are ignored. Returns ``{name: array}`` keyed by ``names`` as given.
+    """
+    names = tuple(names)
+    return dict(zip(names, _parse_columns(path, _read_rows(path, names, named=True), names)))
 
 
 def atomic_write_text(path, text: str):

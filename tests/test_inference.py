@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from coarsereg import (
+    CoarseRegError,
     DegenerateDenominatorError,
     ErrorDensity,
     EvalGrid,
     TrainingSample,
     covariance_matrix,
+    pointwise_band,
     pointwise_ci,
     product_moments,
+    regression_at,
     simultaneous_band,
     variance_at,
 )
@@ -167,6 +170,74 @@ class TestPointwiseCI:
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="n >= 2"):
             pointwise_ci(TrainingSample([0.0], [1.0]), GAUSS, 0.0, 0.05)
+
+
+def pointwise_loop(sample, err, grid, alpha):
+    """The per-point interval loop that pointwise_band replaces."""
+    cols = np.full((4, len(grid)), np.nan)
+    for i, x in enumerate(grid.points):
+        try:
+            cols[0, i] = regression_at(sample, err, float(x))
+            cols[1, i] = variance_at(sample, err, float(x))
+            cols[2:, i] = pointwise_ci(sample, err, float(x), alpha)
+        except CoarseRegError:
+            continue
+    return cols
+
+
+class TestPointwiseBand:
+    @pytest.mark.parametrize("err", [GAUSS, ErrorDensity.laplace(0.1),
+                                     ErrorDensity.gaussian(0.1), ErrorDensity.uniform(0.3)])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0])
+    def test_matches_per_point_loop(self, err, alpha):
+        rng = np.random.default_rng(37)
+        w = rng.uniform(0, 1, 400)
+        s = TrainingSample(w, np.sin(2 * np.pi * w) + rng.normal(0, 0.3, 400))
+        # the grid runs past the data, so the outer points are undefined
+        # (except under the unit Gaussian, whose tails reach the whole grid)
+        grid = EvalGrid(np.linspace(-4.0, 5.0, 181))
+        band = pointwise_band(s, err, grid, alpha)
+        want = pointwise_loop(s, err, grid, alpha)
+        got = np.vstack([band.values, band.variance, band.band_lower, band.band_upper])
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        if err is not GAUSS:
+            assert 0 < np.sum(np.isnan(band.values)) < len(grid)
+        assert band.meta == {"estimator": "known-error ratio", "alpha": alpha,
+                             "kind": "pointwise"}
+
+    def test_constant_responses_zero_width(self):
+        s = TrainingSample([0.0, 0.5, 1.0, 1.5], [2.0] * 4)
+        band = pointwise_band(s, GAUSS, EvalGrid([0.0, 1.0, 2.0]), 0.05)
+        assert np.all(band.variance >= 0)
+        np.testing.assert_allclose(band.band_lower, 2.0, atol=1e-7)
+        np.testing.assert_allclose(band.band_upper, 2.0, atol=1e-7)
+
+    def test_undefined_everywhere(self):
+        s = TrainingSample([0.0, 0.1], [1.0, 2.0])
+        with pytest.raises(DegenerateDenominatorError, match="undefined on the whole grid"):
+            pointwise_band(s, ErrorDensity.uniform(0.5), EvalGrid([5.0, 6.0]), 0.05)
+
+    def test_validation(self):
+        s = TrainingSample([0.0, 0.5], [1.0, 2.0])
+        grid = EvalGrid([0.0, 0.5])
+        for bad in (0.0, -0.1, 1.5):
+            with pytest.raises(ValueError, match="alpha"):
+                pointwise_band(s, GAUSS, grid, bad)
+        with pytest.raises(ValueError, match="n >= 2"):
+            pointwise_band(TrainingSample([0.0], [1.0]), GAUSS, grid, 0.05)
+
+    def test_significantly_negative_variance_raises(self):
+        # huge constant responses: the variance is a difference of terms near
+        # 1e20 whose roundoff leaves values far below -NEGATIVE_VARIANCE_TOL
+        rng = np.random.default_rng(0)
+        s = TrainingSample(rng.uniform(0, 1, 50), np.full(50, 1e10))
+        err = ErrorDensity.gaussian(0.3)
+        grid = EvalGrid(np.linspace(0, 1, 41))
+        with pytest.raises(ValueError, match="significantly negative"):
+            pointwise_loop(s, err, grid, 0.05)
+        with pytest.raises(ValueError, match="significantly negative"):
+            pointwise_band(s, err, grid, 0.05)
 
 
 class TestSimultaneousBand:

@@ -1,0 +1,320 @@
+"""Input readers: the one-pass vectorised parse against the row-wise scanner.
+
+Every public reader first tries ``io._read_fast`` and falls back to the
+row-wise path. The properties below pin that the two paths agree bit for
+bit on well-formed files and that malformed files raise the row-wise
+path's error record unchanged.
+"""
+
+import math
+import runpy
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from coarsereg import DataFormatError, ReplicatedSample
+from coarsereg import io as cio
+from coarsereg.heart import heart_disease_calibration
+from coarsereg.io import read_columns, read_pairs_csv, read_replicates_csv, read_training_csv
+
+SETTINGS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+FORMATS = (repr, lambda v: f"{v:.17g}", lambda v: f"{v:.6e}")
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def numeric_cell(draw):
+    if draw(st.booleans()):
+        return str(draw(st.integers(-(10**20), 10**20)))
+    return draw(st.sampled_from(FORMATS))(draw(finite))
+
+
+def read_pairs_ty(path):
+    return read_pairs_csv(path, columns=("t", "y"))
+
+
+READERS = {
+    "training": (read_training_csv, "w,y"),
+    "pairs": (read_pairs_ty, "t,y"),
+    "replicates": (read_replicates_csv, "group,u"),
+}
+
+
+def arrays(result):
+    if hasattr(result, "groups"):
+        return list(result.groups)
+    if hasattr(result, "w"):
+        return [result.w, result.y]
+    return list(result)
+
+
+def outcome(read, path):
+    """("ok", arrays) or ("error", record) of one read."""
+    try:
+        return "ok", arrays(read(path))
+    except DataFormatError as exc:
+        return "error", exc.record()
+
+
+def row_wise(read, path):
+    with mock.patch.object(cio, "_read_fast", return_value=None):
+        return outcome(read, path)
+
+
+def assert_same(got, want):
+    assert got[0] == want[0]
+    if got[0] == "error":
+        assert got[1] == want[1]
+        return
+    assert len(got[1]) == len(want[1])
+    for a, b in zip(got[1], want[1]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()  # bit for bit, -0.0 included
+        assert (a.flags.c_contiguous, a.flags.writeable, a.flags.owndata) == (
+            b.flags.c_contiguous, b.flags.writeable, b.flags.owndata
+        )
+
+
+def body_lines(kind, cells):
+    """Data lines for a reader; replicate rows pair off into groups of 2."""
+    if kind == "replicates":
+        return [f"g{i // 2},{c}" for i, c in enumerate(cells)]
+    return [f"{a},{b}" for a, b in zip(cells[0::2], cells[1::2])]
+
+
+@st.composite
+def table(draw, kind):
+    rows = draw(st.integers(1, 12))
+    cells = draw(st.lists(numeric_cell(), min_size=2 * rows, max_size=2 * rows))
+    return body_lines(kind, cells)
+
+
+# ---------------------------------------------------------------- (a)
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@SETTINGS
+@given(data=st.data())
+def test_well_formed_tables_match_row_wise(kind, data, tmp_path):
+    read, header = READERS[kind]
+    lines = data.draw(table(kind))
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join([header, *lines]) + "\n")
+    assert cio._read_fast(path, tuple(header.split(",")), labelled=kind == "replicates")
+    got = outcome(read, path)
+    assert got[0] == "ok"
+    assert_same(got, row_wise(read, path))
+
+
+# ---------------------------------------------------------------- (b)
+
+
+def _replace_cell(line, value, col):
+    cells = line.split(",")
+    cells[col] = value
+    return ",".join(cells)
+
+
+MUTATIONS = {
+    "nan": lambda ls, i, c: ls[:i] + [_replace_cell(ls[i], "nan", c)] + ls[i + 1:],
+    "inf": lambda ls, i, c: ls[:i] + [_replace_cell(ls[i], "-inf", c)] + ls[i + 1:],
+    "overflow": lambda ls, i, c: ls[:i] + [_replace_cell(ls[i], "1e400", c)] + ls[i + 1:],
+    "underscore": lambda ls, i, c: ls[:i] + [_replace_cell(ls[i], "1_0", c)] + ls[i + 1:],
+    "quoted": lambda ls, i, c: ls[:i] + [_replace_cell(ls[i], '"2.5"', c)] + ls[i + 1:],
+    "blank row": lambda ls, i, c: ls[:i] + [""] + ls[i:],
+    "whitespace row": lambda ls, i, c: ls[:i] + ["  \t"] + ls[i:],
+    "blank cells row": lambda ls, i, c: ls[:i] + [" , "] + ls[i:],
+    "extra field": lambda ls, i, c: ls[:i] + [ls[i] + ",1.0"] + ls[i + 1:],
+    "missing field": lambda ls, i, c: ls[:i] + [ls[i].split(",")[0]] + ls[i + 1:],
+    "comment row": lambda ls, i, c: ls[:i] + ["#" + ls[i]] + ls[i + 1:],
+    # characters str.splitlines() breaks on but csv does not
+    "line separator": lambda ls, i, c: ls[:i] + ["\u2028".join(ls[i:i + 2])] + ls[i + 2:],
+    "form feed row": lambda ls, i, c: ls[:i] + ["\x0c"] + ls[i:],
+    "single row": lambda ls, i, c: ls[:1],
+    "header only": lambda ls, i, c: [],
+}
+
+
+def render(header, lines, mutation):
+    text = "\n".join([header, *lines]) + "\n"
+    if mutation == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif mutation == "no trailing newline":
+        text = text.rstrip("\n")
+    elif mutation == "bom":
+        text = "\ufeff" + text
+    elif mutation == "bare cr":
+        text = text.replace("\n", "\r", 2)
+    return text
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@pytest.mark.parametrize(
+    "mutation", [*MUTATIONS, "crlf", "no trailing newline", "bom", "bare cr"]
+)
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_files_match_row_wise(kind, mutation, data, tmp_path):
+    read, header = READERS[kind]
+    lines = data.draw(table(kind))
+    if mutation in MUTATIONS:
+        i = data.draw(st.integers(0, len(lines) - 1))
+        col = 1 if kind == "replicates" else data.draw(st.integers(0, 1))
+        lines = MUTATIONS[mutation](lines, i, col)
+    path = tmp_path / "t.csv"
+    path.write_bytes(render(header, lines, mutation).encode())
+    assert_same(outcome(read, path), row_wise(read, path))
+
+
+@pytest.mark.parametrize(
+    "text, fast",
+    [
+        ("w,y\r\n1,2\r\n3,4\r\n", True),
+        ("w,y\n1,2", True),
+        ("w,y\n1,2\n\n3,4\n", True),
+        (" w , y \n 1 , 2 \n", True),
+        ("w,y\n1,2\n   \n", False),
+        ("w,y\n1_0,2\n", False),
+        ('w,y\n"1",2\n', False),
+        ('"w","y"\n1,2\n', False),
+        ("w,y\n1,nan\n", False),
+        ("w,y\n1,1e400\n", False),
+        ("w,y\n1,2,3\n", False),
+        ("w,y\r1,2\r", False),
+        ("w,y\n", False),
+        ("", False),
+    ],
+)
+def test_fast_path_takes_only_plain_files(tmp_path, text, fast):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    assert (cio._read_fast(path, ("w", "y")) is not None) == fast
+    assert_same(outcome(read_training_csv, path), row_wise(read_training_csv, path))
+
+
+def test_errors_keep_their_location(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("w,y\n0.5,1.0\n\n0.25,1_0\n")
+    assert read_training_csv(path).y[1] == 10.0  # float() reads digit separators
+    path.write_text("w,y\n0.5,1.0\n\n0.25,x\n0.75,inf\n")
+    with pytest.raises(DataFormatError) as err:
+        read_training_csv(path)
+    assert err.value.record() == {
+        "error": "invalid number 'x'", "file": str(path), "line": 4, "column": "y"
+    }
+
+
+def test_missing_file_record(tmp_path):
+    path = tmp_path / "absent.csv"
+    with pytest.raises(DataFormatError) as err:
+        read_training_csv(path)
+    assert err.value.record()["file"] == str(path)
+
+
+# ---------------------------------------------------------------- (c)
+
+
+@SETTINGS
+@given(
+    sizes=st.lists(st.integers(2, 4), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_replicate_groups_keep_first_appearance_order(sizes, seed, tmp_path):
+    rng = np.random.default_rng(seed)
+    labels = np.repeat([f"id{rng.integers(10**6)}-{i}" for i in range(len(sizes))], sizes)
+    rng.shuffle(labels)
+    values = rng.normal(size=len(labels))
+    path = tmp_path / "r.csv"
+    path.write_text(
+        "group,u\n" + "".join(f" {g} ,{float(v)!r}\n" for g, v in zip(labels, values))
+    )
+    expected: dict = {}
+    for g, v in zip(labels, values):
+        expected.setdefault(g, []).append(v)
+    got = outcome(read_replicates_csv, path)
+    assert_same(got, ("ok", list(ReplicatedSample(list(expected.values())).groups)))
+    assert_same(got, row_wise(read_replicates_csv, path))
+
+
+# ---------------------------------------------------------- heart reader
+
+
+def saheart_csv(path, *, n=120, seed=0, chol="chol", ldl="ldl", edit=None):
+    """A CSV shaped like the SAheart file: a row id, string and numeric
+    columns, and log(chol) linear in log(ldl)."""
+    rng = np.random.default_rng(seed)
+    log_ldl = rng.normal(1.5, 0.35, n)
+    log_chol = 4.889 + 0.3663 * log_ldl + rng.normal(0, 0.05, n)
+    rows = [f"row.names,sbp,{ldl},famhist,{chol},chd"]
+    for i in range(n):
+        famhist = "Present" if i % 3 else "Absent"
+        rows.append(
+            f"{i + 1},{130 + i % 40},{math.exp(log_ldl[i])!r},{famhist},"
+            f"{math.exp(log_chol[i])!r},{i % 2}"
+        )
+    if edit is not None:
+        line, col, text = edit
+        cells = rows[line - 1].split(",")
+        cells[col] = text
+        rows[line - 1] = ",".join(cells)
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+class TestHeartReader:
+    def test_calibration_run(self, tmp_path):
+        result = heart_disease_calibration(saheart_csv(tmp_path / "h.csv"))
+        fit = result["fit"]
+        assert abs(fit.slope - 0.3663) < 0.05 and abs(fit.intercept - 4.889) < 0.1
+        assert result["deleted"] == result["value_deletions"] + 8
+        assert result["n_used"] == 120 - result["deleted"]
+
+    def test_mixed_case_headers(self, tmp_path):
+        plain = heart_disease_calibration(saheart_csv(tmp_path / "a.csv"))
+        mixed = heart_disease_calibration(
+            saheart_csv(tmp_path / "b.csv", chol="Chol", ldl="LDL")
+        )
+        assert mixed["fit"] == plain["fit"]
+        cols = read_columns(tmp_path / "b.csv", ("CHOL", "ldl"))
+        assert list(cols) == ["CHOL", "ldl"] and len(cols["CHOL"]) == 120
+
+    def test_missing_column(self, tmp_path):
+        path = saheart_csv(tmp_path / "h.csv", chol="tc")
+        with pytest.raises(DataFormatError) as err:
+            heart_disease_calibration(path)
+        record = err.value.record()
+        assert record["line"] == 1 and "missing columns ['chol']" in record["error"]
+
+    def test_invalid_number_located(self, tmp_path):
+        path = saheart_csv(tmp_path / "h.csv", edit=(7, 4, "4.x"))
+        with pytest.raises(DataFormatError) as err:
+            heart_disease_calibration(path)
+        assert err.value.record() == {
+            "error": "invalid number '4.x'", "file": str(path), "line": 7, "column": "chol"
+        }
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_located(self, tmp_path, text):
+        path = saheart_csv(tmp_path / "h.csv", edit=(12, 2, text))
+        with pytest.raises(DataFormatError) as err:
+            heart_disease_calibration(path)
+        record = err.value.record()
+        assert record["error"] == f"non-finite value {text!r}"
+        assert (record["line"], record["column"]) == (12, "ldl")
+
+    def test_script_reads_through_io(self, tmp_path):
+        script = Path(__file__).parents[1] / "scripts" / "heart_disease.py"
+        main = runpy.run_path(str(script), run_name="heart_script")["main"]
+        out = tmp_path / "curve.csv"
+        data = saheart_csv(tmp_path / "h.csv")
+        assert main([str(data), "--grid", "4.9:5.7:5", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "x,m_hat"
