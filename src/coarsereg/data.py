@@ -85,13 +85,18 @@ class ReplicatedSample:
         return sum(len(g) * (len(g) - 1) // 2 for g in self.groups)
 
     def pair_differences(self) -> np.ndarray:
-        """All within-group differences u[k1] - u[k2] with k1 < k2."""
-        diffs = []
-        for g in self.groups:
-            m = len(g)
+        """All within-group differences u[k1] - u[k2] with k1 < k2, group by
+        group in order; one gather per distinct group size."""
+        sizes = np.array([len(g) for g in self.groups])
+        pairs = sizes * (sizes - 1) // 2
+        u = np.concatenate(self.groups)
+        first, out_first = np.cumsum(sizes) - sizes, np.cumsum(pairs) - pairs
+        out = np.empty(int(pairs.sum()))
+        for m in np.unique(sizes):
             idx1, idx2 = np.triu_indices(m, k=1)
-            diffs.append(g[idx1] - g[idx2])
-        return np.concatenate(diffs)
+            at = first[sizes == m, None]
+            out[out_first[sizes == m, None] + np.arange(len(idx1))] = u[at + idx1] - u[at + idx2]
+        return out
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,8 @@ import numpy as np
 
 from .data import EvalGrid, RegressionCurve, ReplicatedSample, TrainingSample
 from .densities import ErrorDensity
-from .errors import (
-    DegenerateDenominatorError,
-    MissingDecayError,
-    ResolutionError,
-)
-from .known import DEGENERACY_THRESHOLD
+from .errors import MissingDecayError, ResolutionError
+from .known import _block_len, _ratio_curve
 
 # Minimum number of positive-frequency nodes between 0 and the cutoff.
 MIN_NODES = 16
@@ -86,18 +82,21 @@ def symmetric_tgrid(cutoff: float, step: float) -> np.ndarray:
     return step * np.arange(-k, k + 1, dtype=float)
 
 
-def _mean_exp(t: np.ndarray, points: np.ndarray, weights=None, chunk: int = 128):
-    """mean over points of weights * exp(i * t * point), per t (chunked)."""
-    out = np.empty(len(t), dtype=complex)
+def _mean_exp(t: np.ndarray, points: np.ndarray, weights=None):
+    """Means over points of exp(i t point) and, given ``weights``, of
+    weights * exp(i t point), per t (None without weights); each block of t
+    rows, sized by the kernel block budget, is exponentiated once."""
+    plain = np.empty(len(t), dtype=complex)
+    weighted = None if weights is None else np.empty(len(t), dtype=complex)
     scale = 1.0 / len(points)
-    for start in range(0, len(t), chunk):
-        block = t[start : start + chunk]
-        e = np.exp(1j * block[:, None] * points[None, :])
-        if weights is None:
-            out[start : start + chunk] = e.sum(axis=1) * scale
-        else:
-            out[start : start + chunk] = e @ weights * scale
-    return out
+    step = _block_len(len(points), itemsize=16)
+    for start in range(0, len(t), step):
+        rows = slice(start, start + step)
+        e = np.exp(1j * t[rows, None] * points[None, :])
+        plain[rows] = e.sum(axis=1) * scale
+        if weights is not None:
+            weighted[rows] = e @ weights * scale
+    return plain, weighted
 
 
 def error_cf_from_replicates(rep: ReplicatedSample, t) -> CfTable:
@@ -109,7 +108,7 @@ def error_cf_from_replicates(rep: ReplicatedSample, t) -> CfTable:
     """
     t = np.asarray(t, dtype=float)
     diffs = rep.pair_differences()
-    vals = np.sqrt(np.abs(_mean_exp(t, diffs)))
+    vals = np.sqrt(np.abs(_mean_exp(t, diffs)[0]))
     return CfTable(t=t, values=vals)
 
 
@@ -122,8 +121,7 @@ def empirical_cfs(sample: TrainingSample, t) -> tuple:
         mean of exp(i t w_j), and mean of y_j * exp(i t w_j).
     """
     t = np.asarray(t, dtype=float)
-    plain = _mean_exp(t, sample.w)
-    weighted = _mean_exp(t, sample.w, weights=sample.y)
+    plain, weighted = _mean_exp(t, sample.w, sample.y)
     return CfTable(t=t, values=plain), CfTable(t=t, values=weighted)
 
 
@@ -359,10 +357,4 @@ def fit_fourier(
             meta["warning"] = "gaussian error CF decays faster than any polynomial"
 
     den, num = invert_cf(sample, cf_source, cfg, grid)
-    defined = den >= DEGENERACY_THRESHOLD
-    if not np.any(defined):
-        raise DegenerateDenominatorError("estimate undefined on the whole grid")
-    values = np.full(len(grid), np.nan)
-    values[defined] = num[defined] / den[defined]
-    meta["undefined"] = int(np.sum(~defined))
-    return RegressionCurve(grid=grid, values=values, meta=meta)
+    return _ratio_curve(grid, den, num, meta)

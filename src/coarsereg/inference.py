@@ -19,7 +19,7 @@ from scipy.special import ndtri
 from .data import EvalGrid, RegressionCurve, TrainingSample
 from .densities import ErrorDensity
 from .errors import DegenerateDenominatorError
-from .known import DEGENERACY_THRESHOLD, fit_known
+from .known import DEGENERACY_THRESHOLD, _block_len, _kernel_moments, fit_known
 
 # Plug-in variances this close to zero (from roundoff) are clamped to 0.
 NEGATIVE_VARIANCE_TOL = 1e-10
@@ -83,15 +83,24 @@ def product_moments(
     )
 
 
-def _ratio_parts(sample, err, x):
+def _point_moments(sample, err, x):
+    """(num, den, :func:`variance_at`) at ``x`` from one kernel evaluation."""
+    y = sample.y
     k = err.pdf(np.asarray(x, dtype=float) - sample.w)
     den = float(np.mean(k))
     if den < DEGENERACY_THRESHOLD:
         raise DegenerateDenominatorError(
             f"denominator {den:.3e} below {DEGENERACY_THRESHOLD:.0e} at x={x}"
         )
-    num = float(np.mean(sample.y * k))
-    return num, den
+    num = float(np.mean(y * k))
+    k = k * k
+    plain, resp, resp_sq = (float(np.mean(v)) for v in (k, y * k, y**2 * k))
+    v = resp_sq / den**2 + num**2 * plain / den**4 - 2.0 * num * resp / den**3
+    if v < 0:
+        if v < -NEGATIVE_VARIANCE_TOL:
+            raise ValueError(f"plug-in variance {v:.3e} is significantly negative")
+        v = 0.0
+    return num, den, v
 
 
 def variance_at(sample: TrainingSample, err: ErrorDensity, x: float) -> float:
@@ -99,18 +108,7 @@ def variance_at(sample: TrainingSample, err: ErrorDensity, x: float) -> float:
 
     Clamped to 0 when roundoff drives the expression slightly negative.
     """
-    num, den = _ratio_parts(sample, err, x)
-    m = product_moments(sample, err, x, x)
-    v = (
-        m.response_sq / den**2
-        + num**2 * m.plain / den**4
-        - 2.0 * num * m.response / den**3
-    )
-    if v < 0:
-        if v < -NEGATIVE_VARIANCE_TOL:
-            raise ValueError(f"plug-in variance {v:.3e} is significantly negative")
-        v = 0.0
-    return v
+    return _point_moments(sample, err, x)[2]
 
 
 def covariance_matrix(
@@ -124,27 +122,25 @@ def covariance_matrix(
         Naming the first offending grid point if any denominator is
         degenerate.
     """
-    x = grid.points
-    k = err.pdf(x[:, None] - sample.w[None, :])  # (grid, n)
-    den = np.mean(k, axis=1)
+    x, w, y, n = grid.points, sample.w, sample.y, sample.n
+    den, num = _kernel_moments(err.pdf, x, w, y)
     bad = den < DEGENERACY_THRESHOLD
     if np.any(bad):
         raise DegenerateDenominatorError(
             f"denominator degenerate at grid point x={x[bad][0]:.6g}"
         )
-    n = sample.n
-    num = k @ sample.y / n
-    plain = k @ k.T / n
-    resp = k @ (sample.y[:, None] * k.T) / n
-    resp_sq = k @ (sample.y[:, None] ** 2 * k.T) / n
-
-    dd = np.outer(den, den)
-    cov = (
-        resp_sq / dd
-        + plain * np.outer(num, num) / dd**2
-        - resp * (np.outer(num, den) + np.outer(den, num)) / dd**2
-    )
-    cov = 0.5 * (cov + cov.T)  # restore exact symmetry lost to roundoff
+    # B B^T / n for the centered factor B = k (y - m_hat) / den, summed over
+    # blocks of sample columns; numpy runs b @ b.T as a symmetric rank-k
+    # update, so the sum is exactly symmetric with a nonnegative diagonal
+    m_hat = num / den
+    cov = np.zeros((len(x), len(x)))
+    step = _block_len(len(x))
+    for start in range(0, n, step):
+        cols = slice(start, start + step)
+        b = err.pdf(x[:, None] - w[None, cols]) * (y[None, cols] - m_hat[:, None])
+        b /= den[:, None]
+        cov += b @ b.T
+    cov /= n
     return CovarianceMatrix(grid=grid, entries=cov)
 
 
@@ -161,13 +157,9 @@ def pointwise_ci(
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if sample.n < 2:
         raise ValueError("confidence interval needs n >= 2")
-    num, den = _ratio_parts(sample, err, x)
+    num, den, v = _point_moments(sample, err, x)
     est = num / den
-    half = (
-        ndtri(1.0 - alpha / 2.0)
-        * np.sqrt(variance_at(sample, err, x))
-        / np.sqrt(sample.n)
-    )
+    half = ndtri(1.0 - alpha / 2.0) * np.sqrt(v) / np.sqrt(sample.n)
     return est - half, est + half
 
 
@@ -193,20 +185,15 @@ def pointwise_band(
     if sample.n < 2:
         raise ValueError("confidence interval needs n >= 2")
     y = sample.y
-    k = err.pdf(grid.points[:, None] - sample.w[None, :])
-    den = np.mean(k, axis=1)
+    den, num, sq = _kernel_moments(
+        err.pdf, grid.points, sample.w, y, np.column_stack([np.ones_like(y), y, y**2])
+    )
     ok = den >= DEGENERACY_THRESHOLD
     if not np.any(ok):
         raise DegenerateDenominatorError("interval undefined on the whole grid")
-    num = k @ y / sample.n
-    k *= k
-    plain, resp, resp_sq = (k @ np.column_stack([np.ones_like(y), y, y**2]) / sample.n).T
+    plain, resp, resp_sq = sq.T
     with np.errstate(divide="ignore", invalid="ignore"):
-        var = (
-            resp_sq / den**2
-            + num**2 * plain / den**4
-            - 2.0 * num * resp / den**3
-        )
+        var = resp_sq / den**2 + num**2 * plain / den**4 - 2.0 * num * resp / den**3
         values = num / den
     var[~ok] = np.nan
     values[~ok] = np.nan

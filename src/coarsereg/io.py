@@ -237,28 +237,16 @@ def curve_csv_text(curve: RegressionCurve, kind: str = "fit") -> str:
     ``kind`` is ``"fit"`` (columns x,m_hat) or ``"ci"`` (columns
     x,m_hat,v_hat,lower,upper).
     """
-    lines = []
-    if kind == "fit":
-        lines.append("x,m_hat")
-        for x, v in zip(curve.grid.points, curve.values):
-            lines.append(f"{format_float(x)},{format_float(v)}")
-    elif kind == "ci":
+    columns = [curve.grid.points, curve.values]
+    if kind == "ci":
         if curve.variance is None or curve.band_lower is None:
             raise ValueError("curve has no variance/interval columns")
-        lines.append("x,m_hat,v_hat,lower,upper")
-        for x, v, s, lo, hi in zip(
-            curve.grid.points,
-            curve.values,
-            curve.variance,
-            curve.band_lower,
-            curve.band_upper,
-        ):
-            lines.append(
-                ",".join(format_float(t) for t in (x, v, s, lo, hi))
-            )
-    else:
+        columns += [curve.variance, curve.band_lower, curve.band_upper]
+    elif kind != "fit":
         raise ValueError(f"unknown curve kind {kind!r}")
-    return "\n".join(lines) + "\n"
+    header = "x,m_hat" if kind == "fit" else "x,m_hat,v_hat,lower,upper"
+    rows = (",".join(format_float(v) for v in row) for row in zip(*columns))
+    return "\n".join([header, *rows]) + "\n"
 
 
 def read_curve_csv(path) -> dict:

@@ -27,23 +27,56 @@ SCAN_POINTS = 512
 _GOLDEN = (5.0**0.5 - 1.0) / 2.0
 
 
+# Byte budget of one block of kernel values: dense paths build the grid-by-
+# sample kernel a block at a time, in O(n + G + block) memory and in cache.
+_BLOCK_BYTES = 4 << 20
+
+
+def _block_len(width: int, itemsize: int = 8) -> int:
+    """Rows of ``width`` items of ``itemsize`` bytes that fit in one block."""
+    return max(1, _BLOCK_BYTES // (itemsize * width))
+
+
+def _kernel_moments(kernel, x, w, y, sq_weights=None):
+    """``mean(k, axis=1)`` and ``k @ y / n`` for ``k = kernel(x[:, None] - w[None, :])``
+    built in blocks of grid rows; given an (n, m) ``sq_weights``, also
+    ``(k * k) @ sq_weights / n``. The means do not depend on the blocking;
+    the products agree to a few ulp, and are bit-identical in one block.
+    """
+    n = len(w)
+    step = _block_len(n)
+    den, num = np.empty(len(x)), np.empty(len(x))
+    sq = None if sq_weights is None else np.empty((len(x), sq_weights.shape[1]))
+    for start in range(0, len(x), step):
+        rows = slice(start, start + step)
+        k = kernel(x[rows, None] - w[None, :])
+        # numpy reductions over the sample axis accumulate pairwise, keeping
+        # long replication studies deterministic and well-conditioned
+        den[rows] = np.mean(k, axis=1)
+        num[rows] = k @ y / n
+        if sq is not None:
+            k *= k
+            sq[rows] = k @ sq_weights / n
+    return (den, num) if sq is None else (den, num, sq)
+
+
+def _moments_at(sample, err, x):
+    """(den, num) at ``x``; floats for a single point."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    den, num = _kernel_moments(err.pdf, x, sample.w, sample.y)
+    return (den, num) if den.size > 1 else (float(den[0]), float(num[0]))
+
+
 def predictor_density(sample: TrainingSample, err: ErrorDensity, x):
     """Average of err.pdf(x - w_i): the estimated density of the coarsened
     predictor at ``x`` (the ratio denominator). Vectorized over ``x``.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    # numpy reductions over the sample axis accumulate pairwise, keeping
-    # long replication studies deterministic and well-conditioned
-    out = np.mean(err.pdf(x[:, None] - sample.w[None, :]), axis=1)
-    return out if out.size > 1 else float(out[0])
+    return _moments_at(sample, err, x)[0]
 
 
 def response_weighted_density(sample: TrainingSample, err: ErrorDensity, x):
     """Average of y_i * err.pdf(x - w_i): the ratio numerator."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    k = err.pdf(x[:, None] - sample.w[None, :])
-    out = k @ sample.y / sample.n
-    return out if out.size > 1 else float(out[0])
+    return _moments_at(sample, err, x)[1]
 
 
 def regression_at(sample: TrainingSample, err: ErrorDensity, x: float) -> float:
@@ -54,12 +87,27 @@ def regression_at(sample: TrainingSample, err: ErrorDensity, x: float) -> float:
     DegenerateDenominatorError
         If the denominator average at ``x`` is below the threshold.
     """
-    den = predictor_density(sample, err, x)
+    den, num = _moments_at(sample, err, x)
     if den < DEGENERACY_THRESHOLD:
         raise DegenerateDenominatorError(
             f"denominator {den:.3e} below {DEGENERACY_THRESHOLD:.0e} at x={x}"
         )
-    return response_weighted_density(sample, err, x) / den
+    return num / den
+
+
+def _ratio_curve(grid, den, num, meta: dict) -> RegressionCurve:
+    """The curve num / den, NaN where den is below the threshold, with the
+    count of such points added to ``meta`` as ``"undefined"``.
+
+    Raises DegenerateDenominatorError if every point is undefined.
+    """
+    defined = den >= DEGENERACY_THRESHOLD
+    if not np.any(defined):
+        raise DegenerateDenominatorError("estimate undefined on the whole grid")
+    values = np.full(len(grid), np.nan)
+    values[defined] = num[defined] / den[defined]
+    meta["undefined"] = int(np.sum(~defined))
+    return RegressionCurve(grid=grid, values=values, meta=meta)
 
 
 def fit_known(sample: TrainingSample, err: ErrorDensity, grid: EvalGrid) -> RegressionCurve:
@@ -73,21 +121,9 @@ def fit_known(sample: TrainingSample, err: ErrorDensity, grid: EvalGrid) -> Regr
     DegenerateDenominatorError
         If every grid point is undefined.
     """
-    x = grid.points
-    k = err.pdf(x[:, None] - sample.w[None, :])
-    den = np.mean(k, axis=1)
-    num = k @ sample.y / sample.n
-    defined = den >= DEGENERACY_THRESHOLD
-    if not np.any(defined):
-        raise DegenerateDenominatorError("estimate undefined on the whole grid")
-    values = np.full_like(den, np.nan)
-    values[defined] = num[defined] / den[defined]
-    meta = {
-        "estimator": "known-error ratio",
-        "density": err.describe(),
-        "undefined": int(np.sum(~defined)),
-    }
-    return RegressionCurve(grid=grid, values=values, meta=meta)
+    den, num = _kernel_moments(err.pdf, grid.points, sample.w, sample.y)
+    return _ratio_curve(grid, den, num, {"estimator": "known-error ratio",
+                                         "density": err.describe()})
 
 
 def regression_derivative_at(sample: TrainingSample, err: ErrorDensity, x: float) -> float:
@@ -135,14 +171,12 @@ def _golden_section(f, lo: float, hi: float, xtol: float) -> float:
 
 def _scan_values(sample, err, lo, hi, scan_points):
     xs = np.linspace(lo, hi, scan_points)
-    k = err.pdf(xs[:, None] - sample.w[None, :])
-    den = np.mean(k, axis=1)
-    if np.any(den < DEGENERACY_THRESHOLD):
-        bad = xs[den < DEGENERACY_THRESHOLD][0]
+    den, num = _kernel_moments(err.pdf, xs, sample.w, sample.y)
+    bad = den < DEGENERACY_THRESHOLD
+    if np.any(bad):
         raise DegenerateDenominatorError(
-            f"denominator degenerate inside [{lo}, {hi}] (e.g. near x={bad:.6g})"
+            f"denominator degenerate inside [{lo}, {hi}] (e.g. near x={xs[bad][0]:.6g})"
         )
-    num = k @ sample.y / sample.n
     return xs, num / den
 
 

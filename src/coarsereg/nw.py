@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import EvalGrid, RegressionCurve, TrainingSample
 from .errors import DegenerateDenominatorError
-from .known import DEGENERACY_THRESHOLD
+from .known import DEGENERACY_THRESHOLD, _kernel_moments, _ratio_curve
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # np.exp leaves its vector fast path for arguments below about -708, where
@@ -82,20 +82,8 @@ def fit_nw(sample: TrainingSample, h: float, grid: EvalGrid) -> RegressionCurve:
     """Kernel regression curve on a grid; degenerate points carry NaN."""
     if not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
-    k = _gauss((grid.points[:, None] - sample.w[None, :]) / h)
-    den = np.mean(k, axis=1)
-    num = k @ sample.y / sample.n
-    defined = den >= DEGENERACY_THRESHOLD
-    if not np.any(defined):
-        raise DegenerateDenominatorError("estimate undefined on the whole grid")
-    values = np.full(len(grid), np.nan)
-    values[defined] = num[defined] / den[defined]
-    return RegressionCurve(
-        grid=grid,
-        values=values,
-        meta={"estimator": "nadaraya-watson", "bandwidth": h,
-              "undefined": int(np.sum(~defined))},
-    )
+    den, num = _kernel_moments(lambda u: _gauss(u / h), grid.points, sample.w, sample.y)
+    return _ratio_curve(grid, den, num, {"estimator": "nadaraya-watson", "bandwidth": h})
 
 
 def cv_grid(sample: TrainingSample, cfg: NwConfig | None = None) -> np.ndarray:

@@ -1,0 +1,181 @@
+"""The blocked kernel-moment primitive: results that do not depend on how the
+grid-by-sample kernel is split into blocks, and memory that does not grow
+with G x n."""
+
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coarsereg import (
+    DegenerateDenominatorError,
+    ErrorDensity,
+    EvalGrid,
+    TrainingSample,
+    covariance_matrix,
+    find_extremum,
+    fit_known,
+    fit_nw,
+    pointwise_band,
+)
+from coarsereg import fourier, known
+from coarsereg.known import _kernel_moments
+
+
+def _triangular(u):
+    return np.maximum(1.0 - np.abs(np.asarray(u, dtype=float)), 0.0)
+
+
+DENSITIES = [ErrorDensity.gaussian(0.1), ErrorDensity.laplace(0.05),
+             ErrorDensity.uniform(0.1), ErrorDensity.custom(_triangular, scale=0.5)]
+
+
+def blocks_of(n, rows):
+    """Patch the block budget so that each block holds ``rows`` grid rows."""
+    return mock.patch.object(known, "_BLOCK_BYTES", 8 * n * rows)
+
+
+def outcome(f):
+    """A call's result, or the message of its degeneracy error."""
+    try:
+        return f()
+    except DegenerateDenominatorError as exc:
+        return str(exc)
+
+
+@st.composite
+def blocked_cases(draw):
+    n = draw(st.integers(1, 80))
+    g = draw(st.integers(2, 40))
+    mode = draw(st.sampled_from(["single rows", "ragged", "one block"]))
+    if mode == "single rows":
+        rows = 1
+    elif mode == "one block":
+        rows = g
+    else:
+        rows = draw(st.integers(2, max(2, g - 1)).filter(lambda r: g % r != 0 or g < 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    err = draw(st.sampled_from(DENSITIES))
+    # grids that run past the data leave points undefined, possibly only in
+    # later blocks
+    hi = draw(st.sampled_from([1.0, 1.5, 3.0]))
+    return n, g, rows, seed, err, hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocked_cases())
+def test_blocking_leaves_results_unchanged(case):
+    n, g, rows, seed, err, hi = case
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.0, 1.0, n)
+    y = rng.normal(2.0, 1.0, n)
+    s = TrainingSample(w, y)
+    grid = EvalGrid.linspace(-0.2, hi, g)
+    sq_weights = np.column_stack([np.ones_like(y), y, y**2])
+
+    def run():
+        return (
+            _kernel_moments(err.pdf, grid.points, w, y, sq_weights),
+            outcome(lambda: fit_known(s, err, grid).values),
+            outcome(lambda: covariance_matrix(s, err, grid).entries),
+            outcome(lambda: known._scan_values(s, err, -0.2, hi, g)[1]),
+        )
+
+    with blocks_of(n, g + 1):
+        want = run()
+    with blocks_of(n, rows):
+        got = run()
+
+    (den, num, sq), (den0, num0, sq0) = got[0], want[0]
+    np.testing.assert_array_equal(den, den0)
+    # the products may sum in another order: a few ulp of the sums of |terms|
+    k = err.pdf(grid.points[:, None] - w[None, :])
+    num_scale = np.max(k @ np.abs(y)) / n
+    sq_scale = np.max((k * k) @ np.abs(sq_weights)) / n
+    np.testing.assert_allclose(num, num0, rtol=1e-13, atol=1e-13 * num_scale)
+    np.testing.assert_allclose(sq, sq0, rtol=1e-13, atol=1e-13 * sq_scale)
+    for a, b in zip(got[1:], want[1:]):
+        if isinstance(b, str):
+            assert a == b  # the same first bad x
+        else:
+            np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.nanmax(np.abs(b)))
+
+
+def test_degenerate_point_in_a_later_block_is_named():
+    s = TrainingSample(np.linspace(0.0, 1.0, 50), np.arange(50.0))
+    err = ErrorDensity.uniform(0.1)
+    grid = EvalGrid.linspace(0.0, 2.0, 41)
+    bad = np.mean(err.pdf(grid.points[:, None] - s.w[None, :]), axis=1) < 1e-12
+    first = np.flatnonzero(bad)[0]
+    assert first > 3  # past the first block for rows 1 and 3
+    for rows in (1, 3, 41):
+        with blocks_of(s.n, rows):
+            with pytest.raises(DegenerateDenominatorError) as exc:
+                covariance_matrix(s, err, grid)
+            assert str(exc.value).endswith(f"x={grid.points[first]:.6g}")
+            with pytest.raises(DegenerateDenominatorError) as exc:
+                find_extremum(s, err, 0.0, 2.0, scan_points=41)
+            assert str(exc.value).endswith(f"near x={grid.points[first]:.6g})")
+            assert fit_known(s, err, grid).meta["undefined"] == np.sum(bad)
+
+
+def three_moment_covariance(s, err, grid):
+    """The plug-in covariance as a difference of three product moments."""
+    k = err.pdf(grid.points[:, None] - s.w[None, :])
+    n = s.n
+    den, num = k.mean(axis=1), k @ s.y / n
+    plain = k @ k.T / n
+    resp = k @ (s.y[:, None] * k.T) / n
+    resp_sq = k @ (s.y[:, None] ** 2 * k.T) / n
+    dd = np.outer(den, den)
+    return (resp_sq / dd + plain * np.outer(num, num) / dd**2
+            - resp * (np.outer(num, den) + np.outer(den, num)) / dd**2)
+
+
+@pytest.mark.parametrize("err", DENSITIES)
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_covariance_matches_three_moment_formula(err, rows):
+    rng = np.random.default_rng(53)
+    w = rng.uniform(0.0, 1.0, 300)
+    s = TrainingSample(w, 5.0 + np.sin(4 * w) + rng.normal(0.0, 0.4, 300))
+    grid = EvalGrid.linspace(0.05, 0.95, 23)
+    want = three_moment_covariance(s, err, grid)
+    # rows=7 over a 23-point grid also splits the 300 sample columns
+    with blocks_of(s.n, rows or 1000):
+        got = covariance_matrix(s, err, grid).entries
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    np.testing.assert_array_equal(got, got.T)
+    assert np.all(np.diag(got) >= 0)
+
+
+def test_peak_memory_is_a_few_blocks():
+    n, g = 200_000, 201
+    rng = np.random.default_rng(59)
+    w = rng.uniform(0.0, 1.0, n)
+    s = TrainingSample(w, 3.0 * w + rng.normal(0.0, 1.0, n))
+    err = ErrorDensity.gaussian(0.1)
+    grid = EvalGrid.linspace(0.0, 1.0, g)
+    t = np.linspace(-20.0, 20.0, g)
+    # a few kernel blocks plus O(n + G^2) vectors; one dense G x n kernel
+    # would be 8 * n * g = 322 MB
+    bound = 4 * known._BLOCK_BYTES + 48 * n + 24 * g * g
+    calls = {
+        "fit_known": lambda: fit_known(s, err, grid),
+        "find_extremum": lambda: find_extremum(s, err, 0.3, 0.7),
+        "pointwise_band": lambda: pointwise_band(s, err, grid),
+        "covariance_matrix": lambda: covariance_matrix(s, err, grid),
+        "fit_nw": lambda: fit_nw(s, 0.02, grid),
+        "empirical_cfs": lambda: fourier.empirical_cfs(s, t),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"{name}: peak {peak} B above {bound} B"

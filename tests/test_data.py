@@ -41,6 +41,17 @@ class TestReplicatedSample:
         r = ReplicatedSample([[3.0, 1.0]])
         np.testing.assert_array_equal(r.pair_differences(), [2.0])
 
+    def test_pair_differences_match_per_group_loop(self):
+        # ragged groups of sizes 2-5 in interleaved order
+        rng = np.random.default_rng(21)
+        sizes = [2, 5, 3, 2, 4, 5, 3, 3, 2, 4] * 7 + [5, 2]
+        r = ReplicatedSample([rng.normal(size=m) for m in sizes])
+        want = []
+        for g in r.groups:
+            idx1, idx2 = np.triu_indices(len(g), k=1)
+            want.append(g[idx1] - g[idx2])
+        np.testing.assert_array_equal(r.pair_differences(), np.concatenate(want))
+
     def test_small_group_rejected(self):
         with pytest.raises(ValueError, match=">= 2"):
             ReplicatedSample([[0.0, 1.0], [2.0]])

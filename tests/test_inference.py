@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from coarsereg import (
     CoarseRegError,
@@ -170,6 +171,42 @@ class TestPointwiseCI:
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="n >= 2"):
             pointwise_ci(TrainingSample([0.0], [1.0]), GAUSS, 0.0, 0.05)
+
+
+def product_moments_ci(sample, err, x, alpha):
+    """Interval and variance from the ratio averages and product_moments,
+    each on its own kernel evaluation."""
+    k = err.pdf(x - sample.w)
+    den, num = float(np.mean(k)), float(np.mean(sample.y * k))
+    m = product_moments(sample, err, x, x)
+    v = m.response_sq / den**2 + num**2 * m.plain / den**4 - 2.0 * num * m.response / den**3
+    if v < 0:
+        v = 0.0
+    half = ndtri(1.0 - alpha / 2.0) * np.sqrt(v) / np.sqrt(sample.n)
+    return num / den - half, num / den + half, v
+
+
+def _triangular(u):
+    return np.maximum(1.0 - np.abs(np.asarray(u, dtype=float)), 0.0)
+
+
+class TestPointwiseOneKernel:
+    @pytest.mark.parametrize("err", [ErrorDensity.gaussian(0.2), ErrorDensity.laplace(0.1),
+                                     ErrorDensity.uniform(0.3),
+                                     ErrorDensity.custom(_triangular, scale=0.5)])
+    def test_bit_identical_to_product_moments(self, err):
+        rng = np.random.default_rng(43)
+        for n in (2, 37, 400):
+            w = rng.uniform(0, 1, n)
+            s = TrainingSample(w, np.cos(3 * w) + rng.normal(0, 0.5, n))
+            for x in rng.uniform(0.1, 0.9, 9):
+                lo, hi, v = product_moments_ci(s, err, float(x), 0.05)
+                try:
+                    got = (*pointwise_ci(s, err, float(x), 0.05), variance_at(s, err, float(x)))
+                except DegenerateDenominatorError:
+                    assert np.mean(err.pdf(float(x) - s.w)) < 1e-12
+                    continue
+                np.testing.assert_array_equal(got, (lo, hi, v))
 
 
 def pointwise_loop(sample, err, grid, alpha):
