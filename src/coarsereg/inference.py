@@ -19,7 +19,7 @@ from scipy.special import ndtri
 from .data import EvalGrid, RegressionCurve, TrainingSample
 from .densities import ErrorDensity
 from .errors import DegenerateDenominatorError
-from .known import DEGENERACY_THRESHOLD, _block_len, _kernel_moments, fit_known
+from .known import DEGENERACY_THRESHOLD, _block_len, _kernel_moments, _known_curve
 
 # Plug-in variances this close to zero (from roundoff) are clamped to 0.
 NEGATIVE_VARIANCE_TOL = 1e-10
@@ -83,24 +83,59 @@ def product_moments(
     )
 
 
-def _point_moments(sample, err, x):
-    """(num, den, :func:`variance_at`) at ``x`` from one kernel evaluation."""
-    y = sample.y
-    k = err.pdf(np.asarray(x, dtype=float) - sample.w)
-    den = float(np.mean(k))
-    if den < DEGENERACY_THRESHOLD:
-        raise DegenerateDenominatorError(
-            f"denominator {den:.3e} below {DEGENERACY_THRESHOLD:.0e} at x={x}"
-        )
-    num = float(np.mean(y * k))
-    k = k * k
-    plain, resp, resp_sq = (float(np.mean(v)) for v in (k, y * k, y**2 * k))
-    v = resp_sq / den**2 + num**2 * plain / den**4 - 2.0 * num * resp / den**3
+def _plugin_variance(den, num, plain, resp, resp_sq):
+    """The plug-in variance from the ratio moments and the product-kernel
+    moments at one point (floats) or elementwise over points (arrays)."""
+    return resp_sq / den**2 + num**2 * plain / den**4 - 2.0 * num * resp / den**3
+
+
+def _clamped_variance(v):
+    """``v``, or 0 when roundoff drove it slightly negative.
+
+    Raises ValueError when it is significantly negative.
+    """
     if v < 0:
         if v < -NEGATIVE_VARIANCE_TOL:
             raise ValueError(f"plug-in variance {v:.3e} is significantly negative")
         v = 0.0
-    return num, den, v
+    return v
+
+
+def _point_moments(sample, err, xs):
+    """The (P, n) kernel at the points ``xs`` and, from its row means, den,
+    num and the unclamped :func:`variance_at` value at each point.
+
+    The variance is evaluated per point on floats: numpy's array powers
+    round differently from float powers, and the floats keep the values
+    :func:`pointwise_ci` has always returned.
+
+    Raises
+    ------
+    DegenerateDenominatorError
+        At the first point of ``xs`` whose denominator is degenerate.
+    """
+    y = sample.y
+    k = err.pdf(np.asarray(xs, dtype=float)[:, None] - sample.w)
+    den = np.mean(k, axis=1)
+    bad = np.flatnonzero(den < DEGENERACY_THRESHOLD)
+    if bad.size:
+        i = bad[0]
+        raise DegenerateDenominatorError(
+            f"denominator {den[i]:.3e} below {DEGENERACY_THRESHOLD:.0e} at x={xs[i]}"
+        )
+    num = np.mean(y * k, axis=1)
+    k2 = k * k
+    moments = (den, num, *(np.mean(v, axis=1) for v in (k2, y * k2, y**2 * k2)))
+    var = np.array([_plugin_variance(*map(float, m)) for m in zip(*moments)])
+    return k, den, num, var
+
+
+def _interval(num, den, v, n, alpha):
+    """(1 - alpha) interval num/den +- z(1 - alpha/2) sqrt(v / n), with the
+    variance clamped as in :func:`variance_at`."""
+    est = num / den
+    half = ndtri(1.0 - alpha / 2.0) * np.sqrt(_clamped_variance(v)) / np.sqrt(n)
+    return est - half, est + half
 
 
 def variance_at(sample: TrainingSample, err: ErrorDensity, x: float) -> float:
@@ -108,7 +143,7 @@ def variance_at(sample: TrainingSample, err: ErrorDensity, x: float) -> float:
 
     Clamped to 0 when roundoff drives the expression slightly negative.
     """
-    return _point_moments(sample, err, x)[2]
+    return float(_clamped_variance(_point_moments(sample, err, (x,))[3][0]))
 
 
 def covariance_matrix(
@@ -122,13 +157,19 @@ def covariance_matrix(
         Naming the first offending grid point if any denominator is
         degenerate.
     """
-    x, w, y, n = grid.points, sample.w, sample.y, sample.n
-    den, num = _kernel_moments(err.pdf, x, w, y)
+    x = grid.points
+    den, num = _kernel_moments(err.pdf, x, sample.w, sample.y)
     bad = den < DEGENERACY_THRESHOLD
     if np.any(bad):
         raise DegenerateDenominatorError(
             f"denominator degenerate at grid point x={x[bad][0]:.6g}"
         )
+    return CovarianceMatrix(grid=grid, entries=_centered_covariance(sample, err, x, den, num))
+
+
+def _centered_covariance(sample, err, x, den, num):
+    """The covariance entries on the points ``x`` from their den/num."""
+    w, y, n = sample.w, sample.y, sample.n
     # B B^T / n for the centered factor B = k (y - m_hat) / den, summed over
     # blocks of sample columns; numpy runs b @ b.T as a symmetric rank-k
     # update, so the sum is exactly symmetric with a nonnegative diagonal
@@ -141,7 +182,7 @@ def covariance_matrix(
         b /= den[:, None]
         cov += b @ b.T
     cov /= n
-    return CovarianceMatrix(grid=grid, entries=cov)
+    return cov
 
 
 def pointwise_ci(
@@ -157,10 +198,8 @@ def pointwise_ci(
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if sample.n < 2:
         raise ValueError("confidence interval needs n >= 2")
-    num, den, v = _point_moments(sample, err, x)
-    est = num / den
-    half = ndtri(1.0 - alpha / 2.0) * np.sqrt(v) / np.sqrt(sample.n)
-    return est - half, est + half
+    _, den, num, var = _point_moments(sample, err, (x,))
+    return _interval(float(num[0]), float(den[0]), var[0], sample.n, alpha)
 
 
 def pointwise_band(
@@ -193,7 +232,7 @@ def pointwise_band(
         raise DegenerateDenominatorError("interval undefined on the whole grid")
     plain, resp, resp_sq = sq.T
     with np.errstate(divide="ignore", invalid="ignore"):
-        var = resp_sq / den**2 + num**2 * plain / den**4 - 2.0 * num * resp / den**3
+        var = _plugin_variance(den, num, plain, resp, resp_sq)
         values = num / den
     var[~ok] = np.nan
     values[~ok] = np.nan
@@ -234,10 +273,14 @@ def simultaneous_band(
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if n_sim < 1:
         raise ValueError("n_sim must be positive")
-    curve = fit_known(sample, err, grid)
+    # one den/num pass serves the fit and the covariance
+    den, num = _kernel_moments(err.pdf, grid.points, sample.w, sample.y)
+    curve = _known_curve(err, grid, den, num)
     if not np.all(curve.defined):
         raise DegenerateDenominatorError("band needs the fit defined on the whole grid")
-    cov = covariance_matrix(sample, err, grid).entries
+    cov = CovarianceMatrix(
+        grid=grid, entries=_centered_covariance(sample, err, grid.points, den, num)
+    ).entries
     var = np.diag(cov).copy()
     n = sample.n
     se = np.sqrt(var / n)

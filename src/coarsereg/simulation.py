@@ -33,9 +33,9 @@ import numpy as np
 from .data import EvalGrid, RegressionCurve, TrainingSample
 from .densities import ErrorDensity
 from .errors import CoarseRegError, DegenerateDenominatorError
-from .inference import pointwise_ci
+from .inference import _interval, _point_moments
 from .io import _jsonable
-from .known import DEGENERACY_THRESHOLD, _golden_section, fit_known, regression_at
+from .known import DEGENERACY_THRESHOLD, _block_len, _golden_section, fit_known
 from .nw import NwConfig, cv_bandwidth, fit_nw, nw_estimate
 
 logger = logging.getLogger(__name__)
@@ -215,26 +215,95 @@ _SIMPSON_START = 256
 _SIMPSON_MAX = 2**20
 
 
-def _simpson_adaptive(f, lo: float, hi: float, tol: float = _SIMPSON_TOL) -> float:
-    """Composite Simpson with interval doubling to absolute tolerance."""
-    if hi <= lo:
-        return 0.0
+def _simpson_adaptive(f, lo, hi, tol: float = _SIMPSON_TOL) -> np.ndarray:
+    """Composite Simpson over [lo[i], hi[i]] for each row i, doubling the
+    intervals until two successive sums differ by less than ``tol``; each row
+    stops doubling on its own, and an empty interval integrates to 0.
+
+    ``f(rows, m)`` gives the integrand at the m + 1 equally spaced nodes of
+    each selected row, one row each. Rows are evaluated a block at a time,
+    so memory stays bounded however far a row doubles.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     m = _SIMPSON_START
 
-    def simpson(m):
-        xs = np.linspace(lo, hi, m + 1)
-        ys = f(xs)
-        h = (hi - lo) / m
-        return h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
+    def simpson(rows, m):
+        out = np.empty(len(rows))
+        step = _block_len(m + 1)
+        for start in range(0, len(rows), step):
+            block = slice(start, start + step)
+            ys = f(rows[block], m)
+            h = (hi[rows[block]] - lo[rows[block]]) / m
+            out[block] = h / 3.0 * (ys[:, 0] + ys[:, -1] + 4.0 * ys[:, 1:-1:2].sum(axis=1)
+                                    + 2.0 * ys[:, 2:-1:2].sum(axis=1))
+        return out
 
-    prev = simpson(m)
-    while m < _SIMPSON_MAX:
+    result = np.zeros(len(lo))
+    rows = np.flatnonzero(hi > lo)
+    prev = simpson(rows, m)
+    while m < _SIMPSON_MAX and rows.size:
         m *= 2
-        cur = simpson(m)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    return prev
+        cur = simpson(rows, m)
+        done = np.abs(cur - prev) < tol
+        result[rows[done]] = cur[done]
+        rows, prev = rows[~done], cur[~done]
+    result[rows] = prev
+    return result
+
+
+def _truth(scn: ScenarioConfig, x) -> np.ndarray:
+    """:func:`true_regression` at every point of ``x``, NaN where it is
+    undefined."""
+    x = np.asarray(x, dtype=float)
+    delta_var, _ = calibrate(scn)
+    lo, hi = scn.support
+    out = np.full(len(x), np.nan)
+    if delta_var == 0.0:
+        inside = (lo <= x) & (x <= hi)
+        out[inside] = regression_function(scn.model, x[inside])
+        return out
+
+    if scn.error_kind == "uniform":
+        half = math.sqrt(3.0 * delta_var)
+        a, b = np.maximum(lo, x - half), np.minimum(hi, x + half)
+        ok = np.flatnonzero(b > a)
+        a, b = a[ok], b[ok]
+
+        def smeared(rows, m):
+            # one scalar linspace per row: with array endpoints numpy rounds
+            # the nodes differently
+            nodes = np.array([np.linspace(a[i], b[i], m + 1) for i in rows])
+            return regression_function(scn.model, nodes)
+
+        out[ok] = _simpson_adaptive(smeared, a, b) / (b - a)
+        return out
+
+    sigma = math.sqrt(delta_var)
+
+    def kernel(points, w):
+        return np.exp(-0.5 * ((points[:, None] - w) / sigma) ** 2) / (
+            sigma * math.sqrt(2 * math.pi)
+        )
+
+    def moment(rows, m):
+        w = np.linspace(lo, hi, m + 1)
+        return regression_function(scn.model, w) * kernel(xs[rows], w)
+
+    a, b = np.full(len(x), lo), np.full(len(x), hi)
+    den = _simpson_adaptive(lambda rows, m: kernel(x[rows], np.linspace(lo, hi, m + 1)), a, b)
+    ok = np.flatnonzero(den >= DEGENERACY_THRESHOLD)
+    xs = x[ok]
+    out[ok] = _simpson_adaptive(moment, a[ok], b[ok]) / den[ok]
+    return out
+
+
+# why the truth is undefined, by oracle branch (no contamination, uniform,
+# Gaussian)
+_UNDEFINED = {
+    None: "x={x} outside the predictor support",
+    "uniform": "x={x} outside the contaminated support",
+    "gaussian": "smeared density below threshold at x={x}",
+}
 
 
 @lru_cache(maxsize=200_000)
@@ -243,37 +312,19 @@ def true_regression(scn: ScenarioConfig, x: float) -> float:
     smeared response moment to the smeared predictor density, both by
     adaptive composite Simpson quadrature over the predictor support.
 
+    This is :func:`_truth` on one point, cached per (scenario, x).
+
     Raises
     ------
     DegenerateDenominatorError
         Where the smeared predictor density vanishes (x outside the
         reachable range).
     """
-    delta_var, _ = calibrate(scn)
-    lo, hi = scn.support
-    if delta_var == 0.0:
-        if lo <= x <= hi:
-            return float(regression_function(scn.model, x))
-        raise DegenerateDenominatorError(f"x={x} outside the predictor support")
-
-    if scn.error_kind == "uniform":
-        half = math.sqrt(3.0 * delta_var)
-        a, b = max(lo, x - half), min(hi, x + half)
-        if b <= a:
-            raise DegenerateDenominatorError(f"x={x} outside the contaminated support")
-        num = _simpson_adaptive(lambda w: regression_function(scn.model, w), a, b)
-        return num / (b - a)
-
-    sigma = math.sqrt(delta_var)
-
-    def kernel(w):
-        return np.exp(-0.5 * ((x - w) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-
-    den = _simpson_adaptive(kernel, lo, hi)
-    if den < DEGENERACY_THRESHOLD:
-        raise DegenerateDenominatorError(f"smeared density below threshold at x={x}")
-    num = _simpson_adaptive(lambda w: regression_function(scn.model, w) * kernel(w), lo, hi)
-    return num / den
+    value = float(_truth(scn, [x])[0])
+    if math.isnan(value):
+        kind = scn.error_kind if calibrate(scn)[0] > 0.0 else None
+        raise DegenerateDenominatorError(_UNDEFINED[kind].format(x=x))
+    return value
 
 
 def default_grid(scn: ScenarioConfig, count: int = 101) -> EvalGrid:
@@ -298,13 +349,12 @@ def integrated_squared_error(curve: RegressionCurve, scn: ScenarioConfig) -> flo
     are excluded and logged.
     """
     x = curve.grid.points
-    truth = np.empty(len(x))
-    for i, xi in enumerate(x):
-        try:
-            truth[i] = true_regression(scn, float(xi))
-        except DegenerateDenominatorError:
-            truth[i] = np.nan
-    sq = (curve.values - truth) ** 2
+    return _ise(x, curve.values, _truth(scn, x))
+
+
+def _ise(x, values, truth) -> float:
+    """:func:`integrated_squared_error` given the truth on the grid ``x``."""
+    sq = (values - truth) ** 2
     ok = np.isfinite(sq)
     both = ok[:-1] & ok[1:]
     skipped = int(np.sum(~both))
@@ -390,19 +440,31 @@ class StudyReport:
         return json.dumps(_jsonable(self.to_dict()), sort_keys=True, separators=(",", ":"))
 
 
-def _fit_replicate(scn, spec, grid, rng, points):
+def _fit_replicate(scn, spec, grid, rng, points, coverage_points, alpha):
+    """One replicate's curve, its estimates at ``points`` and, for the
+    known-error estimator, its intervals at ``coverage_points``."""
     data = generate(scn, rng)
-    if spec.method == "known":
-        density = make_density(scn) if spec.density == "true" else spec.density
-        sample = data.training()
-        curve = fit_known(sample, density, grid)
-        at = {p: regression_at(sample, density, p) for p in points}
-    else:
+    if spec.method == "nw":
         sample = data.noisy_training()
         h = cv_bandwidth(sample, NwConfig(bandwidth=spec.bandwidth))
         curve = fit_nw(sample, h, grid)
-        at = {p: nw_estimate(sample, h, p) for p in points}
-    return sample, curve, at
+        return curve, {p: nw_estimate(sample, h, p) for p in points}, {}
+    density = make_density(scn) if spec.density == "true" else spec.density
+    sample = data.training()
+    curve = fit_known(sample, density, grid)
+    if not points:
+        return curve, {}, {}
+    # one kernel for every query point; each estimate is its row's (1, n)
+    # product, as :func:`regression_at` computes it
+    k, den, num, var = _point_moments(sample, density, points)
+    y, n = sample.y, sample.n
+    at = {p: float((k[i : i + 1] @ y)[0] / n) / float(den[i]) for i, p in enumerate(points)}
+    row = {p: i for i, p in enumerate(points)}
+    ci = {
+        p: _interval(float(num[row[p]]), float(den[row[p]]), var[row[p]], n, alpha)
+        for p in coverage_points
+    }
+    return curve, at, ci
 
 
 def run_replications(
@@ -430,34 +492,28 @@ def run_replications(
         raise ValueError("need at least one replicate")
     if coverage_points and spec.method != "known":
         raise ValueError("coverage is only defined for the known-error estimator")
+    if coverage_points and not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     grid = grid or default_grid(scn)
     coverage_points = tuple(float(p) for p in coverage_points)
     rmse_points = tuple(float(p) for p in rmse_points)
     points = tuple(sorted(set(coverage_points) | set(rmse_points)))
     truth_at = {p: true_regression(scn, p) for p in points}
-
-    density_for_ci = None
-    if spec.method == "known":
-        density_for_ci = make_density(scn) if spec.density == "true" else spec.density
+    truth = _truth(scn, grid.points)
 
     def one(idx):
         rng = np.random.default_rng((master_seed, idx))
         try:
-            sample, curve, at = _fit_replicate(scn, spec, grid, rng, points)
-            out = {
-                "ise": integrated_squared_error(curve, scn),
-                "values": curve.values,
-                "at": at,
-            }
-            if coverage_points:
-                out["ci"] = {
-                    p: pointwise_ci(sample, density_for_ci, p, alpha)
-                    for p in coverage_points
-                }
-            return out
+            curve, at, ci = _fit_replicate(scn, spec, grid, rng, points, coverage_points, alpha)
         except CoarseRegError as exc:
             logger.warning("replicate %d failed: %s", idx, exc)
             return None
+        return {
+            "ise": _ise(grid.points, curve.values, truth),
+            "values": curve.values,
+            "at": at,
+            "ci": ci,
+        }
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

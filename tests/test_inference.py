@@ -18,6 +18,8 @@ from coarsereg import (
     simultaneous_band,
     variance_at,
 )
+from coarsereg import known
+from coarsereg.inference import _point_moments
 
 GAUSS = ErrorDensity.gaussian(1.0)
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -209,6 +211,33 @@ class TestPointwiseOneKernel:
                 np.testing.assert_array_equal(got, (lo, hi, v))
 
 
+class TestPointMoments:
+    @pytest.mark.parametrize("err", [ErrorDensity.gaussian(0.2), ErrorDensity.laplace(0.1),
+                                     ErrorDensity.uniform(0.3)])
+    def test_rows_give_the_single_point_bits(self, err):
+        # one (P, n) kernel gives every point the bits that pointwise_ci,
+        # variance_at and regression_at give it alone
+        rng = np.random.default_rng(47)
+        for n in (25, 37, 400):
+            w = rng.uniform(0, 1, n)
+            s = TrainingSample(w, np.cos(3 * w) + rng.normal(0, 0.5, n))
+            xs = tuple(float(x) for x in np.linspace(0.25, 0.75, 5))
+            k, den, num, var = _point_moments(s, err, xs)
+            for i, x in enumerate(xs):
+                lo, hi = pointwise_ci(s, err, x, 0.05)
+                est = float(num[i]) / float(den[i])
+                half = ndtri(0.975) * np.sqrt(max(var[i], 0.0)) / np.sqrt(n)
+                assert (est - half, est + half) == (lo, hi)
+                assert max(var[i], 0.0) == variance_at(s, err, x)
+                assert float((k[i : i + 1] @ s.y)[0] / n) / float(den[i]) == \
+                    regression_at(s, err, x)
+
+    def test_first_degenerate_point_is_named(self):
+        s = TrainingSample([0.0, 0.1], [1.0, 2.0])
+        with pytest.raises(DegenerateDenominatorError, match="at x=7.0"):
+            _point_moments(s, ErrorDensity.uniform(0.5), (0.0, 7.0, 5.0))
+
+
 def pointwise_loop(sample, err, grid, alpha):
     """The per-point interval loop that pointwise_band replaces."""
     cols = np.full((4, len(grid)), np.nan)
@@ -315,3 +344,30 @@ class TestSimultaneousBand:
         b1 = simultaneous_band(s, GAUSS, grid, n_sim=2000, seed=42)
         b2 = simultaneous_band(s, GAUSS, grid, n_sim=2000, seed=42)
         np.testing.assert_array_equal(b1.band_lower, b2.band_lower)
+
+
+class TestBandKernelPasses:
+    @pytest.mark.parametrize("block_bytes", [None, 8 * 50])
+    def test_band_and_covariance_evaluate_two_kernels(self, monkeypatch, block_bytes):
+        # the band's fit and its covariance share one den/num pass; the
+        # centered pass is the second
+        if block_bytes is not None:
+            monkeypatch.setattr(known, "_BLOCK_BYTES", block_bytes)
+        cells = []
+        pdf = ErrorDensity.pdf
+
+        def counting(self, u):
+            cells.append(np.size(u))
+            return pdf(self, u)
+
+        monkeypatch.setattr(ErrorDensity, "pdf", counting)
+        rng = np.random.default_rng(53)
+        n, g = 120, 17
+        w = rng.uniform(0, 1, n)
+        s = TrainingSample(w, np.sin(3 * w) + rng.normal(0, 0.3, n))
+        grid = EvalGrid(np.linspace(0.1, 0.9, g))
+        simultaneous_band(s, ErrorDensity.gaussian(0.2), grid, n_sim=200, seed=1)
+        assert sum(cells) == 2 * g * n
+        cells.clear()
+        covariance_matrix(s, ErrorDensity.gaussian(0.2), grid)
+        assert sum(cells) == 2 * g * n

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsereg import (
     DegenerateDenominatorError,
@@ -21,6 +23,8 @@ from coarsereg import (
     run_replications,
     true_regression,
 )
+from coarsereg import known
+from coarsereg.simulation import _truth
 
 M1 = ScenarioConfig(model="m1", n=100, predictor_noise=0.25, response_noise=0.1,
                     error_kind="uniform", seed=5)
@@ -150,6 +154,59 @@ class TestOracle:
             true_regression(scn, 50.0)
 
 
+class TestVectorisedOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(["m1", "logistic", "sine2", "sine4", "constant"]),
+        kind=st.sampled_from(["gaussian", "uniform"]),
+        noise=st.one_of(st.just(0.0), st.floats(0.001, 3.0)),
+        lo=st.floats(-2.0, 1.0),
+        span=st.floats(0.0, 3.0),
+        count=st.integers(1, 30),
+        one_row_blocks=st.booleans(),
+    )
+    def test_equals_the_pointwise_oracle(self, model, kind, noise, lo, span, count,
+                                         one_row_blocks):
+        # the grids reach past the predictor support, where the truth is
+        # undefined; with one-row blocks each row is its own integrand call
+        response = None if model in ("logistic", "sine2", "sine4") else 0.1
+        scn = ScenarioConfig(model=model, n=10, predictor_noise=noise,
+                             response_noise=response, error_kind=kind)
+        x = np.linspace(lo, lo + span, count)
+        want = np.full(count, np.nan)
+        for i, xi in enumerate(x):
+            try:
+                want[i] = true_regression(scn, float(xi))
+            except DegenerateDenominatorError:
+                pass
+        old = known._BLOCK_BYTES
+        known._BLOCK_BYTES = 8 if one_row_blocks else old
+        try:
+            got = _truth(scn, x)
+        finally:
+            known._BLOCK_BYTES = old
+        defined = ~np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), ~defined)
+        assert got[defined].tobytes() == want[defined].tobytes()
+
+    def test_undefined_messages_name_the_branch(self):
+        cases = [
+            (ScenarioConfig(model="m1", n=5, predictor_noise=0.0, response_noise=0.1),
+             "x=1.5 outside the predictor support"),
+            (ScenarioConfig(model="m1", n=5, predictor_noise=0.25, response_noise=0.1,
+                            error_kind="uniform"), "x=1.5 outside the contaminated support"),
+            (ScenarioConfig(model="m1", n=5, predictor_noise=0.01, response_noise=0.1),
+             "smeared density below threshold at x=1.5"),
+        ]
+        for scn, message in cases:
+            with pytest.raises(DegenerateDenominatorError, match=message):
+                true_regression(scn, 1.5)
+
+    def test_scalar_oracle_keeps_its_cache(self):
+        # benchmark workers read the hit and miss counts
+        assert callable(true_regression.cache_info)
+
+
 class TestIse:
     def test_exact_curve_zero(self):
         grid = default_grid(M1, count=31)
@@ -245,6 +302,36 @@ class TestRunReplications:
                                coverage_points=(1.2,))
         assert rep.failures > 0
         assert sum(v is None for v in rep.ise) == rep.failures
+
+    def test_oracle_asked_only_at_query_points(self):
+        # the truth on the grid is computed once per study, not looked up
+        # per replicate
+        scn = ScenarioConfig(model="sine2", n=60, predictor_noise=0.2, seed=424242)
+        before = true_regression.cache_info()
+        run_replications(scn, EstimatorSpec(), reps=5, master_seed=1,
+                         coverage_points=(0.5,), rmse_points=(0.25, 0.5))
+        after = true_regression.cache_info()
+        assert after.hits + after.misses - before.hits - before.misses == 2
+
+    def test_known_replicate_builds_two_kernels(self, monkeypatch):
+        # one for the grid, one for every coverage and rmse point together
+        shapes = []
+        pdf = ErrorDensity.pdf
+
+        def recording(self, u):
+            shapes.append(np.shape(u))
+            return pdf(self, u)
+
+        monkeypatch.setattr(ErrorDensity, "pdf", recording)
+        run_replications(LOGISTIC, EstimatorSpec(), reps=4,
+                         grid=EvalGrid([-0.2, 0.0, 0.2, 0.3]), master_seed=3,
+                         coverage_points=(0.0, 0.1), rmse_points=(0.2,))
+        assert shapes == [(4, 100), (3, 100)] * 4
+
+    def test_bad_alpha_rejected_up_front(self):
+        with pytest.raises(ValueError, match="alpha"):
+            run_replications(LOGISTIC, EstimatorSpec(), reps=2, coverage_points=(0.0,),
+                             alpha=0.0)
 
     def test_nw_spec(self):
         rep = run_replications(LOGISTIC, EstimatorSpec(method="nw"), reps=3,
