@@ -1,12 +1,12 @@
 """Plug-in variance and covariance estimation, confidence intervals and
 simultaneous bands for the known-error ratio estimator.
 
-The root-n limit of the ratio estimator is a Gaussian process whose
-covariance is a rational expression in five product-kernel moments; the
-plug-in versions below replace each moment by its sample average. Pointwise
-intervals follow from the normal limit; simultaneous bands simulate the
-estimated limit process and take the empirical quantile of its studentized
-supremum.
+The root-n limit of the ratio estimator is a Gaussian process with
+covariance E[f(x1 - W) f(x2 - W) (Y - m(x1)) (Y - m(x2))] / (f_X(x1) f_X(x2));
+the plug-in versions below average the centered products over the sample.
+Pointwise intervals follow from the normal limit; simultaneous bands
+simulate the estimated limit process and take the empirical quantile of its
+studentized supremum.
 """
 
 from __future__ import annotations
@@ -19,17 +19,13 @@ from scipy.special import ndtri
 from .data import EvalGrid, RegressionCurve, TrainingSample
 from .densities import ErrorDensity
 from .errors import DegenerateDenominatorError
-from .known import DEGENERACY_THRESHOLD, _block_len, _kernel_moments, _known_curve
-
-# Plug-in variances this close to zero (from roundoff) are clamped to 0.
-NEGATIVE_VARIANCE_TOL = 1e-10
+from .known import (
+    DEGENERACY_THRESHOLD, _block_len, _centered_variance, _kernel_moments, _known_curve,
+)
 
 # Covariance eigenvalues below this fraction of the largest are zeroed
 # before taking the symmetric square root.
 EIGENVALUE_CLIP = 1e-12
-
-# Studentization floor for the sup-band quantile at near-degenerate points.
-STUDENTIZATION_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,31 +79,9 @@ def product_moments(
     )
 
 
-def _plugin_variance(den, num, plain, resp, resp_sq):
-    """The plug-in variance from the ratio moments and the product-kernel
-    moments at one point (floats) or elementwise over points (arrays)."""
-    return resp_sq / den**2 + num**2 * plain / den**4 - 2.0 * num * resp / den**3
-
-
-def _clamped_variance(v):
-    """``v``, or 0 when roundoff drove it slightly negative.
-
-    Raises ValueError when it is significantly negative.
-    """
-    if v < 0:
-        if v < -NEGATIVE_VARIANCE_TOL:
-            raise ValueError(f"plug-in variance {v:.3e} is significantly negative")
-        v = 0.0
-    return v
-
-
 def _point_moments(sample, err, xs):
     """The (P, n) kernel at the points ``xs`` and, from its row means, den,
-    num and the unclamped :func:`variance_at` value at each point.
-
-    The variance is evaluated per point on floats: numpy's array powers
-    round differently from float powers, and the floats keep the values
-    :func:`pointwise_ci` has always returned.
+    num and the :func:`variance_at` value at each point.
 
     Raises
     ------
@@ -124,26 +98,25 @@ def _point_moments(sample, err, xs):
             f"denominator {den[i]:.3e} below {DEGENERACY_THRESHOLD:.0e} at x={xs[i]}"
         )
     num = np.mean(y * k, axis=1)
-    k2 = k * k
-    moments = (den, num, *(np.mean(v, axis=1) for v in (k2, y * k2, y**2 * k2)))
-    var = np.array([_plugin_variance(*map(float, m)) for m in zip(*moments)])
-    return k, den, num, var
+    return k, den, num, _centered_variance(k, y - np.median(y), den)
 
 
 def _interval(num, den, v, n, alpha):
-    """(1 - alpha) interval num/den +- z(1 - alpha/2) sqrt(v / n), with the
-    variance clamped as in :func:`variance_at`."""
+    """(1 - alpha) interval num/den +- z(1 - alpha/2) sqrt(v / n)."""
     est = num / den
-    half = ndtri(1.0 - alpha / 2.0) * np.sqrt(_clamped_variance(v)) / np.sqrt(n)
+    half = ndtri(1.0 - alpha / 2.0) * np.sqrt(v) / np.sqrt(n)
     return est - half, est + half
 
 
 def variance_at(sample: TrainingSample, err: ErrorDensity, x: float) -> float:
     """Plug-in variance of the root-n-scaled estimate at ``x``.
 
-    Clamped to 0 when roundoff drives the expression slightly negative.
+    It is the centered mean(k^2 (y - m_hat)^2) / den^2 with k = f(x - w),
+    evaluated on responses shifted by their median: >= 0 by construction,
+    exactly 0 for constant responses, and unchanged (to roundoff in the
+    responses) when they shift by a constant.
     """
-    return float(_clamped_variance(_point_moments(sample, err, (x,))[3][0]))
+    return float(_point_moments(sample, err, (x,))[3][0])
 
 
 def covariance_matrix(
@@ -168,20 +141,38 @@ def covariance_matrix(
 
 
 def _centered_covariance(sample, err, x, den, num):
-    """The covariance entries on the points ``x`` from their den/num."""
+    """The covariance entries on the points ``x`` from their den/num.
+
+    The row and column of a point whose kernel support holds a single
+    response value are exactly 0, as their centered terms are; the rounded
+    m_hat alone would leave roundoff there.
+    """
     w, y, n = sample.w, sample.y, sample.n
     # B B^T / n for the centered factor B = k (y - m_hat) / den, summed over
     # blocks of sample columns; numpy runs b @ b.T as a symmetric rank-k
     # update, so the sum is exactly symmetric with a nonnegative diagonal
     m_hat = num / den
     cov = np.zeros((len(x), len(x)))
+    lo, hi = np.full(len(x), np.inf), np.full(len(x), -np.inf)
     step = _block_len(len(x))
     for start in range(0, n, step):
         cols = slice(start, start + step)
-        b = err.pdf(x[:, None] - w[None, cols]) * (y[None, cols] - m_hat[:, None])
+        k = err.pdf(x[:, None] - w[None, cols])
+        # the range of the responses on each point's kernel support
+        on = k > 0
+        if on.all():
+            lo, hi = np.minimum(lo, y[cols].min()), np.maximum(hi, y[cols].max())
+        else:
+            yk = np.broadcast_to(y[cols], k.shape)
+            lo = np.minimum(lo, np.min(yk, axis=1, where=on, initial=np.inf))
+            hi = np.maximum(hi, np.max(yk, axis=1, where=on, initial=-np.inf))
+        b = k  # the centered factor, in place
+        b *= y[None, cols] - m_hat[:, None]
         b /= den[:, None]
         cov += b @ b.T
     cov /= n
+    flat = lo == hi
+    cov[flat] = cov[:, flat] = 0.0
     return cov
 
 
@@ -209,37 +200,26 @@ def pointwise_band(
     kernel matrix.
 
     Grid points with a degenerate denominator carry NaN in every column.
-    The variance is :func:`variance_at`'s expression, evaluated on row
-    means of the kernel and of its square.
+    The variance is :func:`variance_at`'s centered form, from row means of
+    each kernel block, so each point gets the value it gets alone.
 
     Raises
     ------
     DegenerateDenominatorError
         If every grid point is undefined.
-    ValueError
-        If a defined point's plug-in variance is significantly negative.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if sample.n < 2:
         raise ValueError("confidence interval needs n >= 2")
-    y = sample.y
-    den, num, sq = _kernel_moments(
-        err.pdf, grid.points, sample.w, y, np.column_stack([np.ones_like(y), y, y**2])
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den, num, var = _kernel_moments(err.pdf, grid.points, sample.w, sample.y, variance=True)
+        values = num / den
     ok = den >= DEGENERACY_THRESHOLD
     if not np.any(ok):
         raise DegenerateDenominatorError("interval undefined on the whole grid")
-    plain, resp, resp_sq = sq.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        var = _plugin_variance(den, num, plain, resp, resp_sq)
-        values = num / den
     var[~ok] = np.nan
     values[~ok] = np.nan
-    negative = var < -NEGATIVE_VARIANCE_TOL
-    if np.any(negative):
-        raise ValueError(f"plug-in variance {var[negative][0]:.3e} is significantly negative")
-    var = np.maximum(var, 0.0)
     half = ndtri(1.0 - alpha / 2.0) * np.sqrt(var) / np.sqrt(sample.n)
     return RegressionCurve(
         grid=grid,
@@ -264,9 +244,13 @@ def simultaneous_band(
     Simulates ``n_sim`` mean-zero Gaussian vectors with the plug-in
     covariance (scaled by 1/n, via a symmetric square root with eigenvalue
     clipping), takes the empirical (1 - alpha) quantile q of the studentized
-    supremum, and returns bands estimate +- q * sqrt(variance/n).
+    supremum over the grid points with positive variance, and returns bands
+    estimate +- q * sqrt(variance/n). The variance is the covariance
+    diagonal, the centered form of :func:`variance_at`; it is exactly 0 at
+    points whose kernel support holds a single response value.
 
-    A covariance that is identically zero (constant responses) yields
+    A covariance that is exactly zero (the responses are constant on every
+    point's kernel support, constant responses in particular) yields
     zero-width bands with ``meta["degenerate_covariance"] = True``.
     """
     if not 0.0 < alpha <= 1.0:
@@ -287,7 +271,7 @@ def simultaneous_band(
     meta = dict(curve.meta)
     meta.update({"alpha": alpha, "n_sim": n_sim, "seed": seed, "kind": "simultaneous"})
 
-    if np.max(np.abs(cov)) <= NEGATIVE_VARIANCE_TOL:
+    if not np.any(var > 0):
         meta["degenerate_covariance"] = True
         meta["sup_quantile"] = 0.0
         return RegressionCurve(
@@ -305,8 +289,8 @@ def simultaneous_band(
 
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((n_sim, len(grid))) @ root.T / np.sqrt(n)
-    denom = np.sqrt(np.maximum(var / n, STUDENTIZATION_FLOOR))
-    sups = np.max(np.abs(draws) / denom[None, :], axis=1)
+    # points with zero variance drop out of the sup: |draw| / inf = 0
+    sups = np.max(np.abs(draws) / np.where(var > 0, se, np.inf)[None, :], axis=1)
     q = float(np.quantile(sups, 1.0 - alpha))
 
     meta["sup_quantile"] = q

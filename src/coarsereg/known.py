@@ -37,16 +37,18 @@ def _block_len(width: int, itemsize: int = 8) -> int:
     return max(1, _BLOCK_BYTES // (itemsize * width))
 
 
-def _kernel_moments(kernel, x, w, y, sq_weights=None):
+def _kernel_moments(kernel, x, w, y, variance=False):
     """``mean(k, axis=1)`` and ``k @ y / n`` for ``k = kernel(x[:, None] - w[None, :])``
-    built in blocks of grid rows; given an (n, m) ``sq_weights``, also
-    ``(k * k) @ sq_weights / n``. The means do not depend on the blocking;
-    the products agree to a few ulp, and are bit-identical in one block.
+    built in blocks of grid rows; with ``variance``, also
+    :func:`_centered_variance` on the responses less their median (NaN where
+    den is 0). The means and the variance do not depend on the blocking;
+    the product agrees to a few ulp, and is bit-identical in one block.
     """
     n = len(w)
     step = _block_len(n)
     den, num = np.empty(len(x)), np.empty(len(x))
-    sq = None if sq_weights is None else np.empty((len(x), sq_weights.shape[1]))
+    if variance:
+        var, yc = np.empty(len(x)), y - np.median(y)
     for start in range(0, len(x), step):
         rows = slice(start, start + step)
         k = kernel(x[rows, None] - w[None, :])
@@ -54,10 +56,22 @@ def _kernel_moments(kernel, x, w, y, sq_weights=None):
         # long replication studies deterministic and well-conditioned
         den[rows] = np.mean(k, axis=1)
         num[rows] = k @ y / n
-        if sq is not None:
-            k *= k
-            sq[rows] = k @ sq_weights / n
-    return (den, num) if sq is None else (den, num, sq)
+        if variance:
+            var[rows] = _centered_variance(k, yc, den[rows])
+    return (den, num, var) if variance else (den, num)
+
+
+def _centered_variance(k, yc, den):
+    """The plug-in variance E[f(x - W)^2 (Y - m(x))^2] / f_X(x)^2 of the ratio
+    at each kernel row's point, as ``mean(b**2) / den**2`` over the row with
+    ``b = k * (yc - mean(k * yc) / den)``; ``yc`` is the responses less a
+    sample constant, which cancels in ``b``. It is >= 0, exactly 0 when
+    ``yc`` is 0, and each row's value does not depend on the other rows.
+    """
+    b = yc - (np.mean(k * yc, axis=1) / den)[:, None]
+    b *= k
+    b *= b
+    return np.mean(b, axis=1) / den**2
 
 
 def _moments_at(sample, err, x):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from coarsereg import (
@@ -19,6 +21,7 @@ from coarsereg import (
     variance_at,
 )
 from coarsereg import known
+from coarsereg.cli import main
 from coarsereg.inference import _point_moments
 
 GAUSS = ErrorDensity.gaussian(1.0)
@@ -177,7 +180,8 @@ class TestPointwiseCI:
 
 def product_moments_ci(sample, err, x, alpha):
     """Interval and variance from the ratio averages and product_moments,
-    each on its own kernel evaluation."""
+    each on its own kernel evaluation: the plug-in variance as a difference
+    of three uncentered terms."""
     k = err.pdf(x - sample.w)
     den, num = float(np.mean(k)), float(np.mean(sample.y * k))
     m = product_moments(sample, err, x, x)
@@ -188,6 +192,25 @@ def product_moments_ci(sample, err, x, alpha):
     return num / den - half, num / den + half, v
 
 
+def uncentered_terms(k, y, den):
+    """mean(k^2 (|y| + ybar)^2) / den^2 over the last axis of the kernel
+    rows ``k``, with ybar = mean(k |y|) / den.
+
+    It bounds the magnitudes of the terms of the plug-in variance of
+    responses ``y``: each of resp_sq/den^2, num^2 plain/den^4 and
+    2 num resp/den^3, and each centered square k^2 (y - m)^2 / den^2. Both
+    forms of the variance therefore round to within gamma_{n+c} (c a few
+    roundings) times it; 4 (n + 8) eps times it bounds two such errors.
+    """
+    ybar = np.mean(k * np.abs(y), axis=-1) / den
+    return np.mean((k * (np.abs(y) + ybar[..., None])) ** 2, axis=-1) / den**2
+
+
+def roundoff(n, scale):
+    """4 (n + 8) eps times ``scale``: two gamma_{n+c} summation errors."""
+    return 4 * (n + 8) * np.finfo(float).eps * scale
+
+
 def _triangular(u):
     return np.maximum(1.0 - np.abs(np.asarray(u, dtype=float)), 0.0)
 
@@ -196,7 +219,9 @@ class TestPointwiseOneKernel:
     @pytest.mark.parametrize("err", [ErrorDensity.gaussian(0.2), ErrorDensity.laplace(0.1),
                                      ErrorDensity.uniform(0.3),
                                      ErrorDensity.custom(_triangular, scale=0.5)])
-    def test_bit_identical_to_product_moments(self, err):
+    def test_within_roundoff_of_product_moments(self, err):
+        # the centered variance against the difference of uncentered terms,
+        # to the roundoff of both: eps-multiples of the terms' magnitudes
         rng = np.random.default_rng(43)
         for n in (2, 37, 400):
             w = rng.uniform(0, 1, n)
@@ -204,11 +229,21 @@ class TestPointwiseOneKernel:
             for x in rng.uniform(0.1, 0.9, 9):
                 lo, hi, v = product_moments_ci(s, err, float(x), 0.05)
                 try:
-                    got = (*pointwise_ci(s, err, float(x), 0.05), variance_at(s, err, float(x)))
+                    got_lo, got_hi = pointwise_ci(s, err, float(x), 0.05)
+                    got_v = variance_at(s, err, float(x))
                 except DegenerateDenominatorError:
                     assert np.mean(err.pdf(float(x) - s.w)) < 1e-12
                     continue
-                np.testing.assert_array_equal(got, (lo, hi, v))
+                k = err.pdf(float(x) - s.w)
+                den = np.mean(k)
+                tol = roundoff(n, uncentered_terms(k, s.y, den)
+                               + uncentered_terms(k, s.y - np.median(s.y), den))
+                assert abs(got_v - v) <= tol
+                # |sqrt(a) - sqrt(b)| <= sqrt(|a - b|), and each endpoint
+                # rounds once more
+                half_tol = ndtri(0.975) * np.sqrt(tol / n)
+                assert abs(got_lo - lo) <= half_tol + np.spacing(abs(lo))
+                assert abs(got_hi - hi) <= half_tol + np.spacing(abs(hi))
 
 
 class TestPointMoments:
@@ -293,17 +328,30 @@ class TestPointwiseBand:
         with pytest.raises(ValueError, match="n >= 2"):
             pointwise_band(TrainingSample([0.0], [1.0]), GAUSS, grid, 0.05)
 
-    def test_significantly_negative_variance_raises(self):
-        # huge constant responses: the variance is a difference of terms near
-        # 1e20 whose roundoff leaves values far below -NEGATIVE_VARIANCE_TOL
+    @pytest.mark.parametrize("level", [1e8, 1e10])
+    def test_large_constant_responses_have_zero_variance(self, level, tmp_path):
+        # a difference of uncentered terms near level^2 lost every digit
+        # here; the centered terms are exactly 0
         rng = np.random.default_rng(0)
-        s = TrainingSample(rng.uniform(0, 1, 50), np.full(50, 1e10))
+        s = TrainingSample(rng.uniform(0, 1, 50), np.full(50, level))
         err = ErrorDensity.gaussian(0.3)
         grid = EvalGrid(np.linspace(0, 1, 41))
-        with pytest.raises(ValueError, match="significantly negative"):
-            pointwise_loop(s, err, grid, 0.05)
-        with pytest.raises(ValueError, match="significantly negative"):
-            pointwise_band(s, err, grid, 0.05)
+        assert variance_at(s, err, 0.5) == 0.0
+        np.testing.assert_array_equal(pointwise_band(s, err, grid, 0.05).variance, 0.0)
+        train = tmp_path / "train.csv"
+        train.write_text("w,y\n" + "".join(f"{float(a)!r},{level!r}\n" for a in s.w))
+        assert main(["ci", "--train", str(train), "--delta", "gaussian:0.3",
+                     "--grid", "0:1:41", "--out", str(tmp_path / "ci.csv")]) == 0
+
+    def test_variance_survives_a_large_offset(self):
+        rng = np.random.default_rng(0)
+        w = rng.uniform(0, 1, 50)
+        y = np.sin(2 * np.pi * w) + rng.normal(0, 0.3, 50)
+        err = ErrorDensity.gaussian(0.3)
+        for x in (0.1, 0.5, 0.9):
+            v = variance_at(TrainingSample(w, y), err, x)
+            # y + 1e10 keeps y to about 1e-6
+            assert variance_at(TrainingSample(w, y + 1e10), err, x) == pytest.approx(v, rel=1e-6)
 
 
 class TestSimultaneousBand:
@@ -371,3 +419,105 @@ class TestBandKernelPasses:
         cells.clear()
         covariance_matrix(s, ErrorDensity.gaussian(0.2), grid)
         assert sum(cells) == 2 * g * n
+
+
+PROPERTY_DENSITIES = [ErrorDensity.gaussian(0.2), ErrorDensity.laplace(0.1),
+                      ErrorDensity.uniform(0.3)]
+
+
+@st.composite
+def samples(draw, min_n=2):
+    """A seeded sample, a density, and a grid running past the data (so the
+    uniform density leaves the outer points undefined)."""
+    n = draw(st.integers(min_n, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0, 1, n)
+    y = np.cos(3 * w) + rng.normal(0, 0.5, n)
+    return w, y, draw(st.sampled_from(PROPERTY_DENSITIES)), EvalGrid.linspace(-0.5, 1.5, 21)
+
+
+class TestInvariances:
+    @settings(deadline=None)
+    @given(samples(), st.floats(1e-6, 1e6), st.sampled_from([1.0, -1.0]),
+           st.floats(-1e8, 1e8))
+    def test_affine_responses(self, case, scale, sign, shift):
+        # y -> a y + c maps the curve to a m_hat + c and the variance to
+        # a^2 var, up to the rounding of a y + c and the roundoff of each fit
+        w, y, err, grid = case
+        a, n = sign * scale, len(y)
+        y2 = a * y + shift
+        band = pointwise_band(TrainingSample(w, y), err, grid)
+        moved = pointwise_band(TrainingSample(w, y2), err, grid)
+        ok = ~np.isnan(band.values)
+        np.testing.assert_array_equal(np.isnan(moved.values), ~ok)
+        np.testing.assert_array_equal(np.isnan(moved.variance), ~ok)
+        k = err.pdf(grid.points[ok, None] - w[None, :])
+        den = np.mean(k, axis=1)
+        ybar = np.mean(k * np.abs(y), axis=1) / den
+        assert np.all(np.abs(moved.values[ok] - (a * band.values[ok] + shift))
+                      <= roundoff(n, abs(a) * ybar + abs(shift)))
+        # the variance is a quadratic form q in the responses; rounding
+        # a y + c moves them by e, |e| <= 2u (|a y| + |c|), and q(v + e) - q(v)
+        # is at most 2 sqrt(q(v) q(e)) + q(e) <= 2 sqrt(q(v) E) + E
+        e = np.finfo(float).eps * (np.abs(a * y) + abs(shift))
+        big_e = uncentered_terms(k, e, den)
+        want = a**2 * band.variance[ok]
+        tol = (2 * np.sqrt(want * big_e) + big_e
+               + roundoff(n, uncentered_terms(k, y2 - np.median(y2), den)
+                          + a**2 * uncentered_terms(k, y - np.median(y), den)))
+        assert np.all(np.abs(moved.variance[ok] - want) <= tol)
+
+    @settings(deadline=None)
+    @given(samples(), st.integers(0, 2**32 - 1))
+    def test_sample_order(self, case, perm_seed):
+        w, y, err, grid = case
+        p = np.random.default_rng(perm_seed).permutation(len(y))
+        band = pointwise_band(TrainingSample(w, y), err, grid)
+        shuffled = pointwise_band(TrainingSample(w[p], y[p]), err, grid)
+        ok = ~np.isnan(band.values)
+        np.testing.assert_array_equal(np.isnan(shuffled.variance), ~ok)
+        k = err.pdf(grid.points[ok, None] - w[None, :])
+        # the median is order-free; only the order of the sums changes
+        tol = roundoff(len(y), uncentered_terms(k, y - np.median(y), np.mean(k, axis=1)))
+        assert np.all(np.abs(shuffled.variance[ok] - band.variance[ok]) <= tol)
+
+    @settings(deadline=None)
+    @given(samples(min_n=10), st.sampled_from([1e-9, 1e6]))
+    def test_band_quantile_has_no_units(self, case, a):
+        # a unit change of y scales every variance by a^2, which the
+        # studentized sup does not see. The draws do: LAPACK may flip the
+        # sign of an eigenvector of the rescaled covariance, and the same
+        # normals then give another Monte-Carlo sample (n = 10, Laplace:
+        # 2.507 -> 2.566 at n_sim = 500). At n_sim = 20 000 the quantile's
+        # standard error is about 0.01, so 5% is over ten of them.
+        w, y, err, _ = case
+        grid = EvalGrid(np.sort(w)[:: len(w) // 9])  # on samples: the fit is defined
+        q = simultaneous_band(TrainingSample(w, y), err, grid, n_sim=20_000, seed=1)
+        q_a = simultaneous_band(TrainingSample(w, a * y), err, grid, n_sim=20_000, seed=1)
+        assert "degenerate_covariance" not in q_a.meta
+        assert q_a.meta["sup_quantile"] == pytest.approx(q.meta["sup_quantile"], rel=0.05)
+
+    def test_single_response_support_leaves_the_band_sup(self):
+        # under the uniform density the grid points 0.1 and 0.2 see only the
+        # sample at w = 0.263: their variance is exactly 0 and they drop out
+        # of the sup at every scale, instead of studentizing roundoff
+        # (which gave 4.74 here, and 10.9 for y * 1e-9)
+        rng = np.random.default_rng(11031)
+        w = rng.uniform(0, 1, 10)
+        y = np.cos(3 * w) + rng.normal(0, 0.5, 10)
+        err, grid = ErrorDensity.uniform(0.3), EvalGrid.linspace(0.1, 0.9, 9)
+        qs = []
+        for a in (1.0, 1e-9, 1e6):
+            band = simultaneous_band(TrainingSample(w, a * y), err, grid, n_sim=20_000, seed=1)
+            np.testing.assert_array_equal(band.variance[:2], 0.0)
+            assert np.all(band.variance[2:] > 0)
+            qs.append(band.meta["sup_quantile"])
+        assert qs == pytest.approx([2.52] * 3, rel=0.05)
+
+    def test_large_constant_band_is_degenerate(self):
+        rng = np.random.default_rng(3)
+        s = TrainingSample(rng.uniform(0, 1, 50), np.full(50, 1e12))
+        band = simultaneous_band(s, ErrorDensity.gaussian(0.3), EvalGrid.linspace(0, 1, 11))
+        assert band.meta["degenerate_covariance"] and band.meta["sup_quantile"] == 0.0
+        np.testing.assert_array_equal(band.variance, 0.0)
+        np.testing.assert_array_equal(band.band_upper, band.band_lower)
