@@ -318,12 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=seed_default)
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=int(os.environ.get("COARSEREG_THREADS", "1")),
-            help="worker threads for replication studies",
-        )
 
     p = sub.add_parser("fit-known", help="ratio estimator with a known error density")
     p.add_argument("--train", required=True)
@@ -415,6 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coverage-at", default="", help="comma-separated points")
     p.add_argument("--rmse-at", default="", help="comma-separated points")
     p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=int(os.environ.get("COARSEREG_THREADS", "1")),
+        help="worker threads for the replicates",
+    )
     common(p, seed_default=0)
     p.set_defaults(func=_cmd_simulate, format="json")
 

@@ -37,6 +37,11 @@ _SPACING_FLOOR = 1e-3
 # Allowed imaginary residue of the inversions, relative to 1 + |real part|.
 _IMAG_TOL = 1e-8
 
+# Cutoff selection probes the estimated error CF at this many points below
+# the cap, against the noise floor N**(-_CUTOFF_FLOOR_EXPONENT).
+_CUTOFF_PROBES = 512
+_CUTOFF_FLOOR_EXPONENT = 0.25
+
 
 @dataclass(frozen=True)
 class CfTable:
@@ -133,15 +138,13 @@ def select_cutoff(
     signal_decay: Optional[float] = None,
     density: Optional[ErrorDensity] = None,
     override: Optional[float] = None,
-    floor_exponent: float = 0.25,
-    probe_points: int = 512,
 ) -> float:
     """Pick the inversion cutoff frequency.
 
     Policy: cap the cutoff at N**(1/(2*(1+error_decay))) / log(max(N, 3))
     (N = replicate group count, natural log), cut earlier where the
-    estimated error CF first drops to the noise floor N**(-floor_exponent),
-    and never go below the lower-rate guard
+    estimated error CF, probed at 512 points in (0, cap], first drops to the
+    noise floor N**(-1/4), and never go below the lower-rate guard
     n**(1/(2*(signal_decay+error_decay-1))) / log(max(n, 3)) unless the
     guard exceeds the cap, in which case the cap wins with a warning.
 
@@ -178,10 +181,10 @@ def select_cutoff(
 
     cap = big_n ** (1.0 / (2.0 * (1.0 + error_decay))) / math.log(max(big_n, 3))
     tau = cap
-    probe_t = np.linspace(0.0, cap, probe_points + 1)[1:]
+    probe_t = np.linspace(0.0, cap, _CUTOFF_PROBES + 1)[1:]
     probe_vals = error_cf_from_replicates(rep, _pad_symmetric(probe_t)).values
     probe_vals = probe_vals[len(probe_t) + 1 :]  # positive-t half
-    floor = big_n ** (-floor_exponent)
+    floor = big_n ** (-_CUTOFF_FLOOR_EXPONENT)
     below = np.nonzero(probe_vals <= floor)[0]
     if len(below):
         tau = min(tau, float(probe_t[below[0]]))

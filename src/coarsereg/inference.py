@@ -19,8 +19,9 @@ from scipy.special import ndtri
 from .data import EvalGrid, RegressionCurve, TrainingSample
 from .densities import ErrorDensity
 from .errors import DegenerateDenominatorError
+from . import known
 from .known import (
-    DEGENERACY_THRESHOLD, _block_len, _centered_variance, _kernel_moments, _known_curve,
+    _block_len, _centered_variance, _defined, _kernel_moments, _known_curve, _require_defined,
 )
 
 # Covariance eigenvalues below this fraction of the largest are zeroed
@@ -80,24 +81,16 @@ def product_moments(
 
 
 def _point_moments(sample, err, xs):
-    """The (P, n) kernel at the points ``xs`` and, from its row means, den,
-    num and the :func:`variance_at` value at each point.
+    """:func:`known._point_moments` at the points ``xs``, with the
+    :func:`variance_at` value at each point from the same kernel rows.
 
     Raises
     ------
     DegenerateDenominatorError
-        At the first point of ``xs`` whose denominator is degenerate.
+        At the first point of ``xs`` where the ratio is undefined.
     """
     y = sample.y
-    k = err.pdf(np.asarray(xs, dtype=float)[:, None] - sample.w)
-    den = np.mean(k, axis=1)
-    bad = np.flatnonzero(den < DEGENERACY_THRESHOLD)
-    if bad.size:
-        i = bad[0]
-        raise DegenerateDenominatorError(
-            f"denominator {den[i]:.3e} below {DEGENERACY_THRESHOLD:.0e} at x={xs[i]}"
-        )
-    num = np.mean(y * k, axis=1)
+    k, den, num = known._point_moments(err.pdf, xs, sample.w, y)
     return k, den, num, _centered_variance(k, y - np.median(y), den)
 
 
@@ -127,16 +120,11 @@ def covariance_matrix(
     Raises
     ------
     DegenerateDenominatorError
-        Naming the first offending grid point if any denominator is
-        degenerate.
+        Naming the first grid point where the ratio is undefined.
     """
     x = grid.points
     den, num = _kernel_moments(err.pdf, x, sample.w, sample.y)
-    bad = den < DEGENERACY_THRESHOLD
-    if np.any(bad):
-        raise DegenerateDenominatorError(
-            f"denominator degenerate at grid point x={x[bad][0]:.6g}"
-        )
+    _require_defined(den, x)
     return CovarianceMatrix(grid=grid, entries=_centered_covariance(sample, err, x, den, num))
 
 
@@ -215,7 +203,7 @@ def pointwise_band(
     with np.errstate(divide="ignore", invalid="ignore"):
         den, num, var = _kernel_moments(err.pdf, grid.points, sample.w, sample.y, variance=True)
         values = num / den
-    ok = den >= DEGENERACY_THRESHOLD
+    ok = _defined(den)
     if not np.any(ok):
         raise DegenerateDenominatorError("interval undefined on the whole grid")
     var[~ok] = np.nan
@@ -242,8 +230,9 @@ def simultaneous_band(
     """Simultaneous (1 - alpha) confidence band over the grid.
 
     Simulates ``n_sim`` mean-zero Gaussian vectors with the plug-in
-    covariance (scaled by 1/n, via a symmetric square root with eigenvalue
-    clipping), takes the empirical (1 - alpha) quantile q of the studentized
+    covariance (scaled by 1/n, via the symmetric square root V sqrt(L) V^T
+    with eigenvalue clipping, which does not depend on the signs of the
+    eigenvectors), takes the empirical (1 - alpha) quantile q of the studentized
     supremum over the grid points with positive variance, and returns bands
     estimate +- q * sqrt(variance/n). The variance is the covariance
     diagonal, the centered form of :func:`variance_at`; it is exactly 0 at
@@ -251,7 +240,12 @@ def simultaneous_band(
 
     A covariance that is exactly zero (the responses are constant on every
     point's kernel support, constant responses in particular) yields
-    zero-width bands with ``meta["degenerate_covariance"] = True``.
+    q = 0, zero-width bands, and ``meta["degenerate_covariance"] = True``.
+
+    Raises
+    ------
+    DegenerateDenominatorError
+        Naming the first grid point where the ratio is undefined.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
@@ -259,37 +253,25 @@ def simultaneous_band(
         raise ValueError("n_sim must be positive")
     # one den/num pass serves the fit and the covariance
     den, num = _kernel_moments(err.pdf, grid.points, sample.w, sample.y)
+    _require_defined(den, grid.points)
     curve = _known_curve(err, grid, den, num)
-    if not np.all(curve.defined):
-        raise DegenerateDenominatorError("band needs the fit defined on the whole grid")
-    cov = CovarianceMatrix(
-        grid=grid, entries=_centered_covariance(sample, err, grid.points, den, num)
-    ).entries
+    cov = _centered_covariance(sample, err, grid.points, den, num)
     var = np.diag(cov).copy()
     n = sample.n
     se = np.sqrt(var / n)
     meta = dict(curve.meta)
     meta.update({"alpha": alpha, "n_sim": n_sim, "seed": seed, "kind": "simultaneous"})
-
     if not np.any(var > 0):
         meta["degenerate_covariance"] = True
-        meta["sup_quantile"] = 0.0
-        return RegressionCurve(
-            grid=grid,
-            values=curve.values,
-            variance=var,
-            band_lower=curve.values.copy(),
-            band_upper=curve.values.copy(),
-            meta=meta,
-        )
 
     eigval, eigvec = np.linalg.eigh(cov)
     eigval[eigval < EIGENVALUE_CLIP * eigval.max()] = 0.0
-    root = eigvec * np.sqrt(eigval)[None, :]
+    root = (eigvec * np.sqrt(eigval)[None, :]) @ eigvec.T
 
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((n_sim, len(grid))) @ root.T / np.sqrt(n)
-    # points with zero variance drop out of the sup: |draw| / inf = 0
+    draws = rng.standard_normal((n_sim, len(grid))) @ root / np.sqrt(n)
+    # points with zero variance drop out of the sup: |draw| / inf = 0, so a
+    # zero covariance gives q = 0
     sups = np.max(np.abs(draws) / np.where(var > 0, se, np.inf)[None, :], axis=1)
     q = float(np.quantile(sups, 1.0 - alpha))
 

@@ -7,7 +7,9 @@ estimator converges at the parametric root-n rate.
 
 Grid points where the denominator average falls below
 ``DEGENERACY_THRESHOLD`` are flagged as undefined (NaN in curves) rather
-than returned as garbage ratios.
+than returned as garbage ratios. That rule lives here alone, in
+:func:`_defined` and :func:`_require_defined`; every estimator, interval
+and study in the package asks them which points are defined.
 """
 
 from __future__ import annotations
@@ -35,6 +37,24 @@ _BLOCK_BYTES = 4 << 20
 def _block_len(width: int, itemsize: int = 8) -> int:
     """Rows of ``width`` items of ``itemsize`` bytes that fit in one block."""
     return max(1, _BLOCK_BYTES // (itemsize * width))
+
+
+def _defined(den):
+    """Where the ratio is defined: den at or above ``DEGENERACY_THRESHOLD``
+    (so a NaN den is undefined)."""
+    return den >= DEGENERACY_THRESHOLD
+
+
+def _require_defined(den, x):
+    """Raise DegenerateDenominatorError naming the first point of ``x``
+    (a point or an array aligned with ``den``) where the ratio is undefined."""
+    den, x = np.atleast_1d(den), np.atleast_1d(x)
+    bad = np.flatnonzero(~_defined(den))
+    if bad.size:
+        i = bad[0]
+        raise DegenerateDenominatorError(
+            f"denominator {den[i]:.3e} below {DEGENERACY_THRESHOLD:.0e} at x={x[i]}"
+        )
 
 
 def _kernel_moments(kernel, x, w, y, variance=False):
@@ -74,6 +94,21 @@ def _centered_variance(k, yc, den):
     return np.mean(b, axis=1) / den**2
 
 
+def _point_moments(kernel, xs, w, y):
+    """The (P, n) kernel at the points ``xs`` and its row means den and
+    num, one row per point, so each point gets the bits it gets alone.
+
+    Raises
+    ------
+    DegenerateDenominatorError
+        At the first point of ``xs`` where the ratio is undefined.
+    """
+    k = kernel(np.asarray(xs, dtype=float)[:, None] - w)
+    den = np.mean(k, axis=1)
+    _require_defined(den, xs)
+    return k, den, np.mean(y * k, axis=1)
+
+
 def _moments_at(sample, err, x):
     """(den, num) at ``x``; floats for a single point."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -102,10 +137,7 @@ def regression_at(sample: TrainingSample, err: ErrorDensity, x: float) -> float:
         If the denominator average at ``x`` is below the threshold.
     """
     den, num = _moments_at(sample, err, x)
-    if den < DEGENERACY_THRESHOLD:
-        raise DegenerateDenominatorError(
-            f"denominator {den:.3e} below {DEGENERACY_THRESHOLD:.0e} at x={x}"
-        )
+    _require_defined(den, x)
     return num / den
 
 
@@ -115,7 +147,7 @@ def _ratio_curve(grid, den, num, meta: dict) -> RegressionCurve:
 
     Raises DegenerateDenominatorError if every point is undefined.
     """
-    defined = den >= DEGENERACY_THRESHOLD
+    defined = _defined(den)
     if not np.any(defined):
         raise DegenerateDenominatorError("estimate undefined on the whole grid")
     values = np.full(len(grid), np.nan)
@@ -156,18 +188,11 @@ def regression_derivative_at(sample: TrainingSample, err: ErrorDensity, x: float
     DegenerateDenominatorError
         As in :func:`regression_at`.
     """
-    offsets = x - sample.w
-    k = err.pdf(offsets)
-    den = float(np.mean(k))
-    if den < DEGENERACY_THRESHOLD:
-        raise DegenerateDenominatorError(
-            f"denominator {den:.3e} below {DEGENERACY_THRESHOLD:.0e} at x={x}"
-        )
-    num = float(np.mean(sample.y * k))
-    dk = err.pdf_derivative(offsets, 1)
-    num_d = float(np.mean(sample.y * dk))
-    den_d = float(np.mean(dk))
-    return (num_d * den - num * den_d) / den**2
+    den, num = _moments_at(sample, err, x)
+    _require_defined(den, x)
+    (den_d,), (num_d,) = _kernel_moments(lambda u: err.pdf_derivative(u, 1), np.atleast_1d(x),
+                                         sample.w, sample.y)
+    return float((num_d * den - num * den_d) / den**2)
 
 
 def _golden_section(f, lo: float, hi: float, xtol: float) -> float:
@@ -191,11 +216,7 @@ def _golden_section(f, lo: float, hi: float, xtol: float) -> float:
 def _scan_values(sample, err, lo, hi, scan_points):
     xs = np.linspace(lo, hi, scan_points)
     den, num = _kernel_moments(err.pdf, xs, sample.w, sample.y)
-    bad = den < DEGENERACY_THRESHOLD
-    if np.any(bad):
-        raise DegenerateDenominatorError(
-            f"denominator degenerate inside [{lo}, {hi}] (e.g. near x={xs[bad][0]:.6g})"
-        )
+    _require_defined(den, xs)
     return xs, num / den
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import EvalGrid, RegressionCurve, TrainingSample
 from .errors import DegenerateDenominatorError
-from .known import DEGENERACY_THRESHOLD, _kernel_moments, _ratio_curve
+from .known import _kernel_moments, _point_moments, _ratio_curve
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # np.exp leaves its vector fast path for arguments below about -708, where
@@ -35,30 +35,24 @@ _EXP_FAST_MIN = -700.0
 # exact recomputation.
 _EXP_ZERO = -1075.0 * math.log(2.0)
 
+# The CV grid: _CV_POINTS geometric points spanning [_CV_MIN_FACTOR,
+# _CV_MAX_FACTOR] times the reference scale std(x) * n**(-1/5).
+_CV_POINTS = 32
+_CV_MIN_FACTOR = 0.05
+_CV_MAX_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class NwConfig:
-    """Bandwidth policy.
-
-    ``bandwidth`` is either an explicit positive value or ``"cv"``. The CV
-    grid holds ``cv_points`` geometric points spanning
-    [cv_min_factor, cv_max_factor] times the reference scale
-    std(x) * n**(-1/5).
-    """
+    """Bandwidth policy: ``bandwidth`` is either an explicit positive value
+    or ``"cv"``, leave-one-out CV over :func:`cv_grid`."""
 
     bandwidth: object = "cv"
-    cv_points: int = 32
-    cv_min_factor: float = 0.05
-    cv_max_factor: float = 2.0
 
     def __post_init__(self):
         if self.bandwidth != "cv":
             if not (isinstance(self.bandwidth, (int, float)) and self.bandwidth > 0):
                 raise ValueError(f"bandwidth must be 'cv' or positive, got {self.bandwidth}")
-        if self.cv_points < 8:
-            raise ValueError(f"cv grid needs at least 8 points, got {self.cv_points}")
-        if not 0 < self.cv_min_factor < self.cv_max_factor:
-            raise ValueError("need 0 < cv_min_factor < cv_max_factor")
 
 
 def _gauss(u):
@@ -69,13 +63,8 @@ def nw_estimate(sample: TrainingSample, h: float, x: float) -> float:
     """Kernel-weighted response average at ``x`` with bandwidth ``h``."""
     if not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
-    k = _gauss((x - sample.w) / h)
-    den = float(np.mean(k))
-    if den < DEGENERACY_THRESHOLD:
-        raise DegenerateDenominatorError(
-            f"kernel weights vanished at x={x} with bandwidth {h}"
-        )
-    return float(np.mean(sample.y * k)) / den
+    _, den, num = _point_moments(lambda u: _gauss(u / h), (x,), sample.w, sample.y)
+    return float(num[0]) / float(den[0])
 
 
 def fit_nw(sample: TrainingSample, h: float, grid: EvalGrid) -> RegressionCurve:
@@ -86,15 +75,12 @@ def fit_nw(sample: TrainingSample, h: float, grid: EvalGrid) -> RegressionCurve:
     return _ratio_curve(grid, den, num, {"estimator": "nadaraya-watson", "bandwidth": h})
 
 
-def cv_grid(sample: TrainingSample, cfg: NwConfig | None = None) -> np.ndarray:
+def cv_grid(sample: TrainingSample) -> np.ndarray:
     """The geometric bandwidth grid the CV search runs over."""
-    cfg = cfg or NwConfig()
     scale = float(np.std(sample.w, ddof=1)) * sample.n ** (-0.2)
     if scale <= 0:
         raise ValueError("predictors have no variation; CV grid undefined")
-    return np.geomspace(
-        cfg.cv_min_factor * scale, cfg.cv_max_factor * scale, cfg.cv_points
-    )
+    return np.geomspace(_CV_MIN_FACTOR * scale, _CV_MAX_FACTOR * scale, _CV_POINTS)
 
 
 def _gauss_from_exponent(arg: np.ndarray, lowest: float) -> np.ndarray:
@@ -164,7 +150,7 @@ def cv_bandwidth(sample: TrainingSample, cfg: NwConfig | None = None) -> float:
         return float(cfg.bandwidth)
     if sample.n < 3:
         raise ValueError("cross-validation needs at least 3 points")
-    grid = cv_grid(sample, cfg)
+    grid = cv_grid(sample)
     scores = _loo_scores(sample, grid)
     if not np.any(np.isfinite(scores)):
         raise DegenerateDenominatorError("every CV bandwidth produced an empty score")

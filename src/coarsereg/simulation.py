@@ -24,7 +24,7 @@ import json
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -35,7 +35,7 @@ from .densities import ErrorDensity
 from .errors import CoarseRegError, DegenerateDenominatorError
 from .inference import _interval, _point_moments
 from .io import _jsonable
-from .known import DEGENERACY_THRESHOLD, _block_len, _golden_section, fit_known
+from .known import _block_len, _defined, _golden_section, fit_known
 from .nw import NwConfig, cv_bandwidth, fit_nw, nw_estimate
 
 logger = logging.getLogger(__name__)
@@ -124,14 +124,7 @@ class ScenarioConfig:
         return _SUPPORT[self.model]
 
     def as_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "n": self.n,
-            "predictor_noise": self.predictor_noise,
-            "response_noise": self.response_noise,
-            "error_kind": self.error_kind,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def calibrate(scn: ScenarioConfig) -> tuple:
@@ -291,7 +284,7 @@ def _truth(scn: ScenarioConfig, x) -> np.ndarray:
 
     a, b = np.full(len(x), lo), np.full(len(x), hi)
     den = _simpson_adaptive(lambda rows, m: kernel(x[rows], np.linspace(lo, hi, m + 1)), a, b)
-    ok = np.flatnonzero(den >= DEGENERACY_THRESHOLD)
+    ok = np.flatnonzero(_defined(den))
     xs = x[ok]
     out[ok] = _simpson_adaptive(moment, a[ok], b[ok]) / den[ok]
     return out
@@ -422,18 +415,7 @@ class StudyReport:
     rmse: dict
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "estimator": self.estimator,
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "grid": self.grid,
-            "failures": self.failures,
-            "ise": self.ise,
-            "decile_curves": self.decile_curves,
-            "coverage": self.coverage,
-            "rmse": self.rmse,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, no whitespace, NaN encoded as null."""

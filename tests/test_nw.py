@@ -152,8 +152,6 @@ class TestCvBandwidth:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            NwConfig(cv_points=4)
-        with pytest.raises(ValueError):
             NwConfig(bandwidth=-1.0)
 
 
