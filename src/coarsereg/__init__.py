@@ -52,7 +52,7 @@ from .known import (
     regression_derivative_at,
     response_weighted_density,
 )
-from .nw import NwConfig, cv_bandwidth, fit_nw, nw_estimate
+from .nw import cv_bandwidth, fit_nw, nw_estimate
 from .proxy import (
     LinearProxyFit,
     error_variance,

@@ -43,7 +43,7 @@ from .io import (
     write_output,
 )
 from .known import find_extremum, find_zeros, fit_known
-from .nw import NwConfig, cv_bandwidth, fit_nw
+from .nw import cv_bandwidth, fit_nw
 from .proxy import fit_known_proxy, fit_linear_proxy
 from .simulation import EstimatorSpec, ScenarioConfig, run_replications
 
@@ -135,13 +135,7 @@ def _cmd_fit_fourier(args):
             error_decay=args.lambdadelta,
             signal_decay=getattr(args, "lambda"),
         )
-    cfg = FourierConfig(
-        cutoff=cutoff,
-        t_step=args.tstep,
-        signal_decay=getattr(args, "lambda"),
-        error_decay=args.lambdadelta,
-    )
-    curve = fit_fourier(sample, rep, cfg, grid)
+    curve = fit_fourier(sample, rep, FourierConfig(cutoff=cutoff, t_step=args.tstep), grid)
     _emit_curve(args, curve)
     return 0
 
@@ -180,10 +174,7 @@ def _cmd_fit_proxy(args):
 
 def _cmd_nw(args):
     sample = read_training_csv(args.train)
-    if args.bandwidth == "cv":
-        h = cv_bandwidth(sample, NwConfig())
-    else:
-        h = float(args.bandwidth)
+    h = cv_bandwidth(sample) if args.bandwidth == "cv" else float(args.bandwidth)
     curve = fit_nw(sample, h, parse_grid(args.grid))
     _emit_curve(args, curve)
     return 0
@@ -295,15 +286,11 @@ def _cmd_simulate(args):
         dec = report.decile_curves
         for i, x in enumerate(report.grid):
             cells = [format_float(x)] + [
-                format_float(_none_to_nan(dec[k]["values"][i])) for k in ("d1", "d5", "d9")
+                format_float(dec[k]["values"][i]) for k in ("d1", "d5", "d9")
             ]
             lines.append(",".join(cells))
         write_output(base + "_deciles.csv", "\n".join(lines) + "\n")
     return 0
-
-
-def _none_to_nan(v):
-    return float("nan") if v is None else float(v)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, help="cutoff override (policy-selected when omitted)")
     p.add_argument("--tstep", type=float, help="frequency spacing (derived when omitted)")
     p.add_argument("--lambda", dest="lambda", type=float,
-                   help="predictor-CF polynomial decay exponent")
+                   help="predictor-CF polynomial decay exponent (cutoff policy only)")
     p.add_argument("--lambdadelta", type=float,
-                   help="error-CF polynomial decay exponent")
+                   help="error-CF polynomial decay exponent (cutoff policy only)")
     common(p)
     p.set_defaults(func=_cmd_fit_fourier)
 

@@ -112,9 +112,12 @@ def error_cf_from_replicates(rep: ReplicatedSample, t) -> CfTable:
     t == 0 is exactly 1 and every value lies in [0, 1].
     """
     t = np.asarray(t, dtype=float)
-    diffs = rep.pair_differences()
-    vals = np.sqrt(np.abs(_mean_exp(t, diffs)[0]))
-    return CfTable(t=t, values=vals)
+    return CfTable(t=t, values=_error_cf(rep, t))
+
+
+def _error_cf(rep: ReplicatedSample, t: np.ndarray) -> np.ndarray:
+    """sqrt|mean over within-group pairs of exp(i t (u_jk1 - u_jk2))| per t."""
+    return np.sqrt(np.abs(_mean_exp(t, rep.pair_differences())[0]))
 
 
 def empirical_cfs(sample: TrainingSample, t) -> tuple:
@@ -157,6 +160,9 @@ def select_cutoff(
     MissingDecayError
         When no error-CF decay exponent is available from arguments or
         density metadata.
+    ValueError
+        Unless ``error_decay`` is finite and positive, and ``signal_decay``
+        is finite with ``signal_decay + error_decay > 1``.
     """
     if override is not None:
         if not override > 0:
@@ -175,6 +181,15 @@ def select_cutoff(
         )
     if signal_decay is None:
         signal_decay = error_decay + 2.0
+    # a density's CF tends to 0, so its decay exponent is positive; the
+    # guard exponent 1/(2*(signal_decay+error_decay-1)) needs a positive sum
+    if not (math.isfinite(error_decay) and error_decay > 0):
+        raise ValueError(f"error_decay must be finite and positive, got {error_decay}")
+    if not (math.isfinite(signal_decay) and signal_decay + error_decay > 1):
+        raise ValueError(
+            f"signal_decay must be finite with signal_decay + error_decay > 1, "
+            f"got signal_decay={signal_decay}, error_decay={error_decay}"
+        )
     big_n = rep.n_groups
     if big_n < 2:
         raise ValueError("cutoff selection needs at least 2 replicate groups")
@@ -182,8 +197,7 @@ def select_cutoff(
     cap = big_n ** (1.0 / (2.0 * (1.0 + error_decay))) / math.log(max(big_n, 3))
     tau = cap
     probe_t = np.linspace(0.0, cap, _CUTOFF_PROBES + 1)[1:]
-    probe_vals = error_cf_from_replicates(rep, _pad_symmetric(probe_t)).values
-    probe_vals = probe_vals[len(probe_t) + 1 :]  # positive-t half
+    probe_vals = _error_cf(rep, probe_t)
     floor = big_n ** (-_CUTOFF_FLOOR_EXPONENT)
     below = np.nonzero(probe_vals <= floor)[0]
     if len(below):
@@ -204,20 +218,15 @@ def select_cutoff(
     return float(tau)
 
 
-def _pad_symmetric(positive_t: np.ndarray) -> np.ndarray:
-    """Symmetric grid containing 0 and +-positive_t (for CfTable probing)."""
-    return np.concatenate([-positive_t[::-1], [0.0], positive_t])
-
-
 @dataclass(frozen=True)
 class FourierConfig:
     """Inversion configuration.
 
-    ``cutoff`` is the truncation frequency; ``t_step`` the quadrature
-    spacing (derived from the evaluation grid when None); the decay
-    exponents describe the polynomial CF decay of the predictor density
-    (``signal_decay``) and of the error density (``error_decay``) and feed
-    cutoff selection.
+    ``cutoff`` is the truncation frequency, fixed by the caller or chosen
+    by :func:`select_cutoff`; ``t_step`` the quadrature spacing (derived
+    from the evaluation grid by :meth:`resolved` when None). A positive
+    cutoff needs ``cutoff / t_step >= MIN_NODES``, so every inversion has at
+    least ``MIN_NODES`` positive-frequency nodes.
 
     ``cutoff == 0`` is the documented degenerate case: the integration
     range is empty and the inversions are identically zero.
@@ -225,8 +234,6 @@ class FourierConfig:
 
     cutoff: float
     t_step: Optional[float] = None
-    signal_decay: Optional[float] = None
-    error_decay: Optional[float] = None
 
     def __post_init__(self):
         if self.cutoff < 0:
@@ -252,10 +259,13 @@ class FourierConfig:
         return replace(self, t_step=step)
 
 
-CfSource = Union[CfTable, ErrorDensity, Callable]
+CfSource = Union[ReplicatedSample, CfTable, ErrorDensity, Callable]
 
 
 def _error_cf_values(cf_source: CfSource, t: np.ndarray) -> np.ndarray:
+    """Error-CF values on the inversion grid ``t`` from any CF source."""
+    if isinstance(cf_source, ReplicatedSample):
+        return error_cf_from_replicates(cf_source, t).values
     if isinstance(cf_source, CfTable):
         step = t[1] - t[0]
         if not math.isclose(cf_source.step, step, rel_tol=1e-9):
@@ -291,10 +301,20 @@ def invert_cf(
     imaginary residue must stay below 1e-8 * (1 + |real part|), which a
     symmetric grid guarantees up to roundoff.
 
+    ``cf_source`` gives err_cf on the grid ``symmetric_tgrid(cutoff,
+    t_step)``: a replicated sample (estimated from pair differences by
+    :func:`error_cf_from_replicates`), a CF table whose spacing matches
+    ``t_step`` and that covers [-cutoff, cutoff], an ErrorDensity with a
+    closed-form CF, or a bare callable of t.
+
     Raises
     ------
     ResolutionError
-        If the frequency grid has fewer than the minimum node count.
+        If ``cfg`` has no ``t_step`` and the spacing derived from the grid
+        leaves fewer than ``MIN_NODES`` positive-frequency nodes.
+    ValueError
+        If a CF table does not match the frequency grid, or an inversion's
+        imaginary residue exceeds the tolerance.
     """
     cfg = cfg.resolved(grid)
     x = grid.points
@@ -302,10 +322,6 @@ def invert_cf(
         zero = np.zeros(len(x))
         return zero, zero.copy()
     t = symmetric_tgrid(cfg.cutoff, cfg.t_step)
-    if (len(t) - 1) // 2 < MIN_NODES:
-        raise ResolutionError(
-            f"{(len(t) - 1) // 2} positive-frequency nodes < {MIN_NODES}"
-        )
     err_vals = _error_cf_values(cf_source, t)
     plain, weighted = empirical_cfs(sample, t)
 
@@ -329,15 +345,15 @@ def invert_cf(
 
 def fit_fourier(
     sample: TrainingSample,
-    cf_source: Union[ReplicatedSample, CfSource],
+    cf_source: CfSource,
     cfg: FourierConfig,
     grid: EvalGrid,
 ) -> RegressionCurve:
     """Fit the Fourier-inversion ratio estimator on a grid.
 
-    ``cf_source`` may be a replicated sample (the error CF is then
-    estimated from pair differences), a prebuilt CF table, an ErrorDensity
-    with a closed-form CF, or a bare callable.
+    ``cf_source`` is any source :func:`invert_cf` accepts: a replicated
+    sample, a CF table, an ErrorDensity or a callable. ``cfg.cutoff`` is
+    used as given; :func:`select_cutoff` picks one from replicates.
 
     Raises
     ------
@@ -348,9 +364,6 @@ def fit_fourier(
     cfg = cfg.resolved(grid)
     meta = {"estimator": "fourier ratio", "cutoff": cfg.cutoff, "t_step": cfg.t_step}
     if isinstance(cf_source, ReplicatedSample):
-        if cfg.cutoff > 0:
-            t = symmetric_tgrid(cfg.cutoff, cfg.t_step)
-            cf_source = error_cf_from_replicates(cf_source, t)
         meta["error_cf"] = "replicates"
     elif isinstance(cf_source, ErrorDensity):
         meta["error_cf"] = cf_source.describe()

@@ -17,7 +17,6 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,19 +39,6 @@ _EXP_ZERO = -1075.0 * math.log(2.0)
 _CV_POINTS = 32
 _CV_MIN_FACTOR = 0.05
 _CV_MAX_FACTOR = 2.0
-
-
-@dataclass(frozen=True)
-class NwConfig:
-    """Bandwidth policy: ``bandwidth`` is either an explicit positive value
-    or ``"cv"``, leave-one-out CV over :func:`cv_grid`."""
-
-    bandwidth: object = "cv"
-
-    def __post_init__(self):
-        if self.bandwidth != "cv":
-            if not (isinstance(self.bandwidth, (int, float)) and self.bandwidth > 0):
-                raise ValueError(f"bandwidth must be 'cv' or positive, got {self.bandwidth}")
 
 
 def _gauss(u):
@@ -139,15 +125,12 @@ def loo_score(sample: TrainingSample, h: float) -> float:
     return float(_loo_scores(sample, (h,))[0])
 
 
-def cv_bandwidth(sample: TrainingSample, cfg: NwConfig | None = None) -> float:
-    """Bandwidth minimizing the LOO score on the config's grid.
+def cv_bandwidth(sample: TrainingSample) -> float:
+    """Bandwidth minimizing the leave-one-out score over :func:`cv_grid`.
 
     Ties break toward the smaller bandwidth (the grid is ascending and
     argmin takes the first minimizer).
     """
-    cfg = cfg or NwConfig()
-    if not isinstance(cfg.bandwidth, str):
-        return float(cfg.bandwidth)
     if sample.n < 3:
         raise ValueError("cross-validation needs at least 3 points")
     grid = cv_grid(sample)

@@ -36,7 +36,7 @@ from .errors import CoarseRegError, DegenerateDenominatorError
 from .inference import _interval, _point_moments
 from .io import _jsonable
 from .known import _block_len, _defined, _golden_section, fit_known
-from .nw import NwConfig, cv_bandwidth, fit_nw, nw_estimate
+from .nw import cv_bandwidth, fit_nw, nw_estimate
 
 logger = logging.getLogger(__name__)
 
@@ -370,7 +370,7 @@ class EstimatorSpec:
     using the scenario's true contamination density, or ``density`` when an
     explicit override is given (misspecification studies). ``nw`` fits the
     kernel baseline on (contaminated predictor, response) with an explicit
-    bandwidth or leave-one-out CV.
+    positive ``bandwidth`` or ``"cv"``, leave-one-out CV.
     """
 
     method: str = "known"
@@ -383,6 +383,9 @@ class EstimatorSpec:
         if self.method == "known":
             if not (self.density == "true" or isinstance(self.density, ErrorDensity)):
                 raise ValueError("density must be 'true' or an ErrorDensity")
+        elif self.bandwidth != "cv":
+            if not (isinstance(self.bandwidth, (int, float)) and self.bandwidth > 0):
+                raise ValueError(f"bandwidth must be 'cv' or positive, got {self.bandwidth}")
 
     def as_dict(self) -> dict:
         density = self.density if isinstance(self.density, str) else self.density.describe()
@@ -428,7 +431,7 @@ def _fit_replicate(scn, spec, grid, rng, points, coverage_points, alpha):
     data = generate(scn, rng)
     if spec.method == "nw":
         sample = data.noisy_training()
-        h = cv_bandwidth(sample, NwConfig(bandwidth=spec.bandwidth))
+        h = cv_bandwidth(sample) if spec.bandwidth == "cv" else float(spec.bandwidth)
         curve = fit_nw(sample, h, grid)
         return curve, {p: nw_estimate(sample, h, p) for p in points}, {}
     density = make_density(scn) if spec.density == "true" else spec.density

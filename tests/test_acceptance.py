@@ -343,7 +343,7 @@ def test_criterion_4_fourier_agreement():
 
     cutoff = cr.select_cutoff(rep, n, error_decay=2.0)
     grid = cr.EvalGrid(np.linspace(-8.0, 8.0, 101))
-    cfg = cr.FourierConfig(cutoff=cutoff, error_decay=2.0)
+    cfg = cr.FourierConfig(cutoff=cutoff)
     direct = cr.fit_known(sample, cr.ErrorDensity.laplace(b), grid)
     fourier = cr.fit_fourier(sample, rep, cfg, grid)
     assert direct.defined.all() and fourier.defined.all()

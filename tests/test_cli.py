@@ -175,6 +175,21 @@ class TestCliCommands:
         assert code == 0
         assert out.read_text().splitlines()[0] == "x,m_hat"
 
+    @pytest.mark.parametrize("decays, named", [
+        (["--lambdadelta", "-1"], "error_decay"),
+        (["--lambda", "0.5", "--lambdadelta", "0.5"], "signal_decay"),
+        (["--lambdadelta", "nan"], "error_decay"),
+        (["--lambdadelta", "0", "--lambda", "0.5"], "error_decay"),
+    ])
+    def test_fit_fourier_decay_outside_the_policy_domain(self, train_csv, replicates_csv,
+                                                         capsys, decays, named):
+        code = main(["fit-fourier", "--train", str(train_csv),
+                     "--replicates", str(replicates_csv), "--grid", "0:1:5", *decays])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"].startswith(f"{named} must be finite")
+
     def test_fit_proxy_json(self, tmp_path):
         pairs = tmp_path / "pairs.csv"
         rng = np.random.default_rng(6)

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import coarsereg.fourier
 from coarsereg import (
     CfTable,
     ErrorDensity,
     EvalGrid,
     FourierConfig,
+    LinearProxyFit,
     MissingDecayError,
     ReplicatedSample,
     ResolutionError,
@@ -15,6 +19,7 @@ from coarsereg import (
     empirical_cfs,
     error_cf_from_replicates,
     fit_fourier,
+    fit_fourier_proxy,
     fit_known,
     invert_cf,
     predictor_density,
@@ -156,6 +161,33 @@ class TestSelectCutoff:
         with pytest.raises(ValueError, match="uniform"):
             select_cutoff(rep, 50, density=ErrorDensity.uniform(0.5))
 
+    def test_probes_the_error_cf_at_512_positive_frequencies(self, monkeypatch):
+        sizes = []
+        mean_exp = coarsereg.fourier._mean_exp
+
+        def spy(t, points, weights=None):
+            sizes.append(len(t))
+            assert np.all(t > 0)
+            return mean_exp(t, points, weights)
+
+        monkeypatch.setattr(coarsereg.fourier, "_mean_exp", spy)
+        rep = make_pairs(np.random.default_rng(4), 100, 0.5)
+        select_cutoff(rep, 50, error_decay=2.0)
+        assert sizes == [512]
+
+    @pytest.mark.parametrize("decays, named", [
+        (dict(error_decay=-1.0), "error_decay"),
+        (dict(error_decay=0.0, signal_decay=3.0), "error_decay"),
+        (dict(error_decay=math.nan), "error_decay"),
+        (dict(error_decay=math.inf), "error_decay"),
+        (dict(error_decay=0.5, signal_decay=0.5), "signal_decay"),
+        (dict(error_decay=2.0, signal_decay=math.nan), "signal_decay"),
+    ])
+    def test_decay_outside_the_policy_domain_rejected(self, decays, named):
+        rep = make_pairs(np.random.default_rng(4), 100, 0.5)
+        with pytest.raises(ValueError, match=f"^{named} must be finite"):
+            select_cutoff(rep, 50, **decays)
+
     def test_guard_over_cap_warns(self):
         # huge n and tiny N make the rate bracket empty
         rng = np.random.default_rng(10)
@@ -293,3 +325,43 @@ class TestFitFourier:
         fourier = fit_fourier(s, d, FourierConfig(cutoff=300.0, t_step=0.05), grid)
         direct = fit_known(s, d, grid)
         np.testing.assert_allclose(fourier.values, direct.values, atol=5e-3)
+
+
+coords = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def resolver_cases(draw):
+    """A sample, replicate groups of 2-4 and an admissible (cutoff, t_step)."""
+    n = draw(st.integers(1, 30))
+    w = draw(st.lists(coords, min_size=n, max_size=n))
+    y = draw(st.lists(coords, min_size=n, max_size=n))
+    groups = draw(st.lists(st.lists(coords, min_size=2, max_size=4), min_size=1, max_size=12))
+    t_step = draw(st.floats(0.01, 1.0))
+    cutoff = draw(st.floats(16.5, 80.0)) * t_step
+    return TrainingSample(w, y), ReplicatedSample(groups), FourierConfig(cutoff, t_step)
+
+
+def _bits(call):
+    """The bytes of a call's arrays, or the repr of the ValueError it raised."""
+    try:
+        out = call()
+    except ValueError as exc:
+        return repr(exc)
+    return [a.tobytes() for a in (out if isinstance(out, tuple) else (out.values,))]
+
+
+class TestOneResolver:
+    @settings(deadline=None)
+    @given(case=resolver_cases())
+    def test_replicates_resolve_like_their_table(self, case):
+        sample, rep, cfg = case
+        table = error_cf_from_replicates(rep, symmetric_tgrid(cfg.cutoff, cfg.t_step))
+        grid = EvalGrid(np.linspace(-1.0, 1.0, 7))
+        proxy = LinearProxyFit(intercept=0.5, slope=-2.0, n_obs=2, residual_variance=0.0)
+        for fit in (
+            lambda src: invert_cf(sample, src, cfg, grid),
+            lambda src: fit_fourier(sample, src, cfg, grid),
+            lambda src: fit_fourier_proxy(proxy, sample.w, sample.y, src, cfg, grid),
+        ):
+            assert _bits(lambda: fit(rep)) == _bits(lambda: fit(table))

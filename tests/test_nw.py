@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from coarsereg import (
+    EstimatorSpec,
     EvalGrid,
-    NwConfig,
     ScenarioConfig,
     TrainingSample,
     cv_bandwidth,
+    default_grid,
     fit_nw,
     generate,
+    integrated_squared_error,
     nw_estimate,
+    run_replications,
 )
 from coarsereg.nw import _gauss_from_exponent, _loo_scores, cv_grid, loo_score
 
@@ -77,9 +80,14 @@ class TestCvBandwidth:
             scores.append(total / sample.n if np.isfinite(total) else float("inf"))
         return np.array(scores)
 
-    def test_explicit_bandwidth_passthrough(self):
-        s = TrainingSample([0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
-        assert cv_bandwidth(s, NwConfig(bandwidth=0.37)) == 0.37
+    def test_study_fits_with_the_explicit_bandwidth(self):
+        scn = STUDY_NW_CELLS["m1"]
+        report = run_replications(scn, EstimatorSpec(method="nw", bandwidth=0.05), reps=2,
+                                  master_seed=scn.seed)
+        # replicate 0 draws its data from the generator seeded (master_seed, 0)
+        data = generate(scn, np.random.default_rng((scn.seed, 0)))
+        curve = fit_nw(data.noisy_training(), 0.05, default_grid(scn))
+        assert report.ise[0] == integrated_squared_error(curve, scn)
 
     def test_score_matches_brute_force_term_by_term(self):
         rng = np.random.default_rng(53)
@@ -151,8 +159,9 @@ class TestCvBandwidth:
             cv_bandwidth(s)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NwConfig(bandwidth=-1.0)
+        for bandwidth in (-1.0, 0, "CV"):
+            with pytest.raises(ValueError, match="'cv' or positive"):
+                EstimatorSpec(method="nw", bandwidth=bandwidth)
 
 
 class TestGaussFromExponent:
