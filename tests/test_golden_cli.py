@@ -1,11 +1,16 @@
-"""CSV output of the Fourier and Nadaraya-Watson subcommands pinned byte for byte.
+"""The output of every subcommand pinned byte for byte, in CSV and JSON.
 
 ``tests/data/golden_cli.json`` maps each case below to the text the command
-writes, captured at commit 4153d1f. The inputs are generated here from a
-fixed seed and written with ``%.17g``: an m1 sample of n = 400 with normal
-response noise, the same responses on Laplace-contaminated predictors for
-the baseline, and 150 groups of 3 Laplace replicates. Regenerate (only on
-purpose, from the repository root) with::
+writes. The Fourier, Nadaraya-Watson and ``cf`` CSV cases were captured at
+commit 4153d1f, the others at commit 197e63d. The inputs are generated here
+from fixed seeds and written with ``%.17g``: an m1 sample of n = 400 with
+normal response noise, the same responses on Laplace-contaminated
+predictors, 150 groups of 3 Laplace replicates, and, from a second seed,
+proxy calibration pairs ``t,x`` and analysis pairs ``t,y``. JSON outputs
+embed the temporary directory in ``provenance.command``; it is replaced by
+``TMP`` before the comparison. ``simulate`` also writes a deciles CSV next
+to its report, pinned under its own key. Regenerate (only on purpose, from
+the repository root) with::
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
 """
@@ -28,19 +33,51 @@ N = 400
 GROUPS, GROUP_SIZE = 150, 3
 LAPLACE_B = 0.1
 GRID = "0:1:41"
+PROXY_SEED = 20081
+PROXY_N = 120
+DELTA = f"laplace:{LAPLACE_B}"
+JSON = ["--format", "json"]
 
-# name -> argv without --train/--replicates/--out
+# name -> argv without --train/--replicates/--pairs/--out
 CASES = {
     "fit-fourier-policy": ["fit-fourier", "--grid", GRID, "--lambdadelta", "2"],
     "fit-fourier-tau": ["fit-fourier", "--grid", GRID, "--tau", "20", "--tstep", "0.05"],
     "cf": ["cf", "--tmax", "5", "--tstep", "0.1"],
     "nw-cv": ["nw", "--grid", GRID, "--bandwidth", "cv"],
     "nw-fixed": ["nw", "--grid", GRID, "--bandwidth", "0.05"],
+    "fit-known": ["fit-known", "--delta", DELTA, "--grid", GRID],
+    "ci": ["ci", "--delta", DELTA, "--grid", "0.1:0.9:17"],
+    "band": ["band", "--delta", DELTA, "--grid", "0.1:0.9:17", "--nsim", "2000",
+             "--seed", "3"],
+    "extrema": ["extrema", "--delta", DELTA, "--interval", "0.3:0.7"],
+    "zeros": ["zeros", "--delta", DELTA, "--interval", "0:1", "--level", "4"],
+    "zeros-none": ["zeros", "--delta", DELTA, "--interval", "0:1", "--level", "100"],
+    "fit-proxy-train": ["fit-proxy", "--delta", "gaussian:0.1", "--grid", "0:1:21"],
+    "fit-proxy-pairs": ["fit-proxy"],
+    "simulate": ["simulate", "--model", "m1", "--n", "60", "--nsdelta", "0.2",
+                 "--nseps", "0.5", "--reps", "4", "--grid", "0.1:0.9:9",
+                 "--coverage-at", "0.5", "--rmse-at", "0.5", "--seed", "7"],
+    "fit-known-json": ["fit-known", "--delta", DELTA, "--grid", GRID, *JSON],
+    "fit-fourier-tau-json": ["fit-fourier", "--grid", GRID, "--tau", "20",
+                             "--tstep", "0.05", *JSON],
+    "nw-fixed-json": ["nw", "--grid", GRID, "--bandwidth", "0.05", *JSON],
+    "ci-json": ["ci", "--delta", DELTA, "--grid", "0.1:0.9:17", *JSON],
+    "band-json": ["band", "--delta", DELTA, "--grid", "0.1:0.9:17", "--nsim", "2000",
+                  "--seed", "3", *JSON],
+    "cf-json": ["cf", "--tmax", "5", "--tstep", "0.1", *JSON],
+    "extrema-json": ["extrema", "--delta", DELTA, "--interval", "0.3:0.7", *JSON],
+    "zeros-json": ["zeros", "--delta", DELTA, "--interval", "0:1", "--level", "4", *JSON],
+    "fit-proxy-train-csv": ["fit-proxy", "--delta", "gaussian:0.1", "--grid", "0:1:21",
+                            "--format", "csv"],
 }
+
+# key -> (case, suffix): a further file a case writes next to its --out
+SIDE_FILES = {"simulate-deciles": ("simulate", "_deciles.csv")}
 
 
 def write_inputs(directory: pathlib.Path) -> dict:
-    """Write train.csv (w, y), noisy.csv (w + delta, y) and reps.csv."""
+    """Write train.csv (w, y), noisy.csv (w + delta, y), reps.csv, and the
+    proxy inputs pairs.csv (t, x) and proxy.csv (t, y)."""
     rng = np.random.default_rng(SEED)
     w = rng.uniform(0.0, 1.0, N)
     y = (3.0 * w + 20.0 / math.sqrt(2.0 * math.pi) * np.exp(-200.0 * (w - 0.5) ** 2)
@@ -55,26 +92,48 @@ def write_inputs(directory: pathlib.Path) -> dict:
     groups = np.repeat([f"g{g}" for g in range(GROUPS)], GROUP_SIZE)
     lines = ["group,u"] + [f"{g},{v:.17g}" for g, v in zip(groups, u.ravel())]
     paths["reps"].write_text("\n".join(lines) + "\n")
+
+    rng = np.random.default_rng(PROXY_SEED)
+    t_fit = rng.uniform(0.0, 1.0, PROXY_N)
+    x_fit = 0.5 + 0.8 * t_fit + rng.normal(0.0, 0.1, PROXY_N)
+    t = rng.uniform(0.0, 1.0, N)
+    y = np.sin(2.0 * math.pi * (0.5 + 0.8 * t)) + rng.normal(0.0, 0.2, N)
+    for name, header, cols in (("pairs", "t,x", (t_fit, x_fit)), ("proxy", "t,y", (t, y))):
+        paths[name] = directory / f"{name}.csv"
+        np.savetxt(paths[name], np.column_stack(cols), fmt="%.17g", delimiter=",",
+                   header=header, comments="")
     return paths
 
 
 def run_case(name: str, paths: dict, directory: pathlib.Path) -> str:
+    """Run one case; return what it wrote to --out, temp directory masked."""
     argv = list(CASES[name])
     if argv[0] == "fit-fourier":
         argv += ["--train", str(paths["train"]), "--replicates", str(paths["reps"])]
     elif argv[0] == "cf":
         argv += ["--replicates", str(paths["reps"])]
-    else:
+    elif argv[0] == "fit-proxy":
+        argv += ["--pairs", str(paths["pairs"])]
+        if "--delta" in argv:
+            argv += ["--train", str(paths["proxy"])]
+    elif argv[0] != "simulate":
         argv += ["--train", str(paths["noisy"])]
     out = directory / f"{name}.csv"
     assert main(argv + ["--out", str(out)]) == 0
-    return out.read_text()
+    return out.read_text().replace(str(directory), "TMP")
+
+
+def run_all(directory: pathlib.Path) -> dict:
+    paths = write_inputs(directory)
+    texts = {name: run_case(name, paths, directory) for name in CASES}
+    for key, (name, suffix) in SIDE_FILES.items():
+        texts[key] = (directory / f"{name}{suffix}").read_text()
+    return texts
 
 
 @pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("golden_cli")
-    return directory, write_inputs(directory)
+def outputs(tmp_path_factory):
+    return run_all(tmp_path_factory.mktemp("golden_cli"))
 
 
 @pytest.fixture(scope="module")
@@ -83,20 +142,17 @@ def golden():
 
 
 def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted(CASES)
+    assert sorted(golden) == sorted([*CASES, *SIDE_FILES])
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_output_is_byte_identical(golden, inputs, name):
-    directory, paths = inputs
-    assert run_case(name, paths, directory) == golden[name]
+@pytest.mark.parametrize("name", sorted([*CASES, *SIDE_FILES]))
+def test_output_is_byte_identical(golden, outputs, name):
+    assert outputs[name] == golden[name]
 
 
 def _write():
     with tempfile.TemporaryDirectory() as tmp:
-        directory = pathlib.Path(tmp)
-        paths = write_inputs(directory)
-        out = {name: run_case(name, paths, directory) for name in CASES}
+        out = run_all(pathlib.Path(tmp))
     GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
 
 
