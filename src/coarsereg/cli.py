@@ -25,8 +25,6 @@ import os
 import shlex
 import sys
 
-import numpy as np
-
 from . import __version__
 from .data import EvalGrid, RegressionCurve
 from .densities import ErrorDensity
@@ -34,8 +32,8 @@ from .errors import CoarseRegError, DataFormatError
 from .fourier import FourierConfig, error_cf_from_replicates, fit_fourier, select_cutoff, symmetric_tgrid
 from .inference import pointwise_band, simultaneous_band
 from .io import (
-    curve_csv_text,
-    format_float,
+    csv_text,
+    curve_columns,
     json_text,
     read_pairs_csv,
     read_replicates_csv,
@@ -90,37 +88,30 @@ def parse_interval(text: str) -> tuple:
 def _provenance(args) -> dict:
     return {
         "command": shlex.join(["coarsereg"] + args._argv),
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "version": __version__,
     }
 
 
-def _curve_payload(curve: RegressionCurve, ci: bool = False) -> dict:
-    payload = {
-        "x": list(curve.grid.points),
-        "m_hat": list(curve.values),
-        "meta": curve.meta,
-    }
-    if ci:
-        payload["v_hat"] = list(curve.variance)
-        payload["lower"] = list(curve.band_lower)
-        payload["upper"] = list(curve.band_upper)
-    return payload
-
-
-def _emit_curve(args, curve: RegressionCurve, ci: bool = False):
-    if args.format == "json":
-        write_output(args.out, json_text({"provenance": _provenance(args),
-                                          "curve": _curve_payload(curve, ci)}))
+def _emit(args, body: dict, header=None, columns=()):
+    """Write the table ``columns`` under ``header`` as CSV or, under
+    ``--format json`` or without a table, ``body`` with a provenance block
+    as JSON."""
+    if header is None or args.format == "json":
+        write_output(args.out, json_text({"provenance": _provenance(args), **body}))
     else:
-        write_output(args.out, curve_csv_text(curve, kind="ci" if ci else "fit"))
+        write_output(args.out, csv_text(header, columns))
+
+
+def _emit_curve(args, curve: RegressionCurve, **body):
+    columns = curve_columns(curve)
+    _emit(args, {**body, "curve": {**columns, "meta": curve.meta}}, columns, columns.values())
 
 
 def _cmd_fit_known(args):
     sample = read_training_csv(args.train)
     curve = fit_known(sample, parse_delta(args.delta), parse_grid(args.grid))
     _emit_curve(args, curve)
-    return 0
 
 
 def _cmd_fit_fourier(args):
@@ -137,7 +128,6 @@ def _cmd_fit_fourier(args):
         )
     curve = fit_fourier(sample, rep, FourierConfig(cutoff=cutoff, t_step=args.tstep), grid)
     _emit_curve(args, curve)
-    return 0
 
 
 def _cmd_fit_proxy(args):
@@ -149,27 +139,19 @@ def _cmd_fit_proxy(args):
         "n": fit.n_obs,
         "residual_variance": fit.residual_variance,
     }
-    curve = None
-    if args.train is not None:
-        t, y = read_pairs_csv(args.train, columns=("t", "y"))
-        if args.delta is not None:
-            density = parse_delta(args.delta)
-        else:
-            if fit.residual_variance <= 0:
-                raise CoarseRegError(
-                    "cannot infer an error density from a perfect fit; pass --delta"
-                )
-            density = ErrorDensity.gaussian(math.sqrt(fit.residual_variance))
-        payload["delta"] = density.describe()
-        curve = fit_known_proxy(fit, t, y, density, parse_grid(args.grid))
-    if args.format == "json" or curve is None:
-        body = {"provenance": _provenance(args), "proxy_fit": payload}
-        if curve is not None:
-            body["curve"] = _curve_payload(curve)
-        write_output(args.out, json_text(body))
+    if args.train is None:
+        _emit(args, {"proxy_fit": payload})
+        return
+    t, y = read_pairs_csv(args.train, columns=("t", "y"))
+    if args.delta is not None:
+        density = parse_delta(args.delta)
+    elif fit.residual_variance > 0:
+        density = ErrorDensity.gaussian(math.sqrt(fit.residual_variance))
     else:
-        write_output(args.out, curve_csv_text(curve))
-    return 0
+        raise CoarseRegError("cannot infer an error density from a perfect fit; pass --delta")
+    payload["delta"] = density.describe()
+    curve = fit_known_proxy(fit, t, y, density, parse_grid(args.grid))
+    _emit_curve(args, curve, proxy_fit=payload)
 
 
 def _cmd_nw(args):
@@ -177,14 +159,12 @@ def _cmd_nw(args):
     h = cv_bandwidth(sample) if args.bandwidth == "cv" else float(args.bandwidth)
     curve = fit_nw(sample, h, parse_grid(args.grid))
     _emit_curve(args, curve)
-    return 0
 
 
 def _cmd_ci(args):
     sample = read_training_csv(args.train)
     curve = pointwise_band(sample, parse_delta(args.delta), parse_grid(args.grid), args.alpha)
-    _emit_curve(args, curve, ci=True)
-    return 0
+    _emit_curve(args, curve)
 
 
 def _cmd_band(args):
@@ -197,54 +177,30 @@ def _cmd_band(args):
         n_sim=args.nsim,
         seed=args.seed,
     )
-    _emit_curve(args, curve, ci=True)
-    return 0
+    _emit_curve(args, curve)
 
 
 def _cmd_cf(args):
     rep = read_replicates_csv(args.replicates)
-    t = symmetric_tgrid(args.tmax, args.tstep)
-    table = error_cf_from_replicates(rep, t)
-    if args.format == "json":
-        write_output(args.out, json_text({
-            "provenance": _provenance(args),
-            "cf": {"t": list(table.t), "value": list(np.asarray(table.values, dtype=float))},
-        }))
-    else:
-        lines = ["t,cf"]
-        for ti, vi in zip(table.t, np.asarray(table.values, dtype=float)):
-            lines.append(f"{format_float(ti)},{format_float(vi)}")
-        write_output(args.out, "\n".join(lines) + "\n")
-    return 0
+    table = error_cf_from_replicates(rep, symmetric_tgrid(args.tmax, args.tstep))
+    _emit(args, {"cf": {"t": table.t, "value": table.values}},
+          ("t", "cf"), (table.t, table.values))
 
 
 def _cmd_extrema(args):
     sample = read_training_csv(args.train)
     lo, hi = parse_interval(args.interval)
     loc, value = find_extremum(sample, parse_delta(args.delta), lo, hi, kind=args.kind)
-    if args.format == "json":
-        write_output(args.out, json_text({
-            "provenance": _provenance(args),
-            "extremum": {"kind": args.kind, "location": loc, "value": value},
-        }))
-    else:
-        write_output(args.out, f"location,value\n{format_float(loc)},{format_float(value)}\n")
-    return 0
+    _emit(args, {"extremum": {"kind": args.kind, "location": loc, "value": value}},
+          ("location", "value"), ([loc], [value]))
 
 
 def _cmd_zeros(args):
     sample = read_training_csv(args.train)
     lo, hi = parse_interval(args.interval)
     roots = find_zeros(sample, parse_delta(args.delta), lo, hi, level=args.level)
-    if args.format == "json":
-        write_output(args.out, json_text({
-            "provenance": _provenance(args),
-            "zeros": {"level": args.level, "locations": list(roots)},
-        }))
-    else:
-        lines = ["location"] + [format_float(r) for r in roots]
-        write_output(args.out, "\n".join(lines) + "\n")
-    return 0
+    _emit(args, {"zeros": {"level": args.level, "locations": list(roots)}},
+          ("location",), (roots,))
 
 
 def _parse_points(text):
@@ -262,14 +218,10 @@ def _cmd_simulate(args):
         error_kind=args.deltakind,
         seed=args.seed,
     )
-    if args.estimator == "known":
-        spec = EstimatorSpec(method="known")
-    else:
-        spec = EstimatorSpec(method="nw")
     grid = parse_grid(args.grid) if args.grid else None
     report = run_replications(
         scn,
-        spec,
+        EstimatorSpec(method=args.estimator),
         reps=args.reps,
         grid=grid,
         master_seed=args.seed,
@@ -278,19 +230,11 @@ def _cmd_simulate(args):
         rmse_points=_parse_points(args.rmse_at),
         threads=args.threads,
     )
-    body = {"provenance": _provenance(args), "report": report.to_dict()}
-    write_output(args.out, json_text(body))
     if args.out is not None:
-        base, _ = os.path.splitext(args.out)
-        lines = ["x,d1,d5,d9"]
-        dec = report.decile_curves
-        for i, x in enumerate(report.grid):
-            cells = [format_float(x)] + [
-                format_float(dec[k]["values"][i]) for k in ("d1", "d5", "d9")
-            ]
-            lines.append(",".join(cells))
-        write_output(base + "_deciles.csv", "\n".join(lines) + "\n")
-    return 0
+        deciles = [report.decile_curves[k]["values"] for k in ("d1", "d5", "d9")]
+        write_output(os.path.splitext(args.out)[0] + "_deciles.csv",
+                     csv_text(("x", "d1", "d5", "d9"), (report.grid, *deciles)))
+    _emit(args, {"report": report.to_dict()})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,87 +245,62 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seed_default=0):
+    def command(name, func, help, *required_flags, **defaults):
+        p = sub.add_parser(name, help=help)
+        for flag in required_flags:
+            p.add_argument(flag, required=True)
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=seed_default)
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser("fit-known", help="ratio estimator with a known error density")
-    p.add_argument("--train", required=True)
-    p.add_argument("--delta", required=True)
-    p.add_argument("--grid", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_fit_known)
+    command("fit-known", _cmd_fit_known, "ratio estimator with a known error density",
+            "--train", "--delta", "--grid")
 
-    p = sub.add_parser("fit-fourier", help="Fourier-inversion estimator from replicates")
-    p.add_argument("--train", required=True)
-    p.add_argument("--replicates", required=True)
-    p.add_argument("--grid", required=True)
+    p = command("fit-fourier", _cmd_fit_fourier, "Fourier-inversion estimator from replicates",
+                "--train", "--replicates", "--grid")
     p.add_argument("--tau", type=float, help="cutoff override (policy-selected when omitted)")
     p.add_argument("--tstep", type=float, help="frequency spacing (derived when omitted)")
     p.add_argument("--lambda", dest="lambda", type=float,
                    help="predictor-CF polynomial decay exponent (cutoff policy only)")
     p.add_argument("--lambdadelta", type=float,
                    help="error-CF polynomial decay exponent (cutoff policy only)")
-    common(p)
-    p.set_defaults(func=_cmd_fit_fourier)
 
-    p = sub.add_parser("fit-proxy", help="least-squares proxy calibration, then fit")
+    p = command("fit-proxy", _cmd_fit_proxy, "least-squares proxy calibration, then fit",
+                format="json")
     p.add_argument("--pairs", required=True, help="calibration CSV with header t,x")
     p.add_argument("--train", help="analysis CSV with header t,y")
     p.add_argument("--delta", help="error density (default: gaussian with the residual variance)")
     p.add_argument("--grid", default="0:1:101")
-    common(p)
-    p.set_defaults(func=_cmd_fit_proxy, format="json")
 
-    p = sub.add_parser("nw", help="Nadaraya-Watson baseline")
-    p.add_argument("--train", required=True)
-    p.add_argument("--grid", required=True)
+    p = command("nw", _cmd_nw, "Nadaraya-Watson baseline", "--train", "--grid")
     p.add_argument("--bandwidth", default="cv", help="'cv' or a positive number")
-    common(p)
-    p.set_defaults(func=_cmd_nw)
 
-    p = sub.add_parser("ci", help="pointwise confidence intervals on a grid")
-    p.add_argument("--train", required=True)
-    p.add_argument("--delta", required=True)
-    p.add_argument("--grid", required=True)
+    p = command("ci", _cmd_ci, "pointwise confidence intervals on a grid",
+                "--train", "--delta", "--grid")
     p.add_argument("--alpha", type=float, default=0.05)
-    common(p)
-    p.set_defaults(func=_cmd_ci)
 
-    p = sub.add_parser("band", help="simultaneous confidence band on a grid")
-    p.add_argument("--train", required=True)
-    p.add_argument("--delta", required=True)
-    p.add_argument("--grid", required=True)
+    p = command("band", _cmd_band, "simultaneous confidence band on a grid",
+                "--train", "--delta", "--grid")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--nsim", type=int, default=10_000)
-    common(p)
-    p.set_defaults(func=_cmd_band)
 
-    p = sub.add_parser("cf", help="dump the replicate-based error-CF table")
-    p.add_argument("--replicates", required=True)
+    p = command("cf", _cmd_cf, "dump the replicate-based error-CF table", "--replicates")
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--tstep", type=float, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_cf)
 
-    p = sub.add_parser("extrema", help="locate an extremum of the fitted curve")
-    p.add_argument("--train", required=True)
-    p.add_argument("--delta", required=True)
+    p = command("extrema", _cmd_extrema, "locate an extremum of the fitted curve",
+                "--train", "--delta")
     p.add_argument("--interval", required=True, help="lo:hi")
     p.add_argument("--kind", choices=("max", "min"), default="max")
-    common(p)
-    p.set_defaults(func=_cmd_extrema)
 
-    p = sub.add_parser("zeros", help="locate level crossings of the fitted curve")
-    p.add_argument("--train", required=True)
-    p.add_argument("--delta", required=True)
+    p = command("zeros", _cmd_zeros, "locate level crossings of the fitted curve",
+                "--train", "--delta")
     p.add_argument("--interval", required=True, help="lo:hi")
     p.add_argument("--level", type=float, default=0.0)
-    common(p)
-    p.set_defaults(func=_cmd_zeros)
 
-    p = sub.add_parser("simulate", help="replication study")
+    p = command("simulate", _cmd_simulate, "replication study", format="json")
     p.add_argument("--model", required=True,
                    choices=("m1", "logistic", "sine2", "sine4", "constant"))
     p.add_argument("--n", type=int, required=True)
@@ -396,14 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coverage-at", default="", help="comma-separated points")
     p.add_argument("--rmse-at", default="", help="comma-separated points")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("COARSEREG_THREADS", "1")),
-        help="worker threads for the replicates",
-    )
-    common(p, seed_default=0)
-    p.set_defaults(func=_cmd_simulate, format="json")
+    # a string default is converted by ``type`` only when simulate is parsed
+    p.add_argument("--threads", type=int, default=os.environ.get("COARSEREG_THREADS", "1"),
+                   help="worker threads for the replicates")
 
     return parser
 
@@ -414,7 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args._argv = argv
     try:
-        return args.func(args)
+        args.func(args)
     except DataFormatError as exc:
         print(json.dumps(exc.record()), file=sys.stderr)
         return 1
@@ -423,6 +337,7 @@ def main(argv=None) -> int:
         # errors land here too
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -62,20 +62,20 @@ class ErrorDensity:
 
     @classmethod
     def gaussian(cls, sigma: float) -> "ErrorDensity":
-        if not sigma > 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
+        if not 0 < sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {sigma}")
         return cls(kind="gaussian", scale=float(sigma))
 
     @classmethod
     def laplace(cls, b: float) -> "ErrorDensity":
-        if not b > 0:
-            raise ValueError(f"scale must be positive, got {b}")
+        if not 0 < b < math.inf:
+            raise ValueError(f"scale must be finite and positive, got {b}")
         return cls(kind="laplace", scale=float(b), cf_decay=2.0)
 
     @classmethod
     def uniform(cls, half_width: float) -> "ErrorDensity":
-        if not half_width > 0:
-            raise ValueError(f"half-width must be positive, got {half_width}")
+        if not 0 < half_width < math.inf:
+            raise ValueError(f"half-width must be finite and positive, got {half_width}")
         return cls(kind="uniform", scale=float(half_width))
 
     @classmethod
@@ -105,8 +105,8 @@ class ErrorDensity:
             Characteristic length; validation integrates over
             ``50 * scale`` on each side.
         """
-        if not scale > 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        if not 0 < scale < math.inf:
+            raise ValueError(f"scale must be finite and positive, got {scale}")
         d = cls(
             kind="custom",
             scale=float(scale),

@@ -81,6 +81,8 @@ def symmetric_tgrid(cutoff: float, step: float) -> np.ndarray:
     """Uniform grid -K*step .. K*step with K = round(cutoff/step)."""
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
+    if not math.isfinite(cutoff / step):
+        raise ValueError(f"cutoff/step must be finite, got {cutoff}/{step}")
     k = int(round(cutoff / step))
     if k < 1:
         raise ResolutionError(f"cutoff {cutoff} too small for step {step}")
@@ -222,9 +224,9 @@ def select_cutoff(
 class FourierConfig:
     """Inversion configuration.
 
-    ``cutoff`` is the truncation frequency, fixed by the caller or chosen
-    by :func:`select_cutoff`; ``t_step`` the quadrature spacing (derived
-    from the evaluation grid by :meth:`resolved` when None). A positive
+    ``cutoff`` is the finite truncation frequency, fixed by the caller or
+    chosen by :func:`select_cutoff`; ``t_step`` the quadrature spacing
+    (derived from the evaluation grid by :meth:`resolved` when None). A positive
     cutoff needs ``cutoff / t_step >= MIN_NODES``, so every inversion has at
     least ``MIN_NODES`` positive-frequency nodes.
 
@@ -236,8 +238,8 @@ class FourierConfig:
     t_step: Optional[float] = None
 
     def __post_init__(self):
-        if self.cutoff < 0:
-            raise ValueError(f"cutoff must be nonnegative, got {self.cutoff}")
+        if not 0 <= self.cutoff < math.inf:
+            raise ValueError(f"cutoff must be finite and nonnegative, got {self.cutoff}")
         if self.t_step is not None:
             if not self.t_step > 0:
                 raise ValueError(f"t_step must be positive, got {self.t_step}")

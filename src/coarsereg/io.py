@@ -11,9 +11,12 @@ Input schemas (exact headers):
 All numeric fields must be finite; NaN and infinities are rejected with an
 error naming file, line and column. A well-formed file is parsed in one
 vectorised pass; any other file is re-read row by row, and only that scan
-raises, so every error record names the same place either way. Curve values are written with 17
-significant digits so a written curve re-reads bit-exactly; undefined
-points serialize as ``nan`` in outputs only.
+raises, so every error record names the same place either way.
+:func:`csv_text` is the one CSV writer: values carry 17 significant digits
+so a written table re-reads bit-exactly, and undefined points serialize as
+``nan`` in outputs only. A curve's columns (:func:`curve_columns`) are
+``x,m_hat``, plus ``v_hat,lower,upper`` when it carries intervals; JSON
+outputs use the same names.
 
 Writes go through a temp file plus rename, so a crashed run never leaves a
 half-written artifact.
@@ -231,22 +234,26 @@ def atomic_write_text(path, text: str):
         raise
 
 
-def curve_csv_text(curve: RegressionCurve, kind: str = "fit") -> str:
-    """Render a curve as CSV.
-
-    ``kind`` is ``"fit"`` (columns x,m_hat) or ``"ci"`` (columns
-    x,m_hat,v_hat,lower,upper).
-    """
-    columns = [curve.grid.points, curve.values]
-    if kind == "ci":
-        if curve.variance is None or curve.band_lower is None:
-            raise ValueError("curve has no variance/interval columns")
-        columns += [curve.variance, curve.band_lower, curve.band_upper]
-    elif kind != "fit":
-        raise ValueError(f"unknown curve kind {kind!r}")
-    header = "x,m_hat" if kind == "fit" else "x,m_hat,v_hat,lower,upper"
+def csv_text(header, columns) -> str:
+    """``header`` (column names) and one :func:`format_float` row per
+    aligned entry of ``columns`` as CSV text."""
     rows = (",".join(format_float(v) for v in row) for row in zip(*columns))
-    return "\n".join([header, *rows]) + "\n"
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
+def curve_columns(curve: RegressionCurve) -> dict:
+    """A curve's columns by name: ``x`` and ``m_hat``, plus ``v_hat``,
+    ``lower`` and ``upper`` when the curve carries intervals."""
+    columns = {"x": curve.grid.points, "m_hat": curve.values}
+    if curve.variance is not None:
+        columns.update(v_hat=curve.variance, lower=curve.band_lower, upper=curve.band_upper)
+    return columns
+
+
+def curve_csv_text(curve: RegressionCurve) -> str:
+    """Render a curve's :func:`curve_columns` as CSV."""
+    columns = curve_columns(curve)
+    return csv_text(columns, columns.values())
 
 
 def read_curve_csv(path) -> dict:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coarsereg import DataFormatError, EvalGrid, RegressionCurve
-from coarsereg.cli import main, parse_delta, parse_grid
+from coarsereg.cli import build_parser, main, parse_delta, parse_grid
 from coarsereg.io import (
     curve_csv_text,
     read_curve_csv,
@@ -109,12 +109,24 @@ class TestCsvFormats:
         grid = EvalGrid(np.sort(rng.uniform(0, 1, 17)))
         values = rng.normal(size=17)
         values[3] = np.nan
-        curve = RegressionCurve(grid=grid, values=values)
-        p = tmp_path / "c.csv"
-        p.write_text(curve_csv_text(curve))
-        back = read_curve_csv(p)
-        np.testing.assert_array_equal(back["x"], grid.points)
-        np.testing.assert_array_equal(back["m_hat"], values)
+        variance = rng.uniform(0.1, 2.0, size=17)
+        variance[3] = np.nan
+        half = np.sqrt(variance)
+        fit = RegressionCurve(grid=grid, values=values)
+        band = RegressionCurve(grid=grid, values=values, variance=variance,
+                               band_lower=values - half, band_upper=values + half)
+        for curve, header in ((fit, "x,m_hat"), (band, "x,m_hat,v_hat,lower,upper")):
+            p = tmp_path / "c.csv"
+            p.write_text(curve_csv_text(curve))
+            assert p.read_text().splitlines()[0] == header
+            back = read_curve_csv(p)
+            assert list(back) == header.split(",")
+            np.testing.assert_array_equal(back["x"], grid.points)
+            np.testing.assert_array_equal(back["m_hat"], values)
+            if curve is band:
+                np.testing.assert_array_equal(back["v_hat"], variance)
+                np.testing.assert_array_equal(back["lower"], values - half)
+                np.testing.assert_array_equal(back["upper"], values + half)
 
 
 class TestCliCommands:
@@ -265,6 +277,37 @@ class TestCliCommands:
         record = json.loads(capsys.readouterr().err)
         assert "positive" in record["error"]
 
+    def test_infinite_density_scale_error_record(self, train_csv, capsys):
+        code = main(["fit-known", "--train", str(train_csv),
+                     "--delta", "gaussian:inf", "--grid", "0:1:3"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "sigma must be finite and positive, got inf"}
+
+    @pytest.mark.parametrize("args", [
+        ["fit-fourier", "--tau", "inf"],
+        ["fit-fourier", "--tau", "1e308"],
+        ["fit-fourier", "--tau", "nan"],
+        ["cf", "--tmax", "inf", "--tstep", "0.1"],
+    ])
+    def test_non_finite_cutoff_error_record(self, args, train_csv, replicates_csv, capsys):
+        inputs = ["--replicates", str(replicates_csv)]
+        if args[0] == "fit-fourier":
+            inputs += ["--train", str(train_csv), "--grid", "0:1:5"]
+        assert main(args + inputs) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "finite" in json.loads(err)["error"]
+
+    def test_bad_thread_env_only_breaks_simulate(self, train_csv, monkeypatch, capsys):
+        monkeypatch.setenv("COARSEREG_THREADS", "two")
+        assert main(["fit-known", "--train", str(train_csv),
+                     "--delta", "gaussian:0.144", "--grid", "0:1:3"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(TestSimulate.ARGS)
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
 
 class TestSimulate:
     ARGS = ["simulate", "--model", "logistic", "--n", "40", "--nsdelta", "0.25",
@@ -286,6 +329,11 @@ class TestSimulate:
         deciles = read_curve_csv(tmp_path / "report_deciles.csv")
         assert list(deciles) == ["x", "d1", "d5", "d9"]
         assert len(deciles["x"]) == 5
+
+    def test_threads_from_environment(self, monkeypatch):
+        monkeypatch.setenv("COARSEREG_THREADS", "3")
+        assert build_parser().parse_args(self.ARGS).threads == 3
+        assert build_parser().parse_args(self.ARGS + ["--threads", "2"]).threads == 2
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         a = tmp_path / "a.json"

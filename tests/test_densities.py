@@ -119,11 +119,19 @@ def test_cf_decay_metadata():
 
 
 def test_invalid_scales():
+    def custom(scale):
+        return ErrorDensity.custom(lambda u: np.exp(-0.5 * np.asarray(u) ** 2) / SQRT_2PI,
+                                   scale=scale)
+
     for ctor in (ErrorDensity.gaussian, ErrorDensity.laplace, ErrorDensity.uniform):
         with pytest.raises(ValueError):
             ctor(0.0)
         with pytest.raises(ValueError):
             ctor(-1.0)
+    for ctor in (ErrorDensity.gaussian, ErrorDensity.laplace, ErrorDensity.uniform, custom):
+        for scale in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                ctor(scale)
 
 
 class TestCustom:

@@ -207,6 +207,17 @@ class TestFourierConfig:
         cfg = FourierConfig(cutoff=0.0, t_step=0.5)
         assert cfg.cutoff == 0.0
 
+    @pytest.mark.parametrize("cutoff", [math.inf, -math.inf, math.nan])
+    def test_non_finite_cutoff_rejected(self, cutoff):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            FourierConfig(cutoff=cutoff)
+
+    @pytest.mark.parametrize("cutoff, step", [(math.inf, 0.1), (1e308, 1e-3),
+                                              (math.nan, 0.1)])
+    def test_tgrid_needs_a_finite_node_count(self, cutoff, step):
+        with pytest.raises(ValueError, match="cutoff/step must be finite"):
+            symmetric_tgrid(cutoff, step)
+
     def test_resolved_spacing(self):
         grid = EvalGrid(np.linspace(-2.0, 2.0, 9))
         cfg = FourierConfig(cutoff=8.0).resolved(grid)
