@@ -115,18 +115,14 @@ class TestCsvFormats:
         fit = RegressionCurve(grid=grid, values=values)
         band = RegressionCurve(grid=grid, values=values, variance=variance,
                                band_lower=values - half, band_upper=values + half)
+        columns = (grid.points, values, variance, values - half, values + half)
         for curve, header in ((fit, "x,m_hat"), (band, "x,m_hat,v_hat,lower,upper")):
             p = tmp_path / "c.csv"
             p.write_text(curve_csv_text(curve))
-            assert p.read_text().splitlines()[0] == header
             back = read_curve_csv(p)
-            assert list(back) == header.split(",")
-            np.testing.assert_array_equal(back["x"], grid.points)
-            np.testing.assert_array_equal(back["m_hat"], values)
-            if curve is band:
-                np.testing.assert_array_equal(back["v_hat"], variance)
-                np.testing.assert_array_equal(back["lower"], values - half)
-                np.testing.assert_array_equal(back["upper"], values + half)
+            assert ",".join(back) == header
+            for name, column in zip(back, columns):
+                np.testing.assert_array_equal(back[name], column)
 
 
 class TestCliCommands:
@@ -271,18 +267,13 @@ class TestCliCommands:
         assert exc.value.code == 2
 
     def test_invalid_density_scale_error_record(self, train_csv, capsys):
-        code = main(["fit-known", "--train", str(train_csv),
-                     "--delta", "gaussian:-1", "--grid", "0:1:3"])
-        assert code == 1
-        record = json.loads(capsys.readouterr().err)
-        assert "positive" in record["error"]
-
-    def test_infinite_density_scale_error_record(self, train_csv, capsys):
-        code = main(["fit-known", "--train", str(train_csv),
-                     "--delta", "gaussian:inf", "--grid", "0:1:3"])
-        assert code == 1
-        assert json.loads(capsys.readouterr().err) == {
-            "error": "sigma must be finite and positive, got inf"}
+        for scale in ("-1", "inf"):
+            code = main(["fit-known", "--train", str(train_csv),
+                         "--delta", f"gaussian:{scale}", "--grid", "0:1:3"])
+            assert code == 1
+            record = json.loads(capsys.readouterr().err)
+            assert "positive" in record["error"]
+            assert f"sigma must be finite and positive, got {float(scale)}" == record["error"]
 
     @pytest.mark.parametrize("args", [
         ["fit-fourier", "--tau", "inf"],
