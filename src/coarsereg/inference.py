@@ -19,9 +19,8 @@ from scipy.special import ndtri
 from .data import EvalGrid, RegressionCurve, TrainingSample
 from .densities import ErrorDensity
 from .errors import DegenerateDenominatorError
-from . import known
 from .known import (
-    _block_len, _centered_variance, _defined, _kernel_moments, _known_curve, _require_defined,
+    _block_len, _defined, _kernel_moments, _known_curve, _point_moments, _require_defined,
 )
 
 # Covariance eigenvalues below this fraction of the largest are zeroed
@@ -46,7 +45,8 @@ class ProductMoments:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Symmetric plug-in covariance of the limit process on a grid."""
+    """Plug-in covariance of the limit process on a grid: exactly symmetric
+    with a nonnegative diagonal, as :func:`covariance_matrix` builds it."""
 
     grid: EvalGrid
     entries: np.ndarray
@@ -55,13 +55,10 @@ class CovarianceMatrix:
         m = np.array(self.entries, dtype=float)
         if m.shape != (len(self.grid), len(self.grid)):
             raise ValueError("covariance shape does not match grid")
-        if not np.allclose(m, m.T, atol=1e-12, rtol=0.0):
+        if not np.array_equal(m, m.T):
             raise ValueError("covariance matrix is not symmetric")
-        if np.min(np.diag(m)) < -1e-9:
-            raise ValueError("covariance diagonal has a significant negative entry")
-        # tiny negative diagonal values are roundoff; clamp
-        d = np.arange(m.shape[0])
-        m[d, d] = np.maximum(m[d, d], 0.0)
+        if not np.all(np.diag(m) >= 0):
+            raise ValueError("covariance diagonal has a negative entry")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
@@ -80,20 +77,6 @@ def product_moments(
     )
 
 
-def _point_moments(sample, err, xs):
-    """:func:`known._point_moments` at the points ``xs``, with the
-    :func:`variance_at` value at each point from the same kernel rows.
-
-    Raises
-    ------
-    DegenerateDenominatorError
-        At the first point of ``xs`` where the ratio is undefined.
-    """
-    y = sample.y
-    k, den, num = known._point_moments(err.pdf, xs, sample.w, y)
-    return k, den, num, _centered_variance(k, y - np.median(y), den)
-
-
 def _interval(num, den, v, n, alpha):
     """(1 - alpha) interval num/den +- z(1 - alpha/2) sqrt(v / n)."""
     est = num / den
@@ -106,10 +89,12 @@ def variance_at(sample: TrainingSample, err: ErrorDensity, x: float) -> float:
 
     It is the centered mean(k^2 (y - m_hat)^2) / den^2 with k = f(x - w),
     evaluated on responses shifted by their median: >= 0 by construction,
-    exactly 0 for constant responses, and unchanged (to roundoff in the
-    responses) when they shift by a constant.
+    exactly 0 where the responses on the kernel support of ``x`` take one
+    value, and unchanged (to roundoff in the responses) when they shift by
+    a constant. :func:`pointwise_band` and :func:`simultaneous_band` give
+    each grid point the same bits.
     """
-    return float(_point_moments(sample, err, (x,))[3][0])
+    return float(_point_moments(err.pdf, (x,), sample.w, sample.y, variance=True)[3][0])
 
 
 def covariance_matrix(
@@ -117,23 +102,27 @@ def covariance_matrix(
 ) -> CovarianceMatrix:
     """Plug-in covariance of the limit process on all grid-point pairs.
 
+    The rows and columns of points with zero :func:`variance_at` (the
+    responses on their kernel support take one value) are exactly 0.
+
     Raises
     ------
     DegenerateDenominatorError
         Naming the first grid point where the ratio is undefined.
     """
     x = grid.points
-    den, num = _kernel_moments(err.pdf, x, sample.w, sample.y)
+    den, num, var = _kernel_moments(err.pdf, x, sample.w, sample.y, variance=True)
     _require_defined(den, x)
-    return CovarianceMatrix(grid=grid, entries=_centered_covariance(sample, err, x, den, num))
+    return CovarianceMatrix(grid=grid,
+                            entries=_centered_covariance(sample, err, x, den, num, var))
 
 
-def _centered_covariance(sample, err, x, den, num):
+def _centered_covariance(sample, err, x, den, num, var):
     """The covariance entries on the points ``x`` from their den/num.
 
-    The row and column of a point whose kernel support holds a single
-    response value are exactly 0, as their centered terms are; the rounded
-    m_hat alone would leave roundoff there.
+    The row and column of a point whose variance ``var`` is 0 are exactly
+    0, as the centered terms of a point with flat responses on its kernel
+    support are; the rounded m_hat alone would leave roundoff there.
     """
     w, y, n = sample.w, sample.y, sample.n
     # B B^T / n for the centered factor B = k (y - m_hat) / den, summed over
@@ -141,25 +130,15 @@ def _centered_covariance(sample, err, x, den, num):
     # update, so the sum is exactly symmetric with a nonnegative diagonal
     m_hat = num / den
     cov = np.zeros((len(x), len(x)))
-    lo, hi = np.full(len(x), np.inf), np.full(len(x), -np.inf)
     step = _block_len(len(x))
     for start in range(0, n, step):
         cols = slice(start, start + step)
-        k = err.pdf(x[:, None] - w[None, cols])
-        # the range of the responses on each point's kernel support
-        on = k > 0
-        if on.all():
-            lo, hi = np.minimum(lo, y[cols].min()), np.maximum(hi, y[cols].max())
-        else:
-            yk = np.broadcast_to(y[cols], k.shape)
-            lo = np.minimum(lo, np.min(yk, axis=1, where=on, initial=np.inf))
-            hi = np.maximum(hi, np.max(yk, axis=1, where=on, initial=-np.inf))
-        b = k  # the centered factor, in place
+        b = err.pdf(x[:, None] - w[None, cols])  # the centered factor, in place
         b *= y[None, cols] - m_hat[:, None]
         b /= den[:, None]
         cov += b @ b.T
     cov /= n
-    flat = lo == hi
+    flat = var == 0
     cov[flat] = cov[:, flat] = 0.0
     return cov
 
@@ -177,7 +156,7 @@ def pointwise_ci(
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if sample.n < 2:
         raise ValueError("confidence interval needs n >= 2")
-    _, den, num, var = _point_moments(sample, err, (x,))
+    _, den, num, var = _point_moments(err.pdf, (x,), sample.w, sample.y, variance=True)
     return _interval(float(num[0]), float(den[0]), var[0], sample.n, alpha)
 
 
@@ -200,21 +179,18 @@ def pointwise_band(
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if sample.n < 2:
         raise ValueError("confidence interval needs n >= 2")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        den, num, var = _kernel_moments(err.pdf, grid.points, sample.w, sample.y, variance=True)
-        values = num / den
+    den, num, var = _kernel_moments(err.pdf, grid.points, sample.w, sample.y, variance=True)
     ok = _defined(den)
     if not np.any(ok):
         raise DegenerateDenominatorError("interval undefined on the whole grid")
-    var[~ok] = np.nan
-    values[~ok] = np.nan
-    half = ndtri(1.0 - alpha / 2.0) * np.sqrt(var) / np.sqrt(sample.n)
+    num[~ok] = var[~ok] = np.nan
+    lower, upper = _interval(num, den, var, sample.n, alpha)
     return RegressionCurve(
         grid=grid,
-        values=values,
+        values=num / den,
         variance=var,
-        band_lower=values - half,
-        band_upper=values + half,
+        band_lower=lower,
+        band_upper=upper,
         meta={"estimator": "known-error ratio", "alpha": alpha, "kind": "pointwise"},
     )
 
@@ -234,9 +210,11 @@ def simultaneous_band(
     with eigenvalue clipping, which does not depend on the signs of the
     eigenvectors), takes the empirical (1 - alpha) quantile q of the studentized
     supremum over the grid points with positive variance, and returns bands
-    estimate +- q * sqrt(variance/n). The variance is the covariance
-    diagonal, the centered form of :func:`variance_at`; it is exactly 0 at
-    points whose kernel support holds a single response value.
+    estimate +- q * sqrt(variance/n). The variance is :func:`variance_at`'s
+    at each point, bit for bit, from the same pass as the fit; it is exactly
+    0 at points whose kernel support holds a single response value, and the
+    covariance rows and columns of those points are 0. The covariance only
+    shapes the draws.
 
     A covariance that is exactly zero (the responses are constant on every
     point's kernel support, constant responses in particular) yields
@@ -251,12 +229,12 @@ def simultaneous_band(
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if n_sim < 1:
         raise ValueError("n_sim must be positive")
-    # one den/num pass serves the fit and the covariance
-    den, num = _kernel_moments(err.pdf, grid.points, sample.w, sample.y)
+    # one pass gives the fit and the pointwise variance; the covariance,
+    # built in a second, only shapes the draws
+    den, num, var = _kernel_moments(err.pdf, grid.points, sample.w, sample.y, variance=True)
     _require_defined(den, grid.points)
     curve = _known_curve(err, grid, den, num)
-    cov = _centered_covariance(sample, err, grid.points, den, num)
-    var = np.diag(cov).copy()
+    cov = _centered_covariance(sample, err, grid.points, den, num, var)
     n = sample.n
     se = np.sqrt(var / n)
     meta = dict(curve.meta)

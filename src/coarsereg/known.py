@@ -85,18 +85,32 @@ def _centered_variance(k, yc, den):
     """The plug-in variance E[f(x - W)^2 (Y - m(x))^2] / f_X(x)^2 of the ratio
     at each kernel row's point, as ``mean(b**2) / den**2`` over the row with
     ``b = k * (yc - mean(k * yc) / den)``; ``yc`` is the responses less a
-    sample constant, which cancels in ``b``. It is >= 0, exactly 0 when
-    ``yc`` is 0, and each row's value does not depend on the other rows.
+    sample constant, which cancels in ``b``. It is >= 0, NaN where den is 0,
+    and each row's value does not depend on the other rows. It is exactly 0
+    where ``yc`` takes one value on the row's kernel support (``k > 0``), as
+    the centered terms are; the rounded center alone would leave roundoff.
     """
-    b = yc - (np.mean(k * yc, axis=1) / den)[:, None]
-    b *= k
-    b *= b
-    return np.mean(b, axis=1) / den**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = yc - (np.mean(k * yc, axis=1) / den)[:, None]
+        b *= k
+        b *= b
+        var = np.mean(b, axis=1) / den**2
+    # a row with every kernel value positive is flat only for constant
+    # responses, where yc is 0 and so is b
+    if not k.min() > 0:
+        on = k > 0
+        yk = np.broadcast_to(yc, k.shape)
+        flat = (np.min(yk, axis=1, where=on, initial=np.inf)
+                == np.max(yk, axis=1, where=on, initial=-np.inf))
+        var[flat] = 0.0
+    return var
 
 
-def _point_moments(kernel, xs, w, y):
+def _point_moments(kernel, xs, w, y, variance=False):
     """The (P, n) kernel at the points ``xs`` and its row means den and
-    num, one row per point, so each point gets the bits it gets alone.
+    num, one row per point, so each point gets the bits it gets alone; with
+    ``variance``, also :func:`_centered_variance` on the responses less
+    their median, the bits :func:`_kernel_moments` gives the point.
 
     Raises
     ------
@@ -106,7 +120,8 @@ def _point_moments(kernel, xs, w, y):
     k = kernel(np.asarray(xs, dtype=float)[:, None] - w)
     den = np.mean(k, axis=1)
     _require_defined(den, xs)
-    return k, den, np.mean(y * k, axis=1)
+    moments = k, den, np.mean(y * k, axis=1)
+    return (*moments, _centered_variance(k, y - np.median(y), den)) if variance else moments
 
 
 def _moments_at(sample, err, x):
@@ -240,8 +255,8 @@ def find_extremum(
     """
     if kind not in ("max", "min"):
         raise ValueError(f"kind must be 'max' or 'min', got {kind!r}")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
     xs, vals = _scan_values(sample, err, lo, hi, scan_points)
     sign = -1.0 if kind == "max" else 1.0
     best = int(np.argmin(sign * vals))
@@ -267,8 +282,10 @@ def find_zeros(
     1e-10. A scan point sitting exactly on the level counts only when its
     neighbors straddle the level. The returned array may be empty.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
+    if not np.isfinite(level):
+        raise ValueError(f"level must be finite, got {level}")
     xs, vals = _scan_values(sample, err, lo, hi, scan_points)
     f = vals - level
     # strict sign changes only; a scan point sitting exactly on the level

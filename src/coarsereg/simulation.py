@@ -33,9 +33,9 @@ import numpy as np
 from .data import EvalGrid, RegressionCurve, TrainingSample
 from .densities import ErrorDensity
 from .errors import CoarseRegError, DegenerateDenominatorError
-from .inference import _interval, _point_moments
+from .inference import _interval
 from .io import _jsonable
-from .known import _block_len, _defined, _golden_section, fit_known
+from .known import _block_len, _defined, _golden_section, _point_moments, fit_known
 from .nw import cv_bandwidth, fit_nw, nw_estimate
 
 logger = logging.getLogger(__name__)
@@ -108,16 +108,19 @@ class ScenarioConfig:
             raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
-        if self.predictor_noise < 0:
-            raise ValueError("predictor_noise must be nonnegative")
+        if not (math.isfinite(self.predictor_noise) and self.predictor_noise >= 0):
+            raise ValueError("predictor_noise must be finite and nonnegative, "
+                             f"got {self.predictor_noise}")
         if self.error_kind not in ("gaussian", "uniform"):
             raise ValueError(f"error_kind must be gaussian or uniform, got {self.error_kind!r}")
         if self.model in _BERNOULLI:
             if self.response_noise is not None:
                 raise ValueError(f"{self.model} has a Bernoulli response; response_noise must be None")
         else:
-            if self.response_noise is None or self.response_noise < 0:
-                raise ValueError(f"{self.model} needs a nonnegative response_noise")
+            if self.response_noise is None or not (math.isfinite(self.response_noise)
+                                                   and self.response_noise >= 0):
+                raise ValueError(f"response_noise of {self.model} must be finite and "
+                                 f"nonnegative, got {self.response_noise}")
 
     @property
     def support(self) -> tuple:
@@ -441,7 +444,7 @@ def _fit_replicate(scn, spec, grid, rng, points, coverage_points, alpha):
         return curve, {}, {}
     # one kernel for every query point; each estimate is its row's (1, n)
     # product, as :func:`regression_at` computes it
-    k, den, num, var = _point_moments(sample, density, points)
+    k, den, num, var = _point_moments(density.pdf, points, sample.w, sample.y, variance=True)
     y, n = sample.y, sample.n
     at = {p: float((k[i : i + 1] @ y)[0] / n) / float(den[i]) for i, p in enumerate(points)}
     row = {p: i for i, p in enumerate(points)}

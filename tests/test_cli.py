@@ -233,6 +233,19 @@ class TestCliCommands:
         assert code == 0
         assert out.read_text().splitlines()[0] == "location"
 
+    @pytest.mark.parametrize("args, named", [
+        (["zeros", "--interval", "0:1", "--level", "nan"], "level must be finite"),
+        (["zeros", "--interval", "0:inf"], "need finite lo < hi"),
+        (["extrema", "--interval=-inf:1"], "need finite lo < hi"),
+    ])
+    def test_non_finite_search_error_record(self, args, named, train_csv, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main(args + ["--train", str(train_csv), "--delta", "gaussian:0.144",
+                            "--out", str(out)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"].startswith(named)
+        assert not out.exists()
+
     def test_json_output_carries_provenance(self, train_csv, tmp_path):
         out = tmp_path / "c.json"
         code = main(["fit-known", "--train", str(train_csv),
@@ -313,6 +326,18 @@ class TestSimulate:
         golden = json.loads((DATA / "golden_simulate.json").read_text())
         # provenance embeds the --out path, which is run-specific
         assert got["report"] == golden["report"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--nsdelta", "--nseps"])
+    def test_non_finite_noise_ratio_error_record(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["simulate", "--model", "m1", "--n", "20", "--nsdelta", "0.2",
+                     "--nseps", "0.5", "--reps", "2", flag, value, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "must be finite and nonnegative" in json.loads(err)["error"]
+        assert not out.exists()
 
     def test_writes_decile_csv(self, tmp_path):
         out = tmp_path / "report.json"

@@ -22,7 +22,6 @@ from coarsereg import (
 )
 from coarsereg import known
 from coarsereg.cli import main
-from coarsereg.inference import _point_moments
 
 GAUSS = ErrorDensity.gaussian(1.0)
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -257,7 +256,7 @@ class TestPointMoments:
             w = rng.uniform(0, 1, n)
             s = TrainingSample(w, np.cos(3 * w) + rng.normal(0, 0.5, n))
             xs = tuple(float(x) for x in np.linspace(0.25, 0.75, 5))
-            k, den, num, var = _point_moments(s, err, xs)
+            k, den, num, var = known._point_moments(err.pdf, xs, s.w, s.y, variance=True)
             for i, x in enumerate(xs):
                 lo, hi = pointwise_ci(s, err, x, 0.05)
                 est = float(num[i]) / float(den[i])
@@ -270,7 +269,7 @@ class TestPointMoments:
     def test_first_degenerate_point_is_named(self):
         s = TrainingSample([0.0, 0.1], [1.0, 2.0])
         with pytest.raises(DegenerateDenominatorError, match="at x=7.0"):
-            _point_moments(s, ErrorDensity.uniform(0.5), (0.0, 7.0, 5.0))
+            known._point_moments(ErrorDensity.uniform(0.5).pdf, (0.0, 7.0, 5.0), s.w, s.y)
 
 
 def pointwise_loop(sample, err, grid, alpha):
@@ -527,6 +526,20 @@ class TestInvariances:
             qs.append(band.meta["sup_quantile"])
         assert qs == pytest.approx([2.52] * 3, rel=0.05)
 
+    def test_single_response_support_zeroes_the_pointwise_variance(self):
+        # the data of the test above: ci and variance_at see the same exact
+        # 0 at 0.1 and 0.2, at every scale
+        rng = np.random.default_rng(11031)
+        w = rng.uniform(0, 1, 10)
+        y = np.cos(3 * w) + rng.normal(0, 0.5, 10)
+        err, grid = ErrorDensity.uniform(0.3), EvalGrid.linspace(0.1, 0.9, 9)
+        for a in (1.0, 1e-9, 1e6):
+            s = TrainingSample(w, a * y)
+            band = pointwise_band(s, err, grid)
+            np.testing.assert_array_equal(band.variance[:2], 0.0)
+            assert np.all(band.variance[2:] > 0)
+            assert [variance_at(s, err, x) for x in grid.points[:2]] == [0.0, 0.0]
+
     def test_large_constant_band_is_degenerate(self):
         rng = np.random.default_rng(3)
         s = TrainingSample(rng.uniform(0, 1, 50), np.full(50, 1e12))
@@ -534,3 +547,28 @@ class TestInvariances:
         assert band.meta["degenerate_covariance"] and band.meta["sup_quantile"] == 0.0
         np.testing.assert_array_equal(band.variance, 0.0)
         np.testing.assert_array_equal(band.band_upper, band.band_lower)
+
+
+class TestOneVariance:
+    @settings(deadline=None)
+    @given(samples())
+    def test_band_ci_and_variance_at_share_the_bits(self, case):
+        # the simultaneous band, the pointwise band and variance_at
+        # studentize each point by one variance, to the last bit, with NaN
+        # exactly where the ratio is undefined
+        w, y, err, grid = case
+        s = TrainingSample(w, y)
+        pointwise = pointwise_band(s, err, grid).variance
+        alone = []
+        for x in grid.points:
+            try:
+                alone.append(variance_at(s, err, float(x)))
+            except DegenerateDenominatorError:
+                alone.append(np.nan)
+        np.testing.assert_array_equal(pointwise, alone)
+        ok = ~np.isnan(pointwise)
+        band = simultaneous_band(s, err, EvalGrid(grid.points[ok]), n_sim=10, seed=1)
+        np.testing.assert_array_equal(band.variance, pointwise[ok])
+        if not ok.all():
+            with pytest.raises(DegenerateDenominatorError):
+                simultaneous_band(s, err, grid, n_sim=10, seed=1)

@@ -183,6 +183,12 @@ class TestFindExtremum:
         with pytest.raises(DegenerateDenominatorError):
             find_extremum(s, ErrorDensity.uniform(0.5), 2.0, 3.0)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_non_finite_interval(self, lo, hi):
+        s = TrainingSample([0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="need finite lo < hi"):
+            find_extremum(s, GAUSS, lo, hi)
+
 
 class TestFindZeros:
     def test_constant_no_crossing(self):
@@ -210,3 +216,16 @@ class TestFindZeros:
         s = TrainingSample([0.0], [1.0])
         with pytest.raises(DegenerateDenominatorError):
             find_zeros(s, ErrorDensity.uniform(0.5), 2.0, 3.0)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_non_finite_interval(self, lo, hi):
+        s = TrainingSample([0.0, 1.0], [-1.0, 1.0])
+        with pytest.raises(ValueError, match="need finite lo < hi"):
+            find_zeros(s, GAUSS, lo, hi)
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level(self, level):
+        # a nan level used to give no crossing and no error
+        s = TrainingSample([0.0, 1.0], [-1.0, 1.0])
+        with pytest.raises(ValueError, match="level must be finite"):
+            find_zeros(s, GAUSS, 0.0, 1.0, level=level)

@@ -44,6 +44,15 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="model"):
             ScenarioConfig(model="m3", n=50, predictor_noise=0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["predictor_noise", "response_noise"])
+    def test_non_finite_noise_ratio(self, field, bad):
+        # a nan response_noise used to pass the sign check and generate
+        # noise-free responses
+        ratios = {"predictor_noise": 0.1, "response_noise": 0.1, field: bad}
+        with pytest.raises(ValueError, match=f"{field}.* must be finite and nonnegative, got {bad}"):
+            ScenarioConfig(model="m1", n=50, **ratios)
+
 
 class TestCalibrate:
     def test_predictor_noise_quarter(self):
