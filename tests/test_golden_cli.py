@@ -2,7 +2,9 @@
 
 ``tests/data/golden_cli.json`` maps each case below to the text the command
 writes. The Fourier, Nadaraya-Watson and ``cf`` CSV cases were captured at
-commit 4153d1f, the others at commit 197e63d. The inputs are generated here
+commit 4153d1f, the others at commit 197e63d; the two ``band`` cases were
+captured again when the band took the pointwise variance of ``ci``, so
+both write the same ``v_hat`` column. The inputs are generated here
 from fixed seeds and written with ``%.17g``: an m1 sample of n = 400 with
 normal response noise, the same responses on Laplace-contaminated
 predictors, 150 groups of 3 Laplace replicates, and, from a second seed,
