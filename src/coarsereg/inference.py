@@ -138,8 +138,8 @@ def _centered_covariance(sample, err, x, den, num, var):
         b /= den[:, None]
         cov += b @ b.T
     cov /= n
-    flat = var == 0
-    cov[flat] = cov[:, flat] = 0.0
+    zero = var == 0
+    cov[zero] = cov[:, zero] = 0.0
     return cov
 
 

@@ -98,11 +98,9 @@ def _centered_variance(k, yc, den):
     # a row with every kernel value positive is flat only for constant
     # responses, where yc is 0 and so is b
     if not k.min() > 0:
-        on = k > 0
-        yk = np.broadcast_to(yc, k.shape)
-        flat = (np.min(yk, axis=1, where=on, initial=np.inf)
-                == np.max(yk, axis=1, where=on, initial=-np.inf))
-        var[flat] = 0.0
+        ref = yc[np.argmax(k, axis=1)]  # a response on each row's support
+        flat = ~np.any((yc != ref[:, None]) & (k > 0), axis=1)
+        var[flat & (den > 0)] = 0.0  # a row with no support stays NaN
     return var
 
 

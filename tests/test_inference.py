@@ -8,6 +8,7 @@ from scipy.special import ndtri
 
 from coarsereg import (
     CoarseRegError,
+    CovarianceMatrix,
     DegenerateDenominatorError,
     ErrorDensity,
     EvalGrid,
@@ -126,6 +127,18 @@ class TestCovariance:
         s = TrainingSample(rng.normal(size=40), rng.normal(size=40))
         cov = covariance_matrix(s, GAUSS, EvalGrid(np.linspace(-1, 1, 9))).entries
         np.testing.assert_allclose(cov, cov.T, atol=0)
+
+    def test_checks_hold_without_tolerance(self):
+        # covariance_matrix's B B^T / n is exactly symmetric with a
+        # nonnegative diagonal at any scale, so a roundoff-sized defect
+        # is refused rather than forgiven or clamped
+        grid = EvalGrid([0.0, 1.0])
+        with pytest.raises(ValueError, match="not symmetric"):
+            CovarianceMatrix(grid=grid, entries=[[1e-20, 0.0], [1e-30, 1e-20]])
+        with pytest.raises(ValueError, match="negative"):
+            CovarianceMatrix(grid=grid, entries=np.diag([1.0, -1e-30]))
+        ok = CovarianceMatrix(grid=grid, entries=np.diag([1e-30, 0.0]))
+        np.testing.assert_array_equal(ok.entries, np.diag([1e-30, 0.0]))
 
     def test_studentized_unit_diagonal(self):
         rng = np.random.default_rng(17)
@@ -526,9 +539,9 @@ class TestInvariances:
             qs.append(band.meta["sup_quantile"])
         assert qs == pytest.approx([2.52] * 3, rel=0.05)
 
-    def test_single_response_support_zeroes_the_pointwise_variance(self):
-        # the data of the test above: ci and variance_at see the same exact
-        # 0 at 0.1 and 0.2, at every scale
+    def test_single_response_support_zeroes_every_variance(self):
+        # the data of the test above: ci, variance_at and the covariance see
+        # the same exact 0 at 0.1 and 0.2, at every scale
         rng = np.random.default_rng(11031)
         w = rng.uniform(0, 1, 10)
         y = np.cos(3 * w) + rng.normal(0, 0.5, 10)
@@ -539,6 +552,9 @@ class TestInvariances:
             np.testing.assert_array_equal(band.variance[:2], 0.0)
             assert np.all(band.variance[2:] > 0)
             assert [variance_at(s, err, x) for x in grid.points[:2]] == [0.0, 0.0]
+            cov = covariance_matrix(s, err, grid).entries
+            np.testing.assert_array_equal(cov[:2], 0.0)
+            np.testing.assert_array_equal(cov[:, :2], 0.0)
 
     def test_large_constant_band_is_degenerate(self):
         rng = np.random.default_rng(3)
