@@ -330,9 +330,15 @@ def invert_cf(
     h = cfg.t_step
     w = np.full(len(t), h)
     w[0] = w[-1] = h / 2.0
-    phase = np.exp(-1j * x[:, None] * t[None, :])
-    den = phase @ (plain.values * err_vals * w) / (2.0 * math.pi)
-    num = phase @ (weighted.values * err_vals * w) / (2.0 * math.pi)
+    plain_w, weighted_w = plain.values * err_vals * w, weighted.values * err_vals * w
+    den, num = np.empty(len(x), dtype=complex), np.empty(len(x), dtype=complex)
+    # grid-row blocks bound the G x T phase matrix for any node count
+    step = _block_len(len(t), itemsize=16)
+    for start in range(0, len(x), step):
+        rows = slice(start, start + step)
+        phase = np.exp(-1j * x[rows, None] * t[None, :])
+        den[rows] = phase @ plain_w / (2.0 * math.pi)
+        num[rows] = phase @ weighted_w / (2.0 * math.pi)
 
     for name, arr in (("denominator", den), ("numerator", num)):
         residue = np.abs(arr.imag)

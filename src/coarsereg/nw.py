@@ -5,13 +5,16 @@ predictors is the baseline the ratio estimator is measured against. The
 kernel is fixed to Gaussian; the bandwidth either comes from the caller or
 from leave-one-out CV over a geometric grid.
 
-Leave-one-out CV builds one n x n squared-distance matrix per sample and
-scores the whole bandwidth grid from it, reusing n x n buffers across
-bandwidths, so CV needs O(n^2) memory per call. At the small CV bandwidths
-most kernel cells underflow; their exponents are clamped onto the fast
-vector path of ``np.exp`` and the few cells whose result is subnormal are
-recomputed exactly, so every kernel value equals ``np.exp`` of its exponent
-bit for bit.
+Leave-one-out CV scores the whole bandwidth grid from one squared-distance
+block per group of held-out rows, so it needs O(n * block + n * B) memory
+for B bandwidths. Each row's exponents are shifted by its nearest-neighbour
+distance, which leaves num/den unchanged and gives the nearest neighbour the
+weight exp(0) = 1, so every denominator is at least 1. The exponents are
+clamped at ``_EXP_FAST_MIN`` only where some fall below it: a clamped cell
+weighs at most e^-700 against that 1, below half an ulp of the denominator,
+so no kernel value is subnormal and ``np.exp`` stays on its vector fast path.
+A bandwidth still scores infinity exactly when the unshifted Gaussian
+weights of some held-out row all underflow to zero.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .data import EvalGrid, RegressionCurve, TrainingSample
 from .errors import DegenerateDenominatorError
-from .known import _kernel_moments, _point_moments, _ratio_curve
+from .known import _block_len, _kernel_moments, _point_moments, _ratio_curve
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # np.exp leaves its vector fast path for arguments below about -708, where
@@ -42,7 +45,8 @@ _CV_MAX_FACTOR = 2.0
 
 
 def _gauss(u):
-    return np.exp(-0.5 * u**2) / _SQRT_2PI
+    arg = -0.5 * u**2
+    return _gauss_from_exponent(arg, arg.min(initial=0.0))
 
 
 def nw_estimate(sample: TrainingSample, h: float, x: float) -> float:
@@ -94,25 +98,46 @@ def _loo_scores(sample: TrainingSample, bandwidths) -> np.ndarray:
     """Mean leave-one-out squared prediction errors, one per bandwidth.
 
     A bandwidth at which some held-out point's remaining kernel weights all
-    underflow to zero scores infinity.
+    underflow to zero scores infinity. Row i's weights are computed as
+    ``exp(scale * (d2_ij - nn2_i))`` with ``scale = -1 / (2 h^2)`` and
+    ``nn2_i`` its smallest squared distance to another point; the common
+    factor ``exp(scale * nn2_i) / sqrt(2 pi)`` cancels in num/den, and its
+    rounded value is the row's largest unshifted weight (the rounded kernel
+    is monotone in d2), so the row underflows exactly when it is 0. Rows
+    are built in blocks of :func:`known._block_len` and the squared errors
+    are averaged once at the end, so the summation order of the scores
+    does not depend on the blocking.
     """
     w, y = sample.w, sample.y
-    d2 = np.subtract.outer(w, w)
-    np.square(d2, out=d2)
-    d2_max = float(d2.max())
-    k = np.empty_like(d2)
+    n = len(w)
+    scales = -0.5 / np.square(np.asarray(bandwidths, dtype=float))  # h = 0: inf, not raise
+    if n < 2:  # no other point to weigh
+        return np.full(len(scales), np.inf)
     y1 = np.column_stack([y, np.ones_like(y)])
-    scores = np.empty(len(bandwidths))
-    for j, h in enumerate(bandwidths):
-        scale = -0.5 / np.square(h)  # numpy division: h = 0 scores inf, not raises
-        np.multiply(d2, scale, out=k)
-        _gauss_from_exponent(k, d2_max * scale)
-        np.fill_diagonal(k, 0.0)
-        num, den = (k @ y1).T
-        if np.any(den == 0.0):
-            scores[j] = np.inf
-        else:
-            scores[j] = np.mean((y - num / den) ** 2)
+    nn2 = np.empty(n)
+    sq_err = np.empty((len(scales), n))
+    step = _block_len(n)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        own = (np.arange(len(rows)), rows)
+        d2 = np.subtract.outer(w[rows], w)
+        np.square(d2, out=d2)
+        d2[own] = np.inf
+        nn2[rows] = d2.min(axis=1)
+        d2[own] = nn2[rows]  # shifts to 0; its weight is zeroed after exp
+        d2 -= nn2[rows, None]
+        spread = float(d2.max())
+        k = np.empty_like(d2)
+        for j, scale in enumerate(scales):
+            np.multiply(d2, scale, out=k)
+            if spread * scale < _EXP_FAST_MIN:
+                np.maximum(k, _EXP_FAST_MIN, out=k)
+            np.exp(k, out=k)
+            k[own] = 0.0
+            num, den = (k @ y1).T
+            sq_err[j, rows] = np.square(y[rows] - num / den)
+    scores = np.mean(sq_err, axis=1)
+    scores[np.any(np.exp(np.multiply.outer(scales, nn2)) / _SQRT_2PI == 0.0, axis=1)] = np.inf
     return scores
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coarsereg.fourier
+from coarsereg import known
 from coarsereg import (
     CfTable,
     ErrorDensity,
@@ -261,6 +263,27 @@ class TestInvert:
             den, _ = invert_cf(s, d, FourierConfig(cutoff=cutoff, t_step=0.05), grid)
             errs.append(np.max(np.abs(den - direct)))
         assert errs[0] > errs[1] > errs[2] > errs[3]
+
+    def test_phase_blocks_match_one_block(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        d = ErrorDensity.laplace(0.5)
+        s = TrainingSample(rng.normal(size=200), rng.normal(size=200))
+        grid = EvalGrid(np.linspace(-1.0, 1.0, 400))
+        cfg = FourierConfig(cutoff=20.0, t_step=0.01)  # 4001 nodes
+        block = known._BLOCK_BYTES
+        assert known._block_len(4001, itemsize=16) < 400 // 4  # several blocks
+        tracemalloc.start()
+        try:
+            den, num = invert_cf(s, d, cfg, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole 400 x 4001 phase matrix alone would take 25.6 MB
+        assert peak < 4 * block, f"peak {peak} B"
+        monkeypatch.setattr(known, "_BLOCK_BYTES", 16 * 4001 * 400)
+        den_one, num_one = invert_cf(s, d, cfg, grid)
+        np.testing.assert_allclose(den, den_one, rtol=1e-12)
+        np.testing.assert_allclose(num, num_one, rtol=1e-12)
 
     def test_table_source_matches_density_source(self):
         rng = np.random.default_rng(13)

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coarsereg import (
     EstimatorSpec,
@@ -16,6 +19,7 @@ from coarsereg import (
     nw_estimate,
     run_replications,
 )
+from coarsereg import known
 from coarsereg.nw import _gauss_from_exponent, _loo_scores, cv_grid, loo_score
 
 # the two cells of the NW replication benchmark (simulate --estimator nw)
@@ -130,6 +134,56 @@ class TestCvBandwidth:
         score = loo_score(s, h)
         assert np.isfinite(score)
         np.testing.assert_allclose(score, self.brute_force_scores(s, [h])[0], rtol=1e-10)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                        reason="long double is float64 here")
+    def test_smallest_finite_bandwidth_matches_long_double(self):
+        # the nearest-neighbour weights of this sample's most isolated point
+        # are subnormal in float64 at the smallest finite CV bandwidth
+        scn = ScenarioConfig(model="m1", n=250, predictor_noise=0.25, response_noise=0.1)
+        s = generate(scn, np.random.default_rng(44)).noisy_training()
+        grid = cv_grid(s)
+        scores = _loo_scores(s, grid)
+        j = int(np.flatnonzero(np.isfinite(scores))[0])
+        w, y = s.w.astype(np.longdouble), s.y.astype(np.longdouble)
+        k = np.exp(-0.5 * np.square(np.subtract.outer(w, w) / np.longdouble(grid[j])))
+        np.fill_diagonal(k, 0.0)
+        assert 0.0 < float(k.sum(axis=1).min()) < np.finfo(float).tiny
+        want = np.mean(np.square(y - (k @ y) / k.sum(axis=1)))
+        assert abs(scores[j] - want) <= 1e-14 * want
+
+    @given(cluster=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=12),
+           gaps=st.lists(st.floats(0.5, 200.0), min_size=1, max_size=3))
+    def test_inf_pattern_matches_brute_force(self, cluster, gaps):
+        # points beyond the cluster, each `gap` past the previous one
+        w = np.concatenate([cluster, 1.0 + np.cumsum(gaps)])
+        s = TrainingSample(w, np.cos(3.0 * w))
+        grid = cv_grid(s)
+        want = np.isinf(self.brute_force_scores(s, grid))
+        np.testing.assert_array_equal(np.isinf(_loo_scores(s, grid)), want)
+
+    @pytest.mark.parametrize("cell", sorted(STUDY_NW_CELLS))
+    def test_row_blocks_leave_selection_unchanged(self, cell, monkeypatch):
+        s = generate(STUDY_NW_CELLS[cell]).noisy_training()
+        grid = cv_grid(s)
+        whole, chosen = _loo_scores(s, grid), cv_bandwidth(s)
+        monkeypatch.setattr(known, "_BLOCK_BYTES", 8 * s.n * 7)  # 7-row blocks
+        np.testing.assert_allclose(_loo_scores(s, grid), whole, rtol=1e-12)
+        assert cv_bandwidth(s) == chosen
+
+    def test_peak_memory_is_a_few_row_blocks(self):
+        n = 4000
+        rng = np.random.default_rng(55)
+        s = TrainingSample(rng.uniform(0.0, 1.0, n), rng.normal(size=n))
+        grid = cv_grid(s)[::8]
+        # two n x n matrices would take 2 * 8 * n**2 = 256 MB
+        tracemalloc.start()
+        try:
+            _loo_scores(s, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20, f"peak {peak} B"
 
     def test_logistic_sample_selection_reproduced(self):
         # noisy-predictor sample from the Bernoulli logistic scenario
