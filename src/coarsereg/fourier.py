@@ -92,7 +92,15 @@ def symmetric_tgrid(cutoff: float, step: float) -> np.ndarray:
 def _mean_exp(t: np.ndarray, points: np.ndarray, weights=None):
     """Means over points of exp(i t point) and, given ``weights``, of
     weights * exp(i t point), per t (None without weights); each block of t
-    rows, sized by the kernel block budget, is exponentiated once."""
+    rows, sized by the kernel block budget, is exponentiated once and summed
+    pairwise, so each value depends on its own t alone. On an odd-length
+    grid with ``t[::-1] == -t`` only t >= 0 is evaluated: the values at -t
+    are the conjugates, bit for bit, of those at t."""
+    if len(t) > 1 and len(t) % 2 and np.array_equal(t[::-1], -t):
+        mid = len(t) // 2
+        halves = _mean_exp(t[mid:], points, weights)
+        return tuple(None if v is None else np.concatenate([v[:0:-1].conj(), v])
+                     for v in halves)
     plain = np.empty(len(t), dtype=complex)
     weighted = None if weights is None else np.empty(len(t), dtype=complex)
     scale = 1.0 / len(points)
@@ -102,7 +110,8 @@ def _mean_exp(t: np.ndarray, points: np.ndarray, weights=None):
         e = np.exp(1j * t[rows, None] * points[None, :])
         plain[rows] = e.sum(axis=1) * scale
         if weights is not None:
-            weighted[rows] = e @ weights * scale
+            e *= weights
+            weighted[rows] = e.sum(axis=1) * scale
     return plain, weighted
 
 
@@ -337,8 +346,8 @@ def invert_cf(
     for start in range(0, len(x), step):
         rows = slice(start, start + step)
         phase = np.exp(-1j * x[rows, None] * t[None, :])
-        den[rows] = phase @ plain_w / (2.0 * math.pi)
-        num[rows] = phase @ weighted_w / (2.0 * math.pi)
+        den[rows] = (phase * plain_w).sum(axis=1) / (2.0 * math.pi)
+        num[rows] = (phase * weighted_w).sum(axis=1) / (2.0 * math.pi)
 
     for name, arr in (("denominator", den), ("numerator", num)):
         residue = np.abs(arr.imag)

@@ -94,7 +94,7 @@ def variance_at(sample: TrainingSample, err: ErrorDensity, x: float) -> float:
     a constant. :func:`pointwise_band` and :func:`simultaneous_band` give
     each grid point the same bits.
     """
-    return float(_point_moments(err.pdf, (x,), sample.w, sample.y, variance=True)[3][0])
+    return float(_point_moments(err.pdf, (x,), sample.w, sample.y, variance=True)[2][0])
 
 
 def covariance_matrix(
@@ -156,7 +156,7 @@ def pointwise_ci(
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if sample.n < 2:
         raise ValueError("confidence interval needs n >= 2")
-    _, den, num, var = _point_moments(err.pdf, (x,), sample.w, sample.y, variance=True)
+    den, num, var = _point_moments(err.pdf, (x,), sample.w, sample.y, variance=True)
     return _interval(float(num[0]), float(den[0]), var[0], sample.n, alpha)
 
 

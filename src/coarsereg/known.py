@@ -58,24 +58,25 @@ def _require_defined(den, x):
 
 
 def _kernel_moments(kernel, x, w, y, variance=False):
-    """``mean(k, axis=1)`` and ``k @ y / n`` for ``k = kernel(x[:, None] - w[None, :])``
-    built in blocks of grid rows; with ``variance``, also
-    :func:`_centered_variance` on the responses less their median (NaN where
-    den is 0). The means and the variance do not depend on the blocking;
-    the product agrees to a few ulp, and is bit-identical in one block.
+    """den ``mean(k, axis=1)`` and num ``mean(k * y, axis=1)`` for
+    ``k = kernel(x[:, None] - w[None, :])`` built in blocks of grid rows;
+    with ``variance``, also :func:`_centered_variance` on the responses less
+    their median (NaN where den is 0). Each row's values depend on that row
+    alone: not on the blocking, nor on the BLAS library or its thread count.
     """
-    n = len(w)
-    step = _block_len(n)
+    step = _block_len(len(w))
     den, num = np.empty(len(x)), np.empty(len(x))
+    ky = np.empty((min(step, len(x)), len(w)))  # k * y, reused by every block
     if variance:
         var, yc = np.empty(len(x)), y - np.median(y)
     for start in range(0, len(x), step):
         rows = slice(start, start + step)
         k = kernel(x[rows, None] - w[None, :])
         # numpy reductions over the sample axis accumulate pairwise, keeping
-        # long replication studies deterministic and well-conditioned
+        # long replication studies deterministic and well-conditioned; k may
+        # be a custom pdf's own array, so the product goes to the scratch
         den[rows] = np.mean(k, axis=1)
-        num[rows] = k @ y / n
+        num[rows] = np.mean(np.multiply(k, y, out=ky[: len(k)]), axis=1)
         if variance:
             var[rows] = _centered_variance(k, yc, den[rows])
     return (den, num, var) if variance else (den, num)
@@ -105,10 +106,10 @@ def _centered_variance(k, yc, den):
 
 
 def _point_moments(kernel, xs, w, y, variance=False):
-    """The (P, n) kernel at the points ``xs`` and its row means den and
-    num, one row per point, so each point gets the bits it gets alone; with
+    """den and num of the (P, n) kernel at the points ``xs``, one row per
+    point, the bits :func:`_kernel_moments` gives each point; with
     ``variance``, also :func:`_centered_variance` on the responses less
-    their median, the bits :func:`_kernel_moments` gives the point.
+    their median.
 
     Raises
     ------
@@ -118,7 +119,7 @@ def _point_moments(kernel, xs, w, y, variance=False):
     k = kernel(np.asarray(xs, dtype=float)[:, None] - w)
     den = np.mean(k, axis=1)
     _require_defined(den, xs)
-    moments = k, den, np.mean(y * k, axis=1)
+    moments = den, np.mean(y * k, axis=1)
     return (*moments, _centered_variance(k, y - np.median(y), den)) if variance else moments
 
 

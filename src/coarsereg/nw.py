@@ -53,7 +53,7 @@ def nw_estimate(sample: TrainingSample, h: float, x: float) -> float:
     """Kernel-weighted response average at ``x`` with bandwidth ``h``."""
     if not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
-    _, den, num = _point_moments(lambda u: _gauss(u / h), (x,), sample.w, sample.y)
+    den, num = _point_moments(lambda u: _gauss(u / h), (x,), sample.w, sample.y)
     return float(num[0]) / float(den[0])
 
 

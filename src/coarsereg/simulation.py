@@ -442,11 +442,11 @@ def _fit_replicate(scn, spec, grid, rng, points, coverage_points, alpha):
     curve = fit_known(sample, density, grid)
     if not points:
         return curve, {}, {}
-    # one kernel for every query point; each estimate is its row's (1, n)
-    # product, as :func:`regression_at` computes it
-    k, den, num, var = _point_moments(density.pdf, points, sample.w, sample.y, variance=True)
-    y, n = sample.y, sample.n
-    at = {p: float((k[i : i + 1] @ y)[0] / n) / float(den[i]) for i, p in enumerate(points)}
+    # one kernel for every query point; each row's moments are the bits
+    # :func:`regression_at` gives the point alone
+    den, num, var = _point_moments(density.pdf, points, sample.w, sample.y, variance=True)
+    n = sample.n
+    at = {p: float(num[i]) / float(den[i]) for i, p in enumerate(points)}
     row = {p: i for i, p in enumerate(points)}
     ci = {
         p: _interval(float(num[row[p]]), float(den[row[p]]), var[row[p]], n, alpha)

@@ -91,7 +91,34 @@ class TestEmpiricalCfs:
         s = TrainingSample(rng.normal(size=30), rng.normal(size=30))
         plain, weighted = empirical_cfs(s, symmetric_tgrid(3.0, 0.2))
         for tab in (plain, weighted):
-            np.testing.assert_allclose(tab.values, np.conj(tab.values[::-1]), atol=1e-14)
+            np.testing.assert_array_equal(tab.values, np.conj(tab.values[::-1]))
+
+
+@st.composite
+def mirrored_cases(draw):
+    """A symmetric grid, points and weights over several orders of magnitude."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 500))
+    t = symmetric_tgrid(draw(st.integers(1, 200)) * 1.0, 1.0) * draw(
+        st.floats(1e-3, 10.0))
+    points = rng.normal(draw(st.sampled_from([0.0, 3.0])), draw(
+        st.sampled_from([0.01, 1.0, 100.0])), n)
+    return t, points, rng.normal(size=n)
+
+
+class TestHalfGrid:
+    @settings(deadline=None)
+    @given(case=mirrored_cases())
+    def test_mirror_gives_the_full_evaluation_bits(self, case):
+        # one node past the grid makes it even-length, so every t is
+        # evaluated; each t's means depend on that t alone
+        t, points, weights = case
+        assert np.array_equal(t[::-1], -t)
+        full_t = np.append(t, t[-1] + 1.0)
+        mean_exp = coarsereg.fourier._mean_exp
+        for w in (weights, None):
+            for got, want in zip(mean_exp(t, points, w), mean_exp(full_t, points, w)):
+                np.testing.assert_array_equal(got, None if want is None else want[:-1])
 
 
 class TestCfTable:
@@ -282,8 +309,8 @@ class TestInvert:
         assert peak < 4 * block, f"peak {peak} B"
         monkeypatch.setattr(known, "_BLOCK_BYTES", 16 * 4001 * 400)
         den_one, num_one = invert_cf(s, d, cfg, grid)
-        np.testing.assert_allclose(den, den_one, rtol=1e-12)
-        np.testing.assert_allclose(num, num_one, rtol=1e-12)
+        np.testing.assert_array_equal(den, den_one)
+        np.testing.assert_array_equal(num, num_one)
 
     def test_table_source_matches_density_source(self):
         rng = np.random.default_rng(13)

@@ -269,15 +269,14 @@ class TestPointMoments:
             w = rng.uniform(0, 1, n)
             s = TrainingSample(w, np.cos(3 * w) + rng.normal(0, 0.5, n))
             xs = tuple(float(x) for x in np.linspace(0.25, 0.75, 5))
-            k, den, num, var = known._point_moments(err.pdf, xs, s.w, s.y, variance=True)
+            den, num, var = known._point_moments(err.pdf, xs, s.w, s.y, variance=True)
             for i, x in enumerate(xs):
                 lo, hi = pointwise_ci(s, err, x, 0.05)
                 est = float(num[i]) / float(den[i])
                 half = ndtri(0.975) * np.sqrt(max(var[i], 0.0)) / np.sqrt(n)
                 assert (est - half, est + half) == (lo, hi)
                 assert max(var[i], 0.0) == variance_at(s, err, x)
-                assert float((k[i : i + 1] @ s.y)[0] / n) / float(den[i]) == \
-                    regression_at(s, err, x)
+                assert float(num[i]) / float(den[i]) == regression_at(s, err, x)
 
     def test_first_degenerate_point_is_named(self):
         s = TrainingSample([0.0, 0.1], [1.0, 2.0])
