@@ -4,7 +4,9 @@
 writes. The Fourier, Nadaraya-Watson and ``cf`` CSV cases were captured at
 commit 4153d1f, the others at commit 197e63d; the two ``band`` cases were
 captured again when the band took the pointwise variance of ``ci``, so
-both write the same ``v_hat`` column. The inputs are generated here
+both write the same ``v_hat`` column. Every case whose numbers come from
+a kernel or CF moment was captured again when num became a pairwise mean
+instead of a BLAS product. The inputs are generated here
 from fixed seeds and written with ``%.17g``: an m1 sample of n = 400 with
 normal response noise, the same responses on Laplace-contaminated
 predictors, 150 groups of 3 Laplace replicates, and, from a second seed,

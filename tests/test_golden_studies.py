@@ -3,8 +3,9 @@
 ``tests/data/golden_studies.json`` holds ``StudyReport.to_json()`` and the
 replicate-failure warnings of each case below, captured at commit 3e09061,
 when each replicate still asked the oracle for the truth on every grid point
-and built one kernel per query point. Regenerate (only on purpose, from the
-repository root) with::
+and built one kernel per query point, and captured again when num became a
+pairwise mean instead of a BLAS product. Regenerate (only on purpose, from
+the repository root) with::
 
     PYTHONPATH=src python tests/test_golden_studies.py --write
 
