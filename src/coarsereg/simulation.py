@@ -445,11 +445,10 @@ def _fit_replicate(scn, spec, grid, rng, points, coverage_points, alpha):
     # one kernel for every query point; each row's moments are the bits
     # :func:`regression_at` gives the point alone
     den, num, var = _point_moments(density.pdf, points, sample.w, sample.y, variance=True)
-    n = sample.n
     at = {p: float(num[i]) / float(den[i]) for i, p in enumerate(points)}
     row = {p: i for i, p in enumerate(points)}
     ci = {
-        p: _interval(float(num[row[p]]), float(den[row[p]]), var[row[p]], n, alpha)
+        p: _interval(float(num[row[p]]), float(den[row[p]]), var[row[p]], sample.n, alpha)
         for p in coverage_points
     }
     return curve, at, ci
