@@ -57,6 +57,13 @@ def _require_defined(den, x):
         )
 
 
+def _row_mean(a):
+    """``np.mean(a, axis=1)`` of a float array, bit for bit: numpy's pairwise
+    sum over each row divided by the row length, without ``np.mean``'s
+    argument handling, which takes half the time of a 4 x 250 mean."""
+    return np.add.reduce(a, axis=1) / a.shape[1]
+
+
 def _kernel_moments(kernel, x, w, y, variance=False):
     """den ``mean(k, axis=1)`` and num ``mean(k * y, axis=1)`` for
     ``k = kernel(x[:, None] - w[None, :])`` built in blocks of grid rows;
@@ -79,8 +86,8 @@ def _kernel_moments(kernel, x, w, y, variance=False):
         # numpy reductions over the sample axis accumulate pairwise, keeping
         # long replication studies deterministic and well-conditioned; k may
         # be a custom pdf's own array, so the product goes to the scratch
-        den[rows] = np.mean(k, axis=1)
-        num[rows] = np.mean(np.multiply(k, y, out=ky[: len(k)]), axis=1)
+        den[rows] = _row_mean(k)
+        num[rows] = _row_mean(np.multiply(k, y, out=ky[: len(k)]))
         if variance:
             var[rows] = _centered_variance(k, yc, den[rows])
     return (den, num, var) if variance else (den, num)
@@ -96,10 +103,10 @@ def _centered_variance(k, yc, den):
     the centered terms are; the rounded center alone would leave roundoff.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        b = yc - (np.mean(k * yc, axis=1) / den)[:, None]
+        b = yc - (_row_mean(k * yc) / den)[:, None]
         b *= k
         b *= b
-        var = np.mean(b, axis=1) / den**2
+        var = _row_mean(b) / den**2
     # a row with every kernel value positive is flat only for constant
     # responses, where yc is 0 and so is b
     if not k.min() > 0:
@@ -121,9 +128,9 @@ def _point_moments(kernel, xs, w, y, variance=False):
         At the first point of ``xs`` where the ratio is undefined.
     """
     k = kernel(np.asarray(xs, dtype=float)[:, None] - w)
-    den = np.mean(k, axis=1)
+    den = _row_mean(k)
     _require_defined(den, xs)
-    moments = den, np.mean(y * k, axis=1)
+    moments = den, _row_mean(y * k)
     return (*moments, _centered_variance(k, y - np.median(y), den)) if variance else moments
 
 
