@@ -141,19 +141,35 @@ class ErrorDensity:
         ratio estimators stay well-defined when an offset lands exactly on
         the support edge.
         """
-        u = np.asarray(u, dtype=float)
+        out = self._pdf_into(np.array(u, dtype=float))
+        return out if out.ndim else float(out)
+
+    def _pdf_into(self, u):
+        """:meth:`pdf` of the float array ``u``, which a built-in kind
+        overwrites with the result and returns; a custom density returns its
+        own array, which the caller must not write to."""
         if self.kind == "gaussian":
             s = self.scale
-            out = np.exp(-0.5 * (u / s) ** 2) / (s * _SQRT_2PI)
-        elif self.kind == "laplace":
+            np.divide(u, s, out=u)
+            np.square(u, out=u)
+            np.multiply(u, -0.5, out=u)
+            np.exp(u, out=u)
+            np.divide(u, s * _SQRT_2PI, out=u)
+            return u
+        if self.kind == "laplace":
             b = self.scale
-            out = np.exp(-np.abs(u) / b) / (2.0 * b)
-        elif self.kind == "uniform":
+            np.abs(u, out=u)
+            np.divide(u, -b, out=u)  # the bits of (-|u|) / b
+            np.exp(u, out=u)
+            np.divide(u, 2.0 * b, out=u)
+            return u
+        if self.kind == "uniform":
             a = self.scale
-            out = np.where(np.abs(u) <= a, 1.0 / (2.0 * a), 0.0)
-        else:
-            out = np.asarray(self._pdf(u), dtype=float)
-        return out if out.ndim else float(out)
+            np.abs(u, out=u)
+            np.less_equal(u, a, out=u)
+            np.divide(u, 2.0 * a, out=u)  # 1 / (2a) inside, 0 outside
+            return u
+        return np.asarray(self._pdf(u), dtype=float)
 
     def pdf_derivative(self, u, order: int = 1):
         """Derivative of the density at ``u``, order in {0, 1, 2}.

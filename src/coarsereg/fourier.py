@@ -105,12 +105,17 @@ def _mean_exp(t: np.ndarray, points: np.ndarray, weights=None):
     weighted = None if weights is None else np.empty(len(t), dtype=complex)
     scale = 1.0 / len(points)
     step = _block_len(len(points), itemsize=16)
+    # the complex casts the products would make on every block, made once
+    points_c = points.astype(complex)
+    weights_c = None if weights is None else weights.astype(complex)
+    phase = np.empty((min(step, len(t)), len(points)), dtype=complex)
     for start in range(0, len(t), step):
         rows = slice(start, start + step)
-        e = np.exp(1j * t[rows, None] * points[None, :])
+        e = np.multiply(1j * t[rows, None], points_c, out=phase[: len(t[rows])])
+        np.exp(e, out=e)
         plain[rows] = e.sum(axis=1) * scale
         if weights is not None:
-            e *= weights
+            e *= weights_c
             weighted[rows] = e.sum(axis=1) * scale
     return plain, weighted
 

@@ -20,7 +20,8 @@ from .data import EvalGrid, RegressionCurve, TrainingSample
 from .densities import ErrorDensity
 from .errors import DegenerateDenominatorError
 from .known import (
-    _block_len, _defined, _kernel_moments, _known_curve, _point_moments, _require_defined,
+    _block_len, _centered_variance, _defined, _flat_support, _kernel_moments, _known_curve,
+    _point_moments, _require_defined,
 )
 
 # Covariance eigenvalues below this fraction of the largest are zeroed
@@ -94,7 +95,7 @@ def variance_at(sample: TrainingSample, err: ErrorDensity, x: float) -> float:
     a constant. :func:`pointwise_band` and :func:`simultaneous_band` give
     each grid point the same bits.
     """
-    return float(_point_moments(err.pdf, (x,), sample.w, sample.y, variance=True)[2][0])
+    return float(_point_moments(err._pdf_into, (x,), sample.w, sample.y, variance=True)[2][0])
 
 
 def covariance_matrix(
@@ -111,18 +112,18 @@ def covariance_matrix(
         Naming the first grid point where the ratio is undefined.
     """
     x = grid.points
-    den, num, var = _kernel_moments(err.pdf, x, sample.w, sample.y, variance=True)
+    den, num, flat = _kernel_moments(err._pdf_into, x, sample.w, sample.y, _flat_support)
     _require_defined(den, x)
     return CovarianceMatrix(grid=grid,
-                            entries=_centered_covariance(sample, err, x, den, num, var))
+                            entries=_centered_covariance(sample, err, x, den, num, flat))
 
 
-def _centered_covariance(sample, err, x, den, num, var):
+def _centered_covariance(sample, err, x, den, num, zero):
     """The covariance entries on the points ``x`` from their den/num.
 
-    The row and column of a point whose variance ``var`` is 0 are exactly
-    0, as the centered terms of a point with flat responses on its kernel
-    support are; the rounded m_hat alone would leave roundoff there.
+    The rows and columns of the points in the mask ``zero``, those with flat
+    responses on their kernel support, are exactly 0, as their centered
+    terms are; the rounded m_hat alone would leave roundoff there.
     """
     w, y, n = sample.w, sample.y, sample.n
     # B B^T / n for the centered factor B = k (y - m_hat) / den, summed over
@@ -131,14 +132,21 @@ def _centered_covariance(sample, err, x, den, num, var):
     m_hat = num / den
     cov = np.zeros((len(x), len(x)))
     step = _block_len(len(x))
+    # flat buffers, so that every block, the last one too, is contiguous
+    size = len(x) * min(step, n)
+    u_buf, b_buf = np.empty(size), np.empty(size)
     for start in range(0, n, step):
         cols = slice(start, start + step)
-        b = err.pdf(x[:, None] - w[None, cols])  # the centered factor, in place
-        b *= y[None, cols] - m_hat[:, None]
+        shape = (len(x), len(w[cols]))
+        u = u_buf[: shape[0] * shape[1]].reshape(shape)
+        b = b_buf[: u.size].reshape(shape)
+        # the kernel may be a custom pdf's own array, so b is built beside it
+        k = err._pdf_into(np.subtract(x[:, None], w[None, cols], out=u))
+        np.subtract(y[None, cols], m_hat[:, None], out=b)
+        b *= k
         b /= den[:, None]
         cov += b @ b.T
     cov /= n
-    zero = var == 0
     cov[zero] = cov[:, zero] = 0.0
     return cov
 
@@ -156,7 +164,7 @@ def pointwise_ci(
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if sample.n < 2:
         raise ValueError("confidence interval needs n >= 2")
-    den, num, var = _point_moments(err.pdf, (x,), sample.w, sample.y, variance=True)
+    den, num, var = _point_moments(err._pdf_into, (x,), sample.w, sample.y, variance=True)
     return _interval(float(num[0]), float(den[0]), var[0], sample.n, alpha)
 
 
@@ -179,7 +187,8 @@ def pointwise_band(
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if sample.n < 2:
         raise ValueError("confidence interval needs n >= 2")
-    den, num, var = _kernel_moments(err.pdf, grid.points, sample.w, sample.y, variance=True)
+    den, num, var = _kernel_moments(err._pdf_into, grid.points, sample.w, sample.y,
+                                    _centered_variance)
     ok = _defined(den)
     if not np.any(ok):
         raise DegenerateDenominatorError("interval undefined on the whole grid")
@@ -231,10 +240,11 @@ def simultaneous_band(
         raise ValueError("n_sim must be positive")
     # one pass gives the fit and the pointwise variance; the covariance,
     # built in a second, only shapes the draws
-    den, num, var = _kernel_moments(err.pdf, grid.points, sample.w, sample.y, variance=True)
+    den, num, var = _kernel_moments(err._pdf_into, grid.points, sample.w, sample.y,
+                                    _centered_variance)
     _require_defined(den, grid.points)
     curve = _known_curve(err, grid, den, num)
-    cov = _centered_covariance(sample, err, grid.points, den, num, var)
+    cov = _centered_covariance(sample, err, grid.points, den, num, var == 0)
     n = sample.n
     se = np.sqrt(var / n)
     meta = dict(curve.meta)
@@ -246,11 +256,22 @@ def simultaneous_band(
     eigval[eigval < EIGENVALUE_CLIP * eigval.max()] = 0.0
     root = (eigvec * np.sqrt(eigval)[None, :]) @ eigvec.T
 
-    rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((n_sim, len(grid))) @ root / np.sqrt(n)
     # points with zero variance drop out of the sup: |draw| / inf = 0, so a
     # zero covariance gives q = 0
-    sups = np.max(np.abs(draws) / np.where(var > 0, se, np.inf)[None, :], axis=1)
+    scale = np.where(var > 0, se, np.inf)
+    # the draws in blocks of rows, in the generator's stream order; only each
+    # row's sup is kept
+    rng = np.random.default_rng(seed)
+    sups = np.empty(n_sim)
+    step = min(_block_len(len(grid)), n_sim)
+    z, draws = np.empty((step, len(grid))), np.empty((step, len(grid)))
+    for start in range(0, n_sim, step):
+        block = sups[start:start + step]
+        d = np.matmul(rng.standard_normal(out=z[: len(block)]), root, out=draws[: len(block)])
+        d /= np.sqrt(n)
+        np.abs(d, out=d)
+        d /= scale
+        np.max(d, axis=1, out=block)
     q = float(np.quantile(sups, 1.0 - alpha))
 
     meta["sup_quantile"] = q

@@ -64,20 +64,23 @@ def _row_mean(a):
     return np.add.reduce(a, axis=1) / a.shape[1]
 
 
-def _kernel_moments(kernel, x, w, y, variance=False):
+def _kernel_moments(kernel, x, w, y, per_row=None):
     """den ``mean(k, axis=1)`` and num ``mean(k * y, axis=1)`` for
     ``k = kernel(x[:, None] - w[None, :])`` built in blocks of grid rows;
-    with ``variance``, also :func:`_centered_variance` on the responses less
-    their median (NaN where den is 0). Each row's values depend on that row
-    alone: not on the blocking, nor on the BLAS library or its thread count.
+    with ``per_row`` (:func:`_centered_variance` or :func:`_flat_support`),
+    also its values on each block, given the responses less their median.
+    ``kernel`` may overwrite its argument, a block buffer reused by every
+    block, and return it. Each row's values depend on that row alone: not on
+    the blocking, nor on the BLAS library or its thread count.
     """
     step = _block_len(len(w))
-    den, num = np.empty(len(x)), np.empty(len(x))
-    if variance:
-        var, yc = np.empty(len(x)), y - np.median(y)
+    den, num, extra = np.empty(len(x)), np.empty(len(x)), []
+    if per_row is not None:
+        yc = y - np.median(y)
+    u = np.empty((min(step, len(x)), len(w)))
     for start in range(0, len(x), step):
         rows = slice(start, start + step)
-        k = kernel(x[rows, None] - w[None, :])
+        k = kernel(np.subtract(x[rows, None], w[None, :], out=u[: len(x[rows])]))
         if start == 0:
             # k * y, reused by every block; allocated before the kernel, it
             # took fresh pages from the OS on every call (165 minor faults
@@ -87,33 +90,43 @@ def _kernel_moments(kernel, x, w, y, variance=False):
         # long replication studies deterministic and well-conditioned; k may
         # be a custom pdf's own array, so the product goes to the scratch
         den[rows] = _row_mean(k)
-        num[rows] = _row_mean(np.multiply(k, y, out=ky[: len(k)]))
-        if variance:
-            var[rows] = _centered_variance(k, yc, den[rows])
-    return (den, num, var) if variance else (den, num)
+        scratch = ky[: len(k)]
+        num[rows] = _row_mean(np.multiply(k, y, out=scratch))
+        if per_row is not None:
+            extra.append(per_row(k, yc, den[rows], scratch))
+    return (den, num) if per_row is None else (den, num, np.concatenate(extra))
 
 
-def _centered_variance(k, yc, den):
+def _centered_variance(k, yc, den, scratch=None):
     """The plug-in variance E[f(x - W)^2 (Y - m(x))^2] / f_X(x)^2 of the ratio
     at each kernel row's point, as ``mean(b**2) / den**2`` over the row with
-    ``b = k * (yc - mean(k * yc) / den)``; ``yc`` is the responses less a
-    sample constant, which cancels in ``b``. It is >= 0, NaN where den is 0,
-    and each row's value does not depend on the other rows. It is exactly 0
-    where ``yc`` takes one value on the row's kernel support (``k > 0``), as
-    the centered terms are; the rounded center alone would leave roundoff.
+    ``b = k * (yc - mean(k * yc) / den)``, built in ``scratch`` (k's shape)
+    when given; ``yc`` is the responses less a sample constant, which cancels
+    in ``b``. It is >= 0, NaN where den is 0, and each row's value does not
+    depend on the other rows. It is exactly 0 on the rows of
+    :func:`_flat_support`, as the centered terms are; the rounded center
+    alone would leave roundoff.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        b = yc - (_row_mean(k * yc) / den)[:, None]
+        b = np.multiply(k, yc, out=scratch)
+        np.subtract(yc, (_row_mean(b) / den)[:, None], out=b)
         b *= k
         b *= b
         var = _row_mean(b) / den**2
-    # a row with every kernel value positive is flat only for constant
-    # responses, where yc is 0 and so is b
-    if not k.min() > 0:
+    var[_flat_support(k, yc, den)] = 0.0
+    return var
+
+
+def _flat_support(k, yc, den, scratch=None):
+    """Rows with den > 0 on whose kernel support (``k > 0``) ``yc`` takes
+    one value. ``scratch`` is unused; it keeps the signature of
+    :func:`_centered_variance`."""
+    if k.min() > 0:  # every row's support is the whole sample
+        flat = np.full(len(k), bool(np.all(yc == yc[0])))
+    else:
         ref = yc[np.argmax(k, axis=1)]  # a response on each row's support
         flat = ~np.any((yc != ref[:, None]) & (k > 0), axis=1)
-        var[flat & (den > 0)] = 0.0  # a row with no support stays NaN
-    return var
+    return flat & (den > 0)  # a row with no support is not flat
 
 
 def _point_moments(kernel, xs, w, y, variance=False):
@@ -137,7 +150,7 @@ def _point_moments(kernel, xs, w, y, variance=False):
 def _moments_at(sample, err, x):
     """(den, num) at ``x``; floats for a single point."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    den, num = _kernel_moments(err.pdf, x, sample.w, sample.y)
+    den, num = _kernel_moments(err._pdf_into, x, sample.w, sample.y)
     return (den, num) if den.size > 1 else (float(den[0]), float(num[0]))
 
 
@@ -192,7 +205,7 @@ def fit_known(sample: TrainingSample, err: ErrorDensity, grid: EvalGrid) -> Regr
     DegenerateDenominatorError
         If every grid point is undefined.
     """
-    den, num = _kernel_moments(err.pdf, grid.points, sample.w, sample.y)
+    den, num = _kernel_moments(err._pdf_into, grid.points, sample.w, sample.y)
     return _known_curve(err, grid, den, num)
 
 
@@ -240,7 +253,7 @@ def _golden_section(f, lo: float, hi: float, xtol: float) -> float:
 
 def _scan_values(sample, err, lo, hi, scan_points):
     xs = np.linspace(lo, hi, scan_points)
-    den, num = _kernel_moments(err.pdf, xs, sample.w, sample.y)
+    den, num = _kernel_moments(err._pdf_into, xs, sample.w, sample.y)
     _require_defined(den, xs)
     return xs, num / den
 

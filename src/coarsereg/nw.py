@@ -44,16 +44,19 @@ _CV_MIN_FACTOR = 0.05
 _CV_MAX_FACTOR = 2.0
 
 
-def _gauss(u):
-    arg = -0.5 * u**2
-    return _gauss_from_exponent(arg, arg.min(initial=0.0))
+def _gauss(u, h):
+    """The standard Gaussian density at ``u / h``, computed in place in ``u``."""
+    u /= h
+    np.square(u, out=u)
+    u *= -0.5
+    return _gauss_from_exponent(u, u.min(initial=0.0))
 
 
 def nw_estimate(sample: TrainingSample, h: float, x: float) -> float:
     """Kernel-weighted response average at ``x`` with bandwidth ``h``."""
     if not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
-    den, num = _point_moments(lambda u: _gauss(u / h), (x,), sample.w, sample.y)
+    den, num = _point_moments(lambda u: _gauss(u, h), (x,), sample.w, sample.y)
     return float(num[0]) / float(den[0])
 
 
@@ -61,7 +64,7 @@ def fit_nw(sample: TrainingSample, h: float, grid: EvalGrid) -> RegressionCurve:
     """Kernel regression curve on a grid; degenerate points carry NaN."""
     if not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
-    den, num = _kernel_moments(lambda u: _gauss(u / h), grid.points, sample.w, sample.y)
+    den, num = _kernel_moments(lambda u: _gauss(u, h), grid.points, sample.w, sample.y)
     return _ratio_curve(grid, den, num, {"estimator": "nadaraya-watson", "bandwidth": h})
 
 

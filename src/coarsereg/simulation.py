@@ -444,7 +444,7 @@ def _fit_replicate(scn, spec, grid, rng, points, coverage_points, alpha):
         return curve, {}, {}
     # one kernel for every query point; each row's moments are the bits
     # :func:`regression_at` gives the point alone
-    den, num, var = _point_moments(density.pdf, points, sample.w, sample.y, variance=True)
+    den, num, var = _point_moments(density._pdf_into, points, sample.w, sample.y, variance=True)
     at = {p: float(num[i]) / float(den[i]) for i, p in enumerate(points)}
     row = {p: i for i, p in enumerate(points)}
     ci = {

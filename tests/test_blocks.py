@@ -20,9 +20,10 @@ from coarsereg import (
     fit_known,
     fit_nw,
     pointwise_band,
+    simultaneous_band,
 )
 from coarsereg import fourier, known
-from coarsereg.known import _kernel_moments
+from coarsereg.known import _centered_variance, _kernel_moments
 
 
 def _triangular(u):
@@ -105,7 +106,7 @@ def test_blocking_leaves_results_unchanged(case):
 
     def run():
         with np.errstate(invalid="ignore"):  # the variance is NaN where den is 0
-            moments = _kernel_moments(err.pdf, grid.points, w, y, variance=True)
+            moments = _kernel_moments(err._pdf_into, grid.points, w, y, _centered_variance)
         return (
             moments,
             outcome(lambda: fit_known(s, err, grid).values),
@@ -200,10 +201,75 @@ def test_peak_memory_is_a_few_blocks():
         "empirical_cfs": lambda: fourier.empirical_cfs(s, t),
     }
     for name, call in calls.items():
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(call)
         assert peak <= bound, f"{name}: peak {peak} B above {bound} B"
+
+
+def traced_peak(call):
+    """The peak of the memory ``call`` allocates, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("err", DENSITIES[:3])
+def test_fit_known_evaluates_each_block_in_place(err):
+    # the offsets, the kernel and the k * y scratch share two block buffers;
+    # an out-of-place pdf left six block-sized temporaries (19.1 MiB here)
+    n, g = 50_000, 201
+    rng = np.random.default_rng(71)
+    w = rng.uniform(0.0, 1.0, n)
+    s = TrainingSample(w, np.sin(3.0 * w) + rng.normal(0.0, 0.3, n))
+    peak = traced_peak(lambda: fit_known(s, err, EvalGrid.linspace(0.0, 1.0, g)))
+    assert peak <= 3 * known._BLOCK_BYTES
+
+
+def test_band_draws_take_a_few_blocks():
+    # the n_sim x G draws alone are 80 MB here, and whole |draws| / se
+    # arrays took the band to 252 MiB; in blocks the G x G covariance, its
+    # eigenvectors and square root are most of the peak
+    n, g = 1_000, 1_001
+    rng = np.random.default_rng(73)
+    w = rng.uniform(0.0, 1.0, n)
+    s = TrainingSample(w, np.sin(3.0 * w) + rng.normal(0.0, 0.3, n))
+    grid = EvalGrid.linspace(0.0, 1.0, g)
+    peak = traced_peak(lambda: simultaneous_band(s, ErrorDensity.laplace(0.1), grid,
+                                                 n_sim=10_000, seed=1))
+    assert peak <= 64 << 20
+
+
+def test_band_draw_blocks_move_only_the_product_roundoff():
+    # 64-row draw blocks against one block of 1 000. The budget also sizes
+    # the kernel passes, but with n <= 64 the covariance stays one column
+    # block and the fit one row block, so the draws are the only change.
+    # They come from one stream in order, so only the rounding of each
+    # product z_i @ R can move: by at most gamma_G sum_j |z_ij| |R_jk| <=
+    # gamma_G |z_i|_2 |R e_k|_2, and |R e_k|_2 = sqrt(cov_kk) = sqrt(n) se_k
+    # up to roundoff, so each studentized sup, and so the quantile, moves
+    # by at most gamma_G max_i |z_i|_2 (doubled below for that roundoff).
+    n, g, n_sim, seed = 60, 41, 1_000, 11
+    rng = np.random.default_rng(79)
+    w = np.sort(rng.uniform(0.0, 1.0, n))
+    s = TrainingSample(w, np.round(2.0 * w + rng.normal(0.0, 0.4, n)))
+    err = ErrorDensity.uniform(0.08)
+    grid = EvalGrid.linspace(0.1, 0.9, g)
+
+    def band():
+        return simultaneous_band(s, err, grid, n_sim=n_sim, seed=seed)
+
+    one = band()
+    with mock.patch.object(known, "_BLOCK_BYTES", 8 * g * 64):
+        blocked, again = band(), band()
+    assert blocked.band_lower.tobytes() == again.band_lower.tobytes()
+    assert blocked.band_upper.tobytes() == again.band_upper.tobytes()
+    np.testing.assert_array_equal(blocked.variance, one.variance)
+    flat = one.band_upper == one.band_lower
+    assert 0 < np.sum(flat) < g  # some points leave the sup, not all
+    np.testing.assert_array_equal(blocked.band_upper == blocked.band_lower, flat)
+    np.testing.assert_array_equal(np.isnan(blocked.band_lower), np.isnan(one.band_lower))
+    z = np.random.default_rng(seed).standard_normal((n_sim, g))
+    bound = 2 * g * 2.0**-53 * np.linalg.norm(z, axis=1).max()
+    assert abs(blocked.meta["sup_quantile"] - one.meta["sup_quantile"]) <= bound

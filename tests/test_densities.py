@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from coarsereg import ErrorDensity, MissingCFError, UnsupportedDerivativeError
@@ -181,3 +183,45 @@ class TestCustom:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="integrates"):
             ErrorDensity.custom(lambda u: 2.0 * self._triangular(u))
+
+
+def closed_form_pdf(d, u):
+    """The built-in kinds' pdf as written before it evaluated in place."""
+    u = np.asarray(u, dtype=float)
+    if d.kind == "gaussian":
+        out = np.exp(-0.5 * (u / d.scale) ** 2) / (d.scale * SQRT_2PI)
+    elif d.kind == "laplace":
+        out = np.exp(-np.abs(u) / d.scale) / (2.0 * d.scale)
+    else:
+        out = np.where(np.abs(u) <= d.scale, 1.0 / (2.0 * d.scale), 0.0)
+    return out if out.ndim else float(out)
+
+
+@st.composite
+def pdf_cases(draw):
+    kind = draw(st.sampled_from(["gaussian", "laplace", "uniform"]))
+    scale = draw(st.floats(min_value=5e-324, max_value=1e308))
+    # any float (signed zeros, subnormals, huge values, infinities) and
+    # multiples of the scale, which hit the uniform edge |u| == a
+    near = st.floats(-40.0, 40.0).map(lambda r: r * scale)
+    u = draw(st.lists(st.one_of(st.floats(allow_nan=False), near,
+                                st.sampled_from([scale, -scale, 0.0, -0.0])), max_size=40))
+    return getattr(ErrorDensity, kind)(scale), np.array(u, dtype=float)
+
+
+class TestInPlacePdf:
+    @given(pdf_cases())
+    def test_pdf_keeps_the_closed_form_bits(self, case):
+        d, u = case
+        before = u.copy()
+        with np.errstate(all="ignore"):
+            got, want = d.pdf(u), closed_form_pdf(d, u)
+            # a scalar gets the bits of the same point in an array; the
+            # closed form's scalar path squared through C pow, which is not
+            # correctly rounded, so its Gaussian scalars could differ by ulps
+            scalars = [(d.pdf(x), closed_form_pdf(d, np.array([x]))[0]) for x in u]
+        assert u.tobytes() == before.tobytes()  # the input is left alone
+        assert got.tobytes() == want.tobytes()
+        for a, b in scalars:
+            assert isinstance(a, float)
+            assert a == b and np.signbit(a) == np.signbit(b)

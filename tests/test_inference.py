@@ -154,6 +154,29 @@ class TestCovariance:
         cov = covariance_matrix(s, GAUSS, EvalGrid([0.0, 0.1])).entries
         assert abs(cov[0, 1]) > 0.0
 
+    def test_custom_pdf_arrays_are_not_written(self):
+        # a custom pdf may hand out its own arrays, here cached ones; writing
+        # the centered factor into them made the second call's den about 0
+        cache = {}
+
+        def cached_laplace(u):
+            u = np.asarray(u, dtype=float)
+            key = (u.shape, u.tobytes())
+            if key not in cache:
+                cache[key] = np.exp(-np.abs(u) / 0.1) / 0.2
+            return cache[key]
+
+        err = ErrorDensity.custom(cached_laplace, scale=0.1)
+        rng = np.random.default_rng(61)
+        w = rng.uniform(0.0, 1.0, 200)
+        s = TrainingSample(w, np.sin(3.0 * w) + rng.normal(0.0, 0.3, 200))
+        grid = EvalGrid.linspace(0.1, 0.9, 9)
+        first = covariance_matrix(s, err, grid).entries
+        np.testing.assert_array_equal(covariance_matrix(s, err, grid).entries, first)
+        band = simultaneous_band(s, err, grid, n_sim=200, seed=1)
+        again = simultaneous_band(s, err, grid, n_sim=200, seed=1)
+        assert band.band_lower.tobytes() == again.band_lower.tobytes()
+
     def test_degenerate_names_grid_point(self):
         s = TrainingSample([0.0], [1.0])
         with pytest.raises(DegenerateDenominatorError, match="x=3"):
@@ -413,13 +436,13 @@ class TestBandKernelPasses:
         if block_bytes is not None:
             monkeypatch.setattr(known, "_BLOCK_BYTES", block_bytes)
         cells = []
-        pdf = ErrorDensity.pdf
+        pdf_into = ErrorDensity._pdf_into
 
         def counting(self, u):
             cells.append(np.size(u))
-            return pdf(self, u)
+            return pdf_into(self, u)
 
-        monkeypatch.setattr(ErrorDensity, "pdf", counting)
+        monkeypatch.setattr(ErrorDensity, "_pdf_into", counting)
         rng = np.random.default_rng(53)
         n, g = 120, 17
         w = rng.uniform(0, 1, n)

@@ -325,13 +325,13 @@ class TestRunReplications:
     def test_known_replicate_builds_two_kernels(self, monkeypatch):
         # one for the grid, one for every coverage and rmse point together
         shapes = []
-        pdf = ErrorDensity.pdf
+        pdf_into = ErrorDensity._pdf_into
 
         def recording(self, u):
             shapes.append(np.shape(u))
-            return pdf(self, u)
+            return pdf_into(self, u)
 
-        monkeypatch.setattr(ErrorDensity, "pdf", recording)
+        monkeypatch.setattr(ErrorDensity, "_pdf_into", recording)
         run_replications(LOGISTIC, EstimatorSpec(), reps=4,
                          grid=EvalGrid([-0.2, 0.0, 0.2, 0.3]), master_seed=3,
                          coverage_points=(0.0, 0.1), rmse_points=(0.2,))
