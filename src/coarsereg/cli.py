@@ -63,13 +63,9 @@ def parse_delta(text: str) -> ErrorDensity:
         value = float(param)
     except ValueError:
         raise CoarseRegError(f"--delta expects kind:scale, got {text!r}") from None
-    if kind == "gaussian":
-        return ErrorDensity.gaussian(value)
-    if kind == "laplace":
-        return ErrorDensity.laplace(value)
-    if kind == "uniform":
-        return ErrorDensity.uniform(value)
-    raise CoarseRegError(f"--delta kind must be gaussian, laplace or uniform, got {kind!r}")
+    if kind not in ("gaussian", "laplace", "uniform"):
+        raise CoarseRegError(f"--delta kind must be gaussian, laplace or uniform, got {kind!r}")
+    return getattr(ErrorDensity, kind)(value)
 
 
 def parse_interval(text: str) -> tuple:

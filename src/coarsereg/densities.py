@@ -8,6 +8,9 @@ are validated eagerly (normalization, symmetry, nonnegativity).
 
 Characteristic-function convention: cf(t) integrates density(u) * exp(i t u)
 over u, which is real and even for the symmetric densities handled here.
+
+Every kernel exponential (``pdf``, its derivatives, the NW kernel) is
+:func:`_exp_into`: ``np.exp``'s bits, off its slow subnormal path.
 """
 
 from __future__ import annotations
@@ -22,11 +25,37 @@ from scipy.integrate import quad
 from .errors import MissingCFError, UnsupportedDerivativeError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# np.exp leaves its vector fast path for arguments below about -708, where
+# results turn subnormal, and runs 15-180x slower there (numpy 2.4, AVX-512);
+# -700 keeps a margin.
+_EXP_FAST_MIN = -700.0
+# exp(a) <= 2**-1075, half the smallest subnormal, rounds to exactly 0 at and
+# below this argument, so only the band [_EXP_ZERO, _EXP_FAST_MIN) needs an
+# exact recomputation.
+_EXP_ZERO = -1075.0 * math.log(2.0)
 
 # Custom densities are validated by quadrature over [-VALIDATION_SPAN*scale,
 # +VALIDATION_SPAN*scale]; the mass outside must be below the tolerance.
 _VALIDATION_SPAN = 50.0
 _VALIDATION_TOL = 1e-6
+
+
+def _exp_into(arg: np.ndarray) -> np.ndarray:
+    """``np.exp(arg)``, bit for bit, in place in the float array ``arg``;
+    lanes below ``_EXP_FAST_MIN`` are clamped, zeroed after the exp and, in
+    the subnormal band, recomputed apart."""
+    if arg.min(initial=0.0) < _EXP_FAST_MIN:
+        keep = arg >= _EXP_FAST_MIN
+        band = np.flatnonzero((arg >= _EXP_ZERO) & ~keep)
+        band_arg = arg.flat[band]
+        np.maximum(arg, _EXP_FAST_MIN, out=arg)
+        np.exp(arg, out=arg)
+        # a bool multiply zeroes the clamped lanes faster than a masked copy
+        np.multiply(arg, keep, out=arg)
+        arg.flat[band] = np.exp(band_arg)
+    else:
+        np.exp(arg, out=arg)
+    return arg
 
 
 @dataclass(frozen=True)
@@ -62,21 +91,27 @@ class ErrorDensity:
 
     @classmethod
     def gaussian(cls, sigma: float) -> "ErrorDensity":
-        if not 0 < sigma < math.inf:
-            raise ValueError(f"sigma must be finite and positive, got {sigma}")
-        return cls(kind="gaussian", scale=float(sigma))
+        return cls._checked("sigma", sigma, kind="gaussian")
 
     @classmethod
     def laplace(cls, b: float) -> "ErrorDensity":
-        if not 0 < b < math.inf:
-            raise ValueError(f"scale must be finite and positive, got {b}")
-        return cls(kind="laplace", scale=float(b), cf_decay=2.0)
+        return cls._checked("scale", b, kind="laplace", cf_decay=2.0)
 
     @classmethod
     def uniform(cls, half_width: float) -> "ErrorDensity":
-        if not 0 < half_width < math.inf:
-            raise ValueError(f"half-width must be finite and positive, got {half_width}")
-        return cls(kind="uniform", scale=float(half_width))
+        return cls._checked("half-width", half_width, kind="uniform")
+
+    @classmethod
+    def _checked(cls, name: str, scale: float, **fields) -> "ErrorDensity":
+        """The built-in density of ``fields`` at ``scale``, which must be
+        finite and positive with a finite peak pdf(0): an infinite peak gives
+        infinite kernel averages, which pass the degeneracy threshold."""
+        if not 0 < scale < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {scale}")
+        norm = _SQRT_2PI if fields["kind"] == "gaussian" else 2.0  # pdf(0) = 1 / (norm * scale)
+        if 1.0 / (norm * float(scale)) == math.inf:
+            raise ValueError(f"{name} {scale} is too small: the peak density overflows")
+        return cls(scale=float(scale), **fields)
 
     @classmethod
     def custom(
@@ -153,15 +188,13 @@ class ErrorDensity:
             np.divide(u, s, out=u)
             np.square(u, out=u)
             np.multiply(u, -0.5, out=u)
-            np.exp(u, out=u)
-            np.divide(u, s * _SQRT_2PI, out=u)
+            np.divide(_exp_into(u), s * _SQRT_2PI, out=u)
             return u
         if self.kind == "laplace":
             b = self.scale
             np.abs(u, out=u)
             np.divide(u, -b, out=u)  # the bits of (-|u|) / b
-            np.exp(u, out=u)
-            np.divide(u, 2.0 * b, out=u)
+            np.divide(_exp_into(u), 2.0 * b, out=u)
             return u
         if self.kind == "uniform":
             a = self.scale

@@ -21,7 +21,7 @@ from .densities import ErrorDensity
 from .errors import DegenerateDenominatorError
 from .known import (
     _block_len, _centered_variance, _defined, _flat_support, _kernel_moments, _known_curve,
-    _point_moments, _require_defined,
+    _moments_at,
 )
 
 # Covariance eigenvalues below this fraction of the largest are zeroed
@@ -95,7 +95,7 @@ def variance_at(sample: TrainingSample, err: ErrorDensity, x: float) -> float:
     a constant. :func:`pointwise_band` and :func:`simultaneous_band` give
     each grid point the same bits.
     """
-    return float(_point_moments(err._pdf_into, (x,), sample.w, sample.y, variance=True)[2][0])
+    return float(_moments_at(err._pdf_into, x, sample.w, sample.y, _centered_variance)[2][0])
 
 
 def covariance_matrix(
@@ -112,8 +112,7 @@ def covariance_matrix(
         Naming the first grid point where the ratio is undefined.
     """
     x = grid.points
-    den, num, flat = _kernel_moments(err._pdf_into, x, sample.w, sample.y, _flat_support)
-    _require_defined(den, x)
+    den, num, flat = _moments_at(err._pdf_into, x, sample.w, sample.y, _flat_support)
     return CovarianceMatrix(grid=grid,
                             entries=_centered_covariance(sample, err, x, den, num, flat))
 
@@ -164,7 +163,7 @@ def pointwise_ci(
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if sample.n < 2:
         raise ValueError("confidence interval needs n >= 2")
-    den, num, var = _point_moments(err._pdf_into, (x,), sample.w, sample.y, variance=True)
+    den, num, var = _moments_at(err._pdf_into, x, sample.w, sample.y, _centered_variance)
     return _interval(float(num[0]), float(den[0]), var[0], sample.n, alpha)
 
 
@@ -240,9 +239,8 @@ def simultaneous_band(
         raise ValueError("n_sim must be positive")
     # one pass gives the fit and the pointwise variance; the covariance,
     # built in a second, only shapes the draws
-    den, num, var = _kernel_moments(err._pdf_into, grid.points, sample.w, sample.y,
-                                    _centered_variance)
-    _require_defined(den, grid.points)
+    den, num, var = _moments_at(err._pdf_into, grid.points, sample.w, sample.y,
+                                _centered_variance)
     curve = _known_curve(err, grid, den, num)
     cov = _centered_covariance(sample, err, grid.points, den, num, var == 0)
     n = sample.n

@@ -8,8 +8,8 @@ estimator converges at the parametric root-n rate.
 Grid points where the denominator average falls below
 ``DEGENERACY_THRESHOLD`` are flagged as undefined (NaN in curves) rather
 than returned as garbage ratios. That rule lives here alone, in
-:func:`_defined` and :func:`_require_defined`; every estimator, interval
-and study in the package asks them which points are defined.
+:func:`_defined` and the strict :func:`_moments_at`; every estimator,
+interval and study in the package asks them which points are defined.
 """
 
 from __future__ import annotations
@@ -45,18 +45,6 @@ def _defined(den):
     return den >= DEGENERACY_THRESHOLD
 
 
-def _require_defined(den, x):
-    """Raise DegenerateDenominatorError naming the first point of ``x``
-    (a point or an array aligned with ``den``) where the ratio is undefined."""
-    den, x = np.atleast_1d(den), np.atleast_1d(x)
-    bad = np.flatnonzero(~_defined(den))
-    if bad.size:
-        i = bad[0]
-        raise DegenerateDenominatorError(
-            f"denominator {den[i]:.3e} below {DEGENERACY_THRESHOLD:.0e} at x={x[i]}"
-        )
-
-
 def _row_mean(a):
     """``np.mean(a, axis=1)`` of a float array, bit for bit: numpy's pairwise
     sum over each row divided by the row length, without ``np.mean``'s
@@ -73,6 +61,7 @@ def _kernel_moments(kernel, x, w, y, per_row=None):
     block, and return it. Each row's values depend on that row alone: not on
     the blocking, nor on the BLAS library or its thread count.
     """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     step = _block_len(len(w))
     den, num, extra = np.empty(len(x)), np.empty(len(x)), []
     if per_row is not None:
@@ -129,41 +118,38 @@ def _flat_support(k, yc, den, scratch=None):
     return flat & (den > 0)  # a row with no support is not flat
 
 
-def _point_moments(kernel, xs, w, y, variance=False):
-    """den and num of the (P, n) kernel at the points ``xs``, one row per
-    point, the bits :func:`_kernel_moments` gives each point; with
-    ``variance``, also :func:`_centered_variance` on the responses less
-    their median.
+def _moments_at(kernel, xs, w, y, per_row=None):
+    """:func:`_kernel_moments` at ``xs`` (a point or a sequence of points),
+    the one entry point of the queries that must be defined at every point.
 
     Raises
     ------
     DegenerateDenominatorError
-        At the first point of ``xs`` where the ratio is undefined.
+        Naming the first point of ``xs`` where the ratio is undefined.
     """
-    k = kernel(np.asarray(xs, dtype=float)[:, None] - w)
-    den = _row_mean(k)
-    _require_defined(den, xs)
-    moments = den, _row_mean(y * k)
-    return (*moments, _centered_variance(k, y - np.median(y), den)) if variance else moments
-
-
-def _moments_at(sample, err, x):
-    """(den, num) at ``x``; floats for a single point."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    den, num = _kernel_moments(err._pdf_into, x, sample.w, sample.y)
-    return (den, num) if den.size > 1 else (float(den[0]), float(num[0]))
+    moments = _kernel_moments(kernel, xs, w, y, per_row)
+    den, xs = moments[0], np.atleast_1d(xs)
+    bad = np.flatnonzero(~_defined(den))
+    if bad.size:
+        i = bad[0]
+        raise DegenerateDenominatorError(
+            f"denominator {den[i]:.3e} below {DEGENERACY_THRESHOLD:.0e} at x={xs[i]}"
+        )
+    return moments
 
 
 def predictor_density(sample: TrainingSample, err: ErrorDensity, x):
     """Average of err.pdf(x - w_i): the estimated density of the coarsened
     predictor at ``x`` (the ratio denominator). Vectorized over ``x``.
     """
-    return _moments_at(sample, err, x)[0]
+    den = _kernel_moments(err._pdf_into, x, sample.w, sample.y)[0]
+    return den if den.size > 1 else float(den[0])
 
 
 def response_weighted_density(sample: TrainingSample, err: ErrorDensity, x):
     """Average of y_i * err.pdf(x - w_i): the ratio numerator."""
-    return _moments_at(sample, err, x)[1]
+    num = _kernel_moments(err._pdf_into, x, sample.w, sample.y)[1]
+    return num if num.size > 1 else float(num[0])
 
 
 def regression_at(sample: TrainingSample, err: ErrorDensity, x: float) -> float:
@@ -174,9 +160,8 @@ def regression_at(sample: TrainingSample, err: ErrorDensity, x: float) -> float:
     DegenerateDenominatorError
         If the denominator average at ``x`` is below the threshold.
     """
-    den, num = _moments_at(sample, err, x)
-    _require_defined(den, x)
-    return num / den
+    den, num = _moments_at(err._pdf_into, x, sample.w, sample.y)
+    return float(num[0]) / float(den[0])
 
 
 def _ratio_curve(grid, den, num, meta: dict) -> RegressionCurve:
@@ -226,10 +211,8 @@ def regression_derivative_at(sample: TrainingSample, err: ErrorDensity, x: float
     DegenerateDenominatorError
         As in :func:`regression_at`.
     """
-    den, num = _moments_at(sample, err, x)
-    _require_defined(den, x)
-    (den_d,), (num_d,) = _kernel_moments(lambda u: err.pdf_derivative(u, 1), np.atleast_1d(x),
-                                         sample.w, sample.y)
+    den, num = (float(m[0]) for m in _moments_at(err._pdf_into, x, sample.w, sample.y))
+    (den_d,), (num_d,) = _kernel_moments(lambda u: err.pdf_derivative(u, 1), x, sample.w, sample.y)
     return float((num_d * den - num * den_d) / den**2)
 
 
@@ -251,11 +234,13 @@ def _golden_section(f, lo: float, hi: float, xtol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _scan_values(sample, err, lo, hi, scan_points):
-    xs = np.linspace(lo, hi, scan_points)
-    den, num = _kernel_moments(err._pdf_into, xs, sample.w, sample.y)
-    _require_defined(den, xs)
-    return xs, num / den
+def _scan_grid(lo, hi, scan_points):
+    """The ``scan_points`` points of the extremum and zero finders' scan."""
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
+    if not scan_points >= 2:
+        raise ValueError(f"scan_points must be at least 2, got {scan_points}")
+    return np.linspace(lo, hi, scan_points)
 
 
 def find_extremum(
@@ -278,9 +263,9 @@ def find_extremum(
     """
     if kind not in ("max", "min"):
         raise ValueError(f"kind must be 'max' or 'min', got {kind!r}")
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
-    xs, vals = _scan_values(sample, err, lo, hi, scan_points)
+    xs = _scan_grid(lo, hi, scan_points)
+    den, num = _moments_at(err._pdf_into, xs, sample.w, sample.y)
+    vals = num / den
     sign = -1.0 if kind == "max" else 1.0
     best = int(np.argmin(sign * vals))
     bracket_lo = xs[max(best - 1, 0)]
@@ -305,12 +290,11 @@ def find_zeros(
     1e-10. A scan point sitting exactly on the level counts only when its
     neighbors straddle the level. The returned array may be empty.
     """
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
+    xs = _scan_grid(lo, hi, scan_points)
     if not np.isfinite(level):
         raise ValueError(f"level must be finite, got {level}")
-    xs, vals = _scan_values(sample, err, lo, hi, scan_points)
-    f = vals - level
+    den, num = _moments_at(err._pdf_into, xs, sample.w, sample.y)
+    f = num / den - level
     # strict sign changes only; a scan point sitting exactly on the level
     # counts only when its neighbors straddle the level (so constant
     # sections do not spray spurious roots)

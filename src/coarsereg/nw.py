@@ -14,28 +14,18 @@ clamped at ``_EXP_FAST_MIN`` only where some fall below it: a clamped cell
 weighs at most e^-700 against that 1, below half an ulp of the denominator,
 so no kernel value is subnormal and ``np.exp`` stays on its vector fast path.
 A bandwidth still scores infinity exactly when the unshifted Gaussian
-weights of some held-out row all underflow to zero.
+weights of some held-out row all underflow to zero. The constants and the
+curve's kernel exponential, ``_exp_into``, live in ``densities``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .data import EvalGrid, RegressionCurve, TrainingSample
+from .densities import _EXP_FAST_MIN, _SQRT_2PI, _exp_into
 from .errors import DegenerateDenominatorError
-from .known import _block_len, _kernel_moments, _point_moments, _ratio_curve
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-# np.exp leaves its vector fast path for arguments below about -708, where
-# results turn subnormal, and runs 15-180x slower there (numpy 2.4, AVX-512);
-# -700 keeps a margin.
-_EXP_FAST_MIN = -700.0
-# exp(a) <= 2**-1075, half the smallest subnormal, rounds to exactly 0 at and
-# below this argument, so only the band [_EXP_ZERO, _EXP_FAST_MIN) needs an
-# exact recomputation.
-_EXP_ZERO = -1075.0 * math.log(2.0)
+from .known import _block_len, _kernel_moments, _moments_at, _ratio_curve
 
 # The CV grid: _CV_POINTS geometric points spanning [_CV_MIN_FACTOR,
 # _CV_MAX_FACTOR] times the reference scale std(x) * n**(-1/5).
@@ -49,14 +39,14 @@ def _gauss(u, h):
     u /= h
     np.square(u, out=u)
     u *= -0.5
-    return _gauss_from_exponent(u, u.min(initial=0.0))
+    return np.divide(_exp_into(u), _SQRT_2PI, out=u)
 
 
 def nw_estimate(sample: TrainingSample, h: float, x: float) -> float:
     """Kernel-weighted response average at ``x`` with bandwidth ``h``."""
     if not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
-    den, num = _point_moments(lambda u: _gauss(u, h), (x,), sample.w, sample.y)
+    den, num = _moments_at(lambda u: _gauss(u, h), x, sample.w, sample.y)
     return float(num[0]) / float(den[0])
 
 
@@ -74,27 +64,6 @@ def cv_grid(sample: TrainingSample) -> np.ndarray:
     if scale <= 0:
         raise ValueError("predictors have no variation; CV grid undefined")
     return np.geomspace(_CV_MIN_FACTOR * scale, _CV_MAX_FACTOR * scale, _CV_POINTS)
-
-
-def _gauss_from_exponent(arg: np.ndarray, lowest: float) -> np.ndarray:
-    """``np.exp(arg) / sqrt(2 pi)``, bit for bit, computed in place in ``arg``.
-
-    ``lowest`` is a lower bound on ``arg``; when it is at or above
-    ``_EXP_FAST_MIN`` no lane needs the clamp.
-    """
-    if lowest < _EXP_FAST_MIN:
-        keep = arg >= _EXP_FAST_MIN
-        band = np.flatnonzero((arg >= _EXP_ZERO) & ~keep)
-        band_arg = arg.flat[band]
-        np.maximum(arg, _EXP_FAST_MIN, out=arg)
-        np.exp(arg, out=arg)
-        # a bool multiply zeroes the clamped lanes faster than a masked copy
-        np.multiply(arg, keep, out=arg)
-        arg.flat[band] = np.exp(band_arg)
-    else:
-        np.exp(arg, out=arg)
-    np.divide(arg, _SQRT_2PI, out=arg)
-    return arg
 
 
 def _loo_scores(sample: TrainingSample, bandwidths) -> np.ndarray:

@@ -35,8 +35,10 @@ from .densities import ErrorDensity
 from .errors import CoarseRegError, DegenerateDenominatorError
 from .inference import _interval
 from .io import _jsonable
-from .known import _block_len, _defined, _golden_section, _point_moments, fit_known
-from .nw import cv_bandwidth, fit_nw, nw_estimate
+from .known import (
+    _block_len, _centered_variance, _defined, _golden_section, _moments_at, fit_known,
+)
+from .nw import _gauss, cv_bandwidth, fit_nw
 
 logger = logging.getLogger(__name__)
 
@@ -435,22 +437,21 @@ def _fit_replicate(scn, spec, grid, rng, points, coverage_points, alpha):
     if spec.method == "nw":
         sample = data.noisy_training()
         h = cv_bandwidth(sample) if spec.bandwidth == "cv" else float(spec.bandwidth)
-        curve = fit_nw(sample, h, grid)
-        return curve, {p: nw_estimate(sample, h, p) for p in points}, {}
-    density = make_density(scn) if spec.density == "true" else spec.density
-    sample = data.training()
-    curve = fit_known(sample, density, grid)
+        curve, kernel = fit_nw(sample, h, grid), lambda u: _gauss(u, h)
+    else:
+        density = make_density(scn) if spec.density == "true" else spec.density
+        sample = data.training()
+        curve, kernel = fit_known(sample, density, grid), density._pdf_into
     if not points:
         return curve, {}, {}
     # one kernel for every query point; each row's moments are the bits
-    # :func:`regression_at` gives the point alone
-    den, num, var = _point_moments(density._pdf_into, points, sample.w, sample.y, variance=True)
+    # :func:`regression_at` or :func:`nw_estimate` gives the point alone, and
+    # the variance is computed only for the intervals
+    den, num, *var = _moments_at(kernel, points, sample.w, sample.y,
+                                 _centered_variance if coverage_points else None)
     at = {p: float(num[i]) / float(den[i]) for i, p in enumerate(points)}
-    row = {p: i for i, p in enumerate(points)}
-    ci = {
-        p: _interval(float(num[row[p]]), float(den[row[p]]), var[row[p]], sample.n, alpha)
-        for p in coverage_points
-    }
+    ci = {p: _interval(float(num[i]), float(den[i]), var[0][i], sample.n, alpha)
+          for i, p in enumerate(points) if p in coverage_points}
     return curve, at, ci
 
 

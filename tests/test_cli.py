@@ -288,6 +288,13 @@ class TestCliCommands:
             assert "positive" in record["error"]
             assert f"sigma must be finite and positive, got {float(scale)}" == record["error"]
 
+    def test_density_scale_with_an_infinite_peak_error_record(self, train_csv, capsys):
+        code = main(["fit-known", "--train", str(train_csv),
+                     "--delta", "gaussian:1e-320", "--grid", "0:1:3"])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "sigma 1e-320 is too small: the peak density overflows"
+
     @pytest.mark.parametrize("args", [
         ["fit-fourier", "--tau", "inf"],
         ["fit-fourier", "--tau", "1e308"],

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from coarsereg import ErrorDensity, MissingCFError, UnsupportedDerivativeError
+from coarsereg import (
+    ErrorDensity, EvalGrid, MissingCFError, TrainingSample, UnsupportedDerivativeError, fit_known,
+)
+from coarsereg.densities import _EXP_FAST_MIN, _EXP_ZERO, _exp_into
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -136,6 +139,25 @@ def test_invalid_scales():
                 ctor(scale)
 
 
+@pytest.mark.parametrize("ctor, scale, name", [(ErrorDensity.gaussian, 1e-320, "sigma"),
+                                               (ErrorDensity.laplace, 1e-310, "scale"),
+                                               (ErrorDensity.uniform, 1e-310, "half-width")])
+def test_scale_with_an_infinite_peak_rejected(ctor, scale, name):
+    # pdf(0) would be inf: inf kernel averages pass the degeneracy threshold
+    # and inf / inf gives NaN ratios that the undefined count misses
+    with pytest.raises(ValueError, match=f"^{name} {scale} is too small: the peak density"):
+        ctor(scale)
+    # a tiny accepted scale: the fit is the response at each data point and
+    # undefined, and counted so, between them
+    d = ctor(1e-300)
+    assert math.isfinite(d.pdf(0.0))
+    with np.errstate(over="ignore"):  # (u / sigma)**2 overflows to inf off the data
+        curve = fit_known(TrainingSample([0.0, 0.5, 1.0], [1.0, 2.0, 3.0]), d,
+                          EvalGrid([0.0, 0.25, 0.5, 0.75, 1.0]))
+    np.testing.assert_array_equal(curve.values, [1.0, np.nan, 2.0, np.nan, 3.0])
+    assert curve.meta["undefined"] == 2
+
+
 class TestCustom:
     @staticmethod
     def _triangular(u):
@@ -201,6 +223,8 @@ def closed_form_pdf(d, u):
 def pdf_cases(draw):
     kind = draw(st.sampled_from(["gaussian", "laplace", "uniform"]))
     scale = draw(st.floats(min_value=5e-324, max_value=1e308))
+    # the constructors reject a scale whose peak pdf(0) overflows
+    assume(1.0 / (scale * (SQRT_2PI if kind == "gaussian" else 2.0)) < math.inf)
     # any float (signed zeros, subnormals, huge values, infinities) and
     # multiples of the scale, which hit the uniform edge |u| == a
     near = st.floats(-40.0, 40.0).map(lambda r: r * scale)
@@ -225,3 +249,71 @@ class TestInPlacePdf:
         for a, b in scalars:
             assert isinstance(a, float)
             assert a == b and np.signbit(a) == np.signbit(b)
+
+
+class TestExpInto:
+    @staticmethod
+    def exponents():
+        band = np.linspace(_EXP_ZERO, _EXP_FAST_MIN, 4000)
+        wide = np.linspace(-800.0, 0.0, 4000)
+        edges = [_EXP_FAST_MIN, np.nextafter(_EXP_FAST_MIN, -np.inf), _EXP_ZERO,
+                 np.nextafter(_EXP_ZERO, 0.0), np.nextafter(_EXP_ZERO, -np.inf), -745.0,
+                 -800.0, 0.0]
+        return np.concatenate([band, wide, edges]).reshape(8, -1)
+
+    def test_bit_identical_to_exp(self):
+        a = self.exponents()
+        expected = np.exp(a)
+        assert np.any((expected > 0.0) & (expected < np.finfo(float).tiny))
+        got = _exp_into(a.copy())
+        assert got.tobytes() == expected.tobytes()
+
+    def test_no_clamp_above_fast_path_floor(self):
+        a = np.linspace(_EXP_FAST_MIN, 0.0, 5001)
+        assert _exp_into(a.copy()).tobytes() == np.exp(a).tobytes()
+
+    @given(st.lists(st.one_of(st.floats(-1100.0, 0.0),
+                              st.floats(_EXP_ZERO, _EXP_FAST_MIN, exclude_max=True),
+                              st.sampled_from([-np.inf, -0.0, np.nan])), min_size=1, max_size=64))
+    # a NaN among lanes below the floor (a NaN min takes the plain exp), and
+    # the same lanes clamped without it
+    @example([np.nan, -800.0, -720.0, -1200.0, -0.0, -np.inf])
+    @example([-800.0, -720.0, -1200.0, -0.0, -np.inf, -3.0])
+    def test_equals_np_exp(self, values):
+        a = np.array(values)
+        want = np.exp(a)
+        got = _exp_into(a)
+        assert got is a  # in place
+        assert got.tobytes() == want.tobytes()
+
+
+def closed_form_derivative(d, u, order):
+    """:meth:`ErrorDensity.pdf_derivative`'s closed forms on the closed-form pdf."""
+    f = np.asarray(closed_form_pdf(d, u))
+    if d.kind == "gaussian":
+        s2 = d.scale**2
+        return -(u / s2) * f if order == 1 else (u**2 / s2 - 1.0) / s2 * f
+    if order == 1:
+        return np.where(u == 0, 0.0, -np.sign(u) * f / d.scale)
+    return f / d.scale**2
+
+
+class TestPdfOnTheBandPath:
+    """Scales small enough that most offsets fall below ``_EXP_FAST_MIN``,
+    where :func:`_exp_into` clamps and recomputes the subnormal band."""
+
+    @pytest.mark.parametrize("d, span", [(ErrorDensity.gaussian(0.02), 2.0),
+                                         (ErrorDensity.laplace(1e-3), 1.0)])
+    def test_pdf_and_derivatives_keep_the_closed_form_bits(self, d, span):
+        u = np.linspace(-span, span, 4001)
+        want = closed_form_pdf(d, u)
+        assert np.any((want > 0.0) & (want < np.finfo(float).tiny))  # the band is hit
+        assert d.pdf(u).tobytes() == want.tobytes()
+        for order in (1, 2):
+            assert d.pdf_derivative(u, order).tobytes() == \
+                closed_form_derivative(d, u, order).tobytes()
+        for x in u[::37]:
+            one = np.array([x])
+            assert d.pdf(float(x)) == closed_form_pdf(d, one)[0]
+            for order in (1, 2):
+                assert d.pdf_derivative(float(x), order) == closed_form_derivative(d, one, order)[0]

@@ -292,7 +292,7 @@ class TestPointMoments:
             w = rng.uniform(0, 1, n)
             s = TrainingSample(w, np.cos(3 * w) + rng.normal(0, 0.5, n))
             xs = tuple(float(x) for x in np.linspace(0.25, 0.75, 5))
-            den, num, var = known._point_moments(err.pdf, xs, s.w, s.y, variance=True)
+            den, num, var = known._moments_at(err.pdf, xs, s.w, s.y, known._centered_variance)
             for i, x in enumerate(xs):
                 lo, hi = pointwise_ci(s, err, x, 0.05)
                 est = float(num[i]) / float(den[i])
@@ -304,7 +304,7 @@ class TestPointMoments:
     def test_first_degenerate_point_is_named(self):
         s = TrainingSample([0.0, 0.1], [1.0, 2.0])
         with pytest.raises(DegenerateDenominatorError, match="at x=7.0"):
-            known._point_moments(ErrorDensity.uniform(0.5).pdf, (0.0, 7.0, 5.0), s.w, s.y)
+            known._moments_at(ErrorDensity.uniform(0.5).pdf, (0.0, 7.0, 5.0), s.w, s.y)
 
 
 def pointwise_loop(sample, err, grid, alpha):

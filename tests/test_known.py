@@ -189,6 +189,14 @@ class TestFindExtremum:
         with pytest.raises(ValueError, match="need finite lo < hi"):
             find_extremum(s, GAUSS, lo, hi)
 
+    @pytest.mark.parametrize("scan_points", [0, 1, -3, math.nan])
+    def test_scan_needs_two_points(self, scan_points):
+        # 0 used to fail inside argmin and 1 to return lo unsearched
+        s = TrainingSample([0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="scan_points must be at least 2"):
+            find_extremum(s, GAUSS, 0.0, 1.0, scan_points=scan_points)
+        assert find_extremum(s, GAUSS, 0.0, 1.0, scan_points=2)[0] == pytest.approx(1.0)
+
 
 class TestFindZeros:
     def test_constant_no_crossing(self):
@@ -222,6 +230,14 @@ class TestFindZeros:
         s = TrainingSample([0.0, 1.0], [-1.0, 1.0])
         with pytest.raises(ValueError, match="need finite lo < hi"):
             find_zeros(s, GAUSS, lo, hi)
+
+    @pytest.mark.parametrize("scan_points", [0, 1, -3, math.nan])
+    def test_scan_needs_two_points(self, scan_points):
+        # 0 and 1 used to return no crossing without a search
+        s = TrainingSample([0.0, 1.0], [-1.0, 1.0])
+        with pytest.raises(ValueError, match="scan_points must be at least 2"):
+            find_zeros(s, GAUSS, 0.0, 1.0, scan_points=scan_points)
+        assert find_zeros(s, GAUSS, 0.0, 1.0, scan_points=2) == pytest.approx([0.5], abs=1e-9)
 
     @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
     def test_non_finite_level(self, level):

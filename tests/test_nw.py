@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -18,9 +17,11 @@ from coarsereg import (
     integrated_squared_error,
     nw_estimate,
     run_replications,
+    true_regression,
 )
 from coarsereg import known
-from coarsereg.nw import _gauss_from_exponent, _loo_scores, cv_grid, loo_score
+from coarsereg.nw import _loo_scores, cv_grid, loo_score
+from coarsereg.simulation import _fit_replicate
 
 # the two cells of the NW replication benchmark (simulate --estimator nw)
 STUDY_NW_CELLS = {
@@ -59,6 +60,24 @@ class TestNwEstimate:
         s = TrainingSample(rng.uniform(0, 1, 60), rng.normal(size=60))
         h = 1e6 * (s.w.max() - s.w.min())
         assert nw_estimate(s, h, 0.5) == pytest.approx(float(s.y.mean()), abs=1e-6)
+
+    def test_study_estimates_are_nw_estimate(self):
+        # a replicate takes all its rmse points from one kernel; each row
+        # gives the bits nw_estimate gives its point alone
+        scn, points, spec = STUDY_NW_CELLS["m1"], (0.25, 0.5, 0.75), EstimatorSpec(method="nw")
+        report = run_replications(scn, spec, reps=3, master_seed=scn.seed, rmse_points=points)
+        assert report.failures == 0
+        errs = {p: [] for p in points}
+        for idx in range(3):
+            rng = np.random.default_rng((scn.seed, idx))
+            _, at, _ = _fit_replicate(scn, spec, default_grid(scn), rng, points, (), 0.05)
+            sample = generate(scn, np.random.default_rng((scn.seed, idx))).noisy_training()
+            h = cv_bandwidth(sample)
+            assert at == {p: nw_estimate(sample, h, p) for p in points}
+            for p in points:
+                errs[p].append(at[p] - true_regression(scn, p))
+        for p in points:
+            assert report.rmse[repr(p)] == float(np.sqrt(np.mean(np.array(errs[p]) ** 2)))
 
     def test_bandwidth_validation(self):
         s = TrainingSample([0.0, 1.0], [0.0, 1.0])
@@ -217,25 +236,3 @@ class TestCvBandwidth:
             with pytest.raises(ValueError, match="'cv' or positive"):
                 EstimatorSpec(method="nw", bandwidth=bandwidth)
 
-
-class TestGaussFromExponent:
-    @staticmethod
-    def exponents():
-        zero = -1075.0 * math.log(2.0)  # exp rounds to 0 at and below this
-        band = np.linspace(zero, -700.0, 4000)
-        wide = np.linspace(-800.0, 0.0, 4000)
-        edges = [-700.0, np.nextafter(-700.0, -np.inf), zero, np.nextafter(zero, 0.0),
-                 np.nextafter(zero, -np.inf), -745.0, -800.0, 0.0]
-        return np.concatenate([band, wide, edges]).reshape(8, -1)
-
-    def test_bit_identical_to_exp(self):
-        a = self.exponents()
-        expected = np.exp(a) / np.sqrt(2.0 * np.pi)
-        assert np.any((expected > 0.0) & (expected < np.finfo(float).tiny))
-        got = _gauss_from_exponent(a.copy(), float(a.min()))
-        assert np.array_equal(got, expected)
-
-    def test_no_clamp_above_fast_path_floor(self):
-        a = np.linspace(-700.0, 0.0, 5001)
-        got = _gauss_from_exponent(a.copy(), -700.0)
-        assert np.array_equal(got, np.exp(a) / np.sqrt(2.0 * np.pi))
