@@ -10,7 +10,8 @@ Characteristic-function convention: cf(t) integrates density(u) * exp(i t u)
 over u, which is real and even for the symmetric densities handled here.
 
 Every kernel exponential (``pdf``, its derivatives, the NW kernel) is
-:func:`_exp_into`: ``np.exp``'s bits, off its slow subnormal path.
+:func:`_exp_into`: ``np.exp``'s bits, off its slow subnormal path. The
+Gaussian ``pdf`` and the NW kernel share :func:`_gauss_exp_into`.
 """
 
 from __future__ import annotations
@@ -56,6 +57,17 @@ def _exp_into(arg: np.ndarray) -> np.ndarray:
     else:
         np.exp(arg, out=arg)
     return arg
+
+
+def _gauss_exp_into(u: np.ndarray, s: float) -> np.ndarray:
+    """``exp(-0.5 * (u / s)**2)`` in place in the float array ``u``. Offsets
+    beyond about 1.3e154 * s square to inf, whose exp is the right 0, so
+    that overflow is not reported."""
+    with np.errstate(over="ignore"):
+        np.divide(u, s, out=u)
+        np.square(u, out=u)
+    np.multiply(u, -0.5, out=u)
+    return _exp_into(u)
 
 
 @dataclass(frozen=True)
@@ -185,15 +197,14 @@ class ErrorDensity:
         own array, which the caller must not write to."""
         if self.kind == "gaussian":
             s = self.scale
-            np.divide(u, s, out=u)
-            np.square(u, out=u)
-            np.multiply(u, -0.5, out=u)
-            np.divide(_exp_into(u), s * _SQRT_2PI, out=u)
-            return u
+            return np.divide(_gauss_exp_into(u, s), s * _SQRT_2PI, out=u)
         if self.kind == "laplace":
             b = self.scale
             np.abs(u, out=u)
-            np.divide(u, -b, out=u)  # the bits of (-|u|) / b
+            # the bits of (-|u|) / b; beyond about 1.8e308 * b it is -inf,
+            # whose exp is the right 0, so that overflow is not reported
+            with np.errstate(over="ignore"):
+                np.divide(u, -b, out=u)
             np.divide(_exp_into(u), 2.0 * b, out=u)
             return u
         if self.kind == "uniform":

@@ -127,10 +127,14 @@ def _centered_covariance(sample, err, x, den, num, zero):
     w, y, n = sample.w, sample.y, sample.n
     # B B^T / n for the centered factor B = k (y - m_hat) / den, summed over
     # blocks of sample columns; numpy runs b @ b.T as a symmetric rank-k
-    # update, so the sum is exactly symmetric with a nonnegative diagonal
+    # update, so the sum is exactly symmetric with a nonnegative diagonal.
+    # A block also pays a G x G product and sum, so it holds at least 2G
+    # columns, where that costs at most about half its kernel: a 512 KiB
+    # block was 1.8x slower at G = 512. Two G x 2G buffers are O(G^2)
+    # memory, like the covariance itself.
     m_hat = num / den
     cov = np.zeros((len(x), len(x)))
-    step = _block_len(len(x))
+    step = max(_block_len(len(x)), 2 * len(x))
     # flat buffers, so that every block, the last one too, is contiguous
     size = len(x) * min(step, n)
     u_buf, b_buf = np.empty(size), np.empty(size)

@@ -28,8 +28,8 @@ import csv
 import json
 import math
 import os
+import re
 import tempfile
-from io import StringIO
 from typing import Optional
 
 import numpy as np
@@ -120,6 +120,25 @@ def _parse_columns(path, rows, names) -> list:
     return [np.array(v) for v in values]
 
 
+# any character that str.strip() would keep
+_NON_BLANK = re.compile(r"\S")
+
+
+def _plain(text, header) -> bool:
+    """Whether ``text`` is plain CSV under exactly ``header``: no quotes,
+    NULs or bare carriage returns, and a non-blank line after the header.
+    Checked in place: only the header line is copied."""
+    end = text.find("\n")
+    return (
+        end >= 0
+        and '"' not in text
+        and "\x00" not in text
+        and text.count("\r") == text.count("\r\n")
+        and [h.strip() for h in text[:end].split(",")] == list(header)
+        and _NON_BLANK.search(text, end + 1) is not None
+    )
+
+
 def _read_fast(path, header, *, labelled=False):
     """Parse a well-formed file in one vectorised pass, or return None.
 
@@ -130,35 +149,37 @@ def _read_fast(path, header, *, labelled=False):
     the row-wise one bit for bit. For anything else the caller falls back
     to the row-wise path, which then locates the fault.
 
+    The text is read once for the checks and dropped; numpy then parses the
+    same handle line by line past the header, so the read's peak is about
+    twice the file's size (the bytes and their decoded text).
+
     Returns one array per column; with ``labelled`` the first column is
     instead a list of stripped label strings.
     """
-    try:
-        with open(path, newline="") as handle:
-            text = handle.read()
-    except (OSError, UnicodeError):
-        return None
-    if '"' in text or "\x00" in text or ("\r" in text and "\r" in text.replace("\r\n", "")):
-        return None
-    first, _, body = text.partition("\n")
-    if [h.strip() for h in first.split(",")] != list(header) or not body.strip():
-        return None
     numeric = range(1 if labelled else 0, len(header))
     try:
-        # usecols would let rows with extra fields through, so only the
-        # labelled form passes it, and checks field counts itself
-        table = np.loadtxt(
-            StringIO(body), delimiter=",", comments=None, ndmin=2, dtype=float,
-            usecols=numeric if labelled else None,
-        )
-    except ValueError:
+        with open(path, newline="") as handle:
+            if not _plain(handle.read(), header):
+                return None
+            handle.seek(0)
+            handle.readline()  # the header
+            # usecols would let rows with extra fields through, so only the
+            # labelled form passes it, and checks field counts itself
+            table = np.loadtxt(
+                handle, delimiter=",", comments=None, ndmin=2, dtype=float,
+                usecols=numeric if labelled else None,
+            )
+            if labelled:
+                handle.seek(0)
+                handle.readline()
+                rows = [line.split(",") for line in handle if line not in ("\n", "\r\n")]
+    except (OSError, ValueError):  # ValueError includes UnicodeError
         return None
     if table.shape[1] != len(numeric) or not np.isfinite(table).all():
         return None
     columns = [table[:, j].copy() for j in range(table.shape[1])]
     if not labelled:
         return columns
-    rows = [line.split(",") for line in body.split("\n") if line not in ("", "\r")]
     if len(rows) != len(table) or any(len(row) != len(header) for row in rows):
         return None
     return [[row[0].strip() for row in rows], *columns]

@@ -29,9 +29,16 @@ SCAN_POINTS = 512
 _GOLDEN = (5.0**0.5 - 1.0) / 2.0
 
 
-# Byte budget of one block of kernel values: dense paths build the grid-by-
-# sample kernel a block at a time, in O(n + G + block) memory and in cache.
-_BLOCK_BYTES = 4 << 20
+# Byte budget of one block, the one size of every blocked loop: the kernel
+# passes, the covariance's column blocks (at least 2G columns), the band
+# draws, the CFs and their inversion, LOO-CV and the oracle's quadrature
+# rows. Dense paths so take O(n + G + block) memory. A loop keeps about two
+# blocks live (the kernel pass: its offsets, overwritten by the kernel, and
+# the k * y scratch), so 512 KiB keeps them in a 1 MiB per-core L2 cache
+# through the block's ~9 elementwise passes; 4 MiB blocks ran from L3. Each
+# row's results depend on that row alone, so the size moves no output but
+# the band's bounds.
+_BLOCK_BYTES = 512 << 10
 
 
 def _block_len(width: int, itemsize: int = 8) -> int:

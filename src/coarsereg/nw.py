@@ -15,7 +15,7 @@ weighs at most e^-700 against that 1, below half an ulp of the denominator,
 so no kernel value is subnormal and ``np.exp`` stays on its vector fast path.
 A bandwidth still scores infinity exactly when the unshifted Gaussian
 weights of some held-out row all underflow to zero. The constants and the
-curve's kernel exponential, ``_exp_into``, live in ``densities``.
+curve's kernel exponential, ``_gauss_exp_into``, live in ``densities``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import EvalGrid, RegressionCurve, TrainingSample
-from .densities import _EXP_FAST_MIN, _SQRT_2PI, _exp_into
+from .densities import _EXP_FAST_MIN, _SQRT_2PI, _gauss_exp_into
 from .errors import DegenerateDenominatorError
 from .known import _block_len, _kernel_moments, _moments_at, _ratio_curve
 
@@ -36,10 +36,7 @@ _CV_MAX_FACTOR = 2.0
 
 def _gauss(u, h):
     """The standard Gaussian density at ``u / h``, computed in place in ``u``."""
-    u /= h
-    np.square(u, out=u)
-    u *= -0.5
-    return np.divide(_exp_into(u), _SQRT_2PI, out=u)
+    return np.divide(_gauss_exp_into(u, h), _SQRT_2PI, out=u)
 
 
 def nw_estimate(sample: TrainingSample, h: float, x: float) -> float:

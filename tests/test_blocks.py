@@ -23,6 +23,7 @@ from coarsereg import (
     simultaneous_band,
 )
 from coarsereg import fourier, known
+from coarsereg.cli import main
 from coarsereg.known import _centered_variance, _kernel_moments
 
 
@@ -277,3 +278,70 @@ def test_band_draw_blocks_move_only_the_product_roundoff():
     z = np.random.default_rng(seed).standard_normal((n_sim, g))
     bound = 2 * g * 2.0**-53 * np.linalg.norm(z, axis=1).max()
     assert abs(blocked.meta["sup_quantile"] - one.meta["sup_quantile"]) <= bound
+
+
+# ---------------------------------------------------------------- the CLI
+
+CLI_N, CLI_GROUPS, CLI_B = 20_000, 2_000, 0.1
+BUDGETS = (64 << 10, known._BLOCK_BYTES, 4 << 20)
+CLI_COMMANDS = {
+    "fit-known": ["fit-known", "--train", "{train}", "--delta", "{delta}", "--grid", "0:1:201"],
+    "ci": ["ci", "--train", "{train}", "--delta", "{delta}", "--grid", "0:1:201"],
+    "extrema": ["extrema", "--train", "{train}", "--delta", "{delta}", "--interval", "0.3:0.7"],
+    "zeros": ["zeros", "--train", "{train}", "--delta", "{delta}", "--interval", "0:1"],
+    "fit-fourier": ["fit-fourier", "--train", "{train}", "--replicates", "{reps}",
+                    "--tau", "20", "--grid", "0:1:201"],
+    "cf": ["cf", "--replicates", "{reps}", "--tmax", "20", "--tstep", "0.05"],
+    "nw": ["nw", "--train", "{train}", "--bandwidth", "0.05", "--grid", "0:1:201"],
+    "band": ["band", "--train", "{train}", "--delta", "{delta}", "--grid", "0:1:201",
+             "--nsim", "2000", "--seed", "3"],
+}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A training CSV with Laplace-contaminated predictors, and a file of
+    replicate pairs with the same contamination."""
+    directory = tmp_path_factory.mktemp("budgets")
+    rng = np.random.default_rng(18)
+    w = rng.uniform(0.0, 1.0, CLI_N)
+    y = np.sin(2.0 * np.pi * w) + rng.normal(0.0, 0.5, CLI_N)
+    train = directory / "train.csv"
+    np.savetxt(train, np.column_stack((w + rng.laplace(0.0, CLI_B, CLI_N), y)),
+               fmt="%.17g", delimiter=",", header="w,y", comments="")
+    u = rng.uniform(0.0, 1.0, CLI_GROUPS)[:, None] + rng.laplace(0.0, CLI_B, (CLI_GROUPS, 2))
+    reps = directory / "reps.csv"
+    reps.write_text("group,u\n" + "".join(
+        f"g{g},{v:.17g}\n" for g, v in zip(np.repeat(np.arange(CLI_GROUPS), 2), u.ravel())))
+    return directory, train, reps
+
+
+def cli_output(command, inputs, budget):
+    """The bytes ``command`` writes on ``inputs`` under the block ``budget``."""
+    directory, train, reps = inputs
+    out = directory / f"{command}-{budget}.csv"
+    argv = [a.format(train=train, reps=reps, delta=f"laplace:{CLI_B}")
+            for a in CLI_COMMANDS[command]]
+    with mock.patch.object(known, "_BLOCK_BYTES", budget):
+        assert main([*argv, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(set(CLI_COMMANDS) - {"band"}))
+def test_cli_output_does_not_depend_on_the_budget(cli_inputs, command):
+    # each row's moments depend on that row alone, so the block size (64 KiB
+    # is a single grid row here; 4 MiB is 26) moves no bit
+    outputs = [cli_output(command, cli_inputs, budget) for budget in BUDGETS]
+    assert outputs[0].count(b"\n") > 1
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_band_curve_and_variance_do_not_depend_on_the_budget(cli_inputs):
+    # only the bounds move: the covariance's column-block sums and the draw
+    # products are rounded per block
+    tables = [np.genfromtxt(cli_output("band", cli_inputs, budget).decode().splitlines(),
+                            delimiter=",", names=True, dtype=None, encoding=None)
+              for budget in BUDGETS]
+    for name in ("x", "m_hat", "v_hat"):
+        for table in tables[1:]:
+            assert table[name].tobytes() == tables[0][name].tobytes()

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from coarsereg import (
     ErrorDensity, EvalGrid, MissingCFError, TrainingSample, UnsupportedDerivativeError, fit_known,
+    fit_nw,
 )
 from coarsereg.densities import _EXP_FAST_MIN, _EXP_ZERO, _exp_into
 
@@ -142,6 +143,7 @@ def test_invalid_scales():
 @pytest.mark.parametrize("ctor, scale, name", [(ErrorDensity.gaussian, 1e-320, "sigma"),
                                                (ErrorDensity.laplace, 1e-310, "scale"),
                                                (ErrorDensity.uniform, 1e-310, "half-width")])
+@pytest.mark.filterwarnings("error")
 def test_scale_with_an_infinite_peak_rejected(ctor, scale, name):
     # pdf(0) would be inf: inf kernel averages pass the degeneracy threshold
     # and inf / inf gives NaN ratios that the undefined count misses
@@ -151,11 +153,26 @@ def test_scale_with_an_infinite_peak_rejected(ctor, scale, name):
     # undefined, and counted so, between them
     d = ctor(1e-300)
     assert math.isfinite(d.pdf(0.0))
-    with np.errstate(over="ignore"):  # (u / sigma)**2 overflows to inf off the data
-        curve = fit_known(TrainingSample([0.0, 0.5, 1.0], [1.0, 2.0, 3.0]), d,
-                          EvalGrid([0.0, 0.25, 0.5, 0.75, 1.0]))
+    curve = fit_known(TrainingSample([0.0, 0.5, 1.0], [1.0, 2.0, 3.0]), d,
+                      EvalGrid([0.0, 0.25, 0.5, 0.75, 1.0]))
     np.testing.assert_array_equal(curve.values, [1.0, np.nan, 2.0, np.nan, 3.0])
     assert curve.meta["undefined"] == 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_far_tail_is_zero_without_an_overflow_warning():
+    # (u / sigma)**2 and |u| / -b overflow to inf here; their exp is the
+    # right 0, and a valid input must not warn
+    assert ErrorDensity.gaussian(1.0).pdf(1e200) == 0.0
+    assert ErrorDensity.laplace(1e-300).pdf(1e10) == 0.0
+    u = np.array([-1e200, -1e10, 0.0, 1e10, 1e200])
+    assert np.array_equal(ErrorDensity.gaussian(1.0).pdf(u), [0.0, 0.0, 1.0 / SQRT_2PI, 0.0, 0.0])
+    assert np.array_equal(ErrorDensity.laplace(1e-300).pdf(u), [0.0, 0.0, 1.0 / 2e-300, 0.0, 0.0])
+    sample, grid = TrainingSample([0.0, 0.5, 1.0], [1.0, 2.0, 3.0]), EvalGrid.linspace(0.0, 1.0, 5)
+    # the NW kernel shares the Gaussian exponential
+    for curve in (fit_known(sample, ErrorDensity.gaussian(1e-300), grid),
+                  fit_nw(sample, 1e-300, grid)):
+        np.testing.assert_array_equal(curve.values, [1.0, np.nan, 2.0, np.nan, 3.0])
 
 
 class TestCustom:
