@@ -315,7 +315,7 @@ def invert_cf(
     for the plain empirical CF (denominator path) and its response-weighted
     companion (numerator path), as two arrays aligned with the grid. The
     imaginary residue must stay below 1e-8 * (1 + |real part|), which a
-    symmetric grid guarantees up to roundoff.
+    symmetric grid and an even error CF guarantee up to roundoff.
 
     ``cf_source`` gives err_cf on the grid ``symmetric_tgrid(cutoff,
     t_step)``: a replicated sample (estimated from pair differences by
@@ -360,7 +360,8 @@ def invert_cf(
         if np.any(residue > limit):
             raise ValueError(
                 f"{name} inversion has imaginary residue {residue.max():.3e} "
-                "beyond tolerance; frequency grid is not symmetric enough"
+                "beyond tolerance; the frequency grid is not symmetric enough "
+                "or the error CF is not even"
             )
     return den.real, num.real
 

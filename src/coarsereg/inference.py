@@ -78,6 +78,11 @@ def product_moments(
     )
 
 
+def _check_alpha(alpha):
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+
+
 def _interval(num, den, v, n, alpha):
     """(1 - alpha) interval num/den +- z(1 - alpha/2) sqrt(v / n)."""
     est = num / den
@@ -163,8 +168,7 @@ def pointwise_ci(
     the root-n factor undoes the root-n scaling of the limit variance.
     alpha == 1 is accepted and gives the degenerate zero-width interval.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     if sample.n < 2:
         raise ValueError("confidence interval needs n >= 2")
     den, num, var = _moments_at(err._pdf_into, x, sample.w, sample.y, _centered_variance)
@@ -186,8 +190,7 @@ def pointwise_band(
     DegenerateDenominatorError
         If every grid point is undefined.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     if sample.n < 2:
         raise ValueError("confidence interval needs n >= 2")
     den, num, var = _kernel_moments(err._pdf_into, grid.points, sample.w, sample.y,
@@ -237,8 +240,7 @@ def simultaneous_band(
     DegenerateDenominatorError
         Naming the first grid point where the ratio is undefined.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     if n_sim < 1:
         raise ValueError("n_sim must be positive")
     # one pass gives the fit and the pointwise variance; the covariance,

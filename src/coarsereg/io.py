@@ -11,7 +11,9 @@ Input schemas (exact headers):
 All numeric fields must be finite; NaN and infinities are rejected with an
 error naming file, line and column. A well-formed file is parsed in one
 vectorised pass; any other file is re-read row by row, and only that scan
-raises, so every error record names the same place either way.
+raises a parse error, so every error record names the same place either
+way. Replicate labels are numbered in order of first appearance on either
+path, and one grouping step then checks that no group has a single member.
 :func:`csv_text` is the one CSV writer: values carry 17 significant digits
 so a written table re-reads bit-exactly, and undefined points serialize as
 ``nan`` in outputs only. A curve's columns (:func:`curve_columns`) are
@@ -151,38 +153,29 @@ def _read_fast(path, header, *, labelled=False):
 
     The text is read once for the checks and dropped; numpy then parses the
     same handle line by line past the header, so the read's peak is about
-    twice the file's size (the bytes and their decoded text).
+    twice the file's size (the bytes and their decoded text), and about four
+    times with labels.
 
-    Returns one array per column; with ``labelled`` the first column is
-    instead a list of stripped label strings.
+    Returns one array per column. With ``labelled`` the first column holds
+    labels, read as indices in order of first appearance, and the result is
+    ``[distinct labels, indices, *values]``.
     """
-    numeric = range(1 if labelled else 0, len(header))
+    labels: dict = {}
+    converters = {0: lambda s: labels.setdefault(s.strip(), len(labels))} if labelled else None
     try:
         with open(path, newline="") as handle:
             if not _plain(handle.read(), header):
                 return None
             handle.seek(0)
             handle.readline()  # the header
-            # usecols would let rows with extra fields through, so only the
-            # labelled form passes it, and checks field counts itself
-            table = np.loadtxt(
-                handle, delimiter=",", comments=None, ndmin=2, dtype=float,
-                usecols=numeric if labelled else None,
-            )
-            if labelled:
-                handle.seek(0)
-                handle.readline()
-                rows = [line.split(",") for line in handle if line not in ("\n", "\r\n")]
+            table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2,
+                               dtype=float, converters=converters)
     except (OSError, ValueError):  # ValueError includes UnicodeError
         return None
-    if table.shape[1] != len(numeric) or not np.isfinite(table).all():
+    if table.shape[1] != len(header) or not np.isfinite(table).all():
         return None
     columns = [table[:, j].copy() for j in range(table.shape[1])]
-    if not labelled:
-        return columns
-    if len(rows) != len(table) or any(len(row) != len(header) for row in rows):
-        return None
-    return [[row[0].strip() for row in rows], *columns]
+    return [list(labels), columns[0].astype(np.intp), *columns[1:]] if labelled else columns
 
 
 def _read_numeric(path, columns) -> list:
@@ -193,38 +186,30 @@ def _read_numeric(path, columns) -> list:
     return _parse_columns(path, _read_rows(path, columns), columns)
 
 
-def _group(labels, values) -> dict:
-    """Values grouped by label, groups in order of first appearance."""
-    groups: dict = {}
-    for gid, v in zip(labels, values):
-        groups.setdefault(gid, []).append(v)
-    return groups
-
-
 def read_training_csv(path) -> TrainingSample:
     return TrainingSample(*_read_numeric(path, ("w", "y")))
 
 
 def read_replicates_csv(path) -> ReplicatedSample:
     header = ("group", "u")
-    fast = _read_fast(path, header, labelled=True)
-    if fast is not None:
-        labels, values = fast
-        groups = _group(labels, values.tolist())
-        if all(len(vals) >= 2 for vals in groups.values()):
-            return ReplicatedSample(list(groups.values()))
-    rows = _read_rows(path, header)
-    labels = [gid for _, (gid, _u) in rows]
-    values = [_parse_float(utxt, path=path, line=lineno, column="u")
-              for lineno, (_gid, utxt) in rows]
-    groups = _group(labels, values)
-    for gid, vals in groups.items():
-        if len(vals) < 2:
-            raise DataFormatError(
-                f"group {gid!r} has a single measurement; every group needs >= 2",
-                file=str(path),
-            )
-    return ReplicatedSample(list(groups.values()))
+    parsed = _read_fast(path, header, labelled=True)
+    if parsed is None:  # the row-wise path numbers labels the same way
+        rows = _read_rows(path, header)
+        index: dict = {}
+        indices = np.array([index.setdefault(cells[0], len(index)) for _, cells in rows])
+        (values,) = _parse_columns(path, [(n, cells[1:]) for n, cells in rows], ("u",))
+        parsed = list(index), indices, values
+    labels, indices, values = parsed
+    counts = np.bincount(indices)
+    single = np.flatnonzero(counts < 2)
+    if single.size:
+        raise DataFormatError(
+            f"group {labels[single[0]]!r} has a single measurement; every group needs >= 2",
+            file=str(path),
+        )
+    # a stable sort keeps each group's values in file order
+    grouped = values[np.argsort(indices, kind="stable")]
+    return ReplicatedSample(np.split(grouped, np.cumsum(counts)[:-1]))
 
 
 def read_pairs_csv(path, columns=("t", "x")) -> tuple:

@@ -33,7 +33,7 @@ import numpy as np
 from .data import EvalGrid, RegressionCurve, TrainingSample
 from .densities import ErrorDensity
 from .errors import CoarseRegError, DegenerateDenominatorError
-from .inference import _interval
+from .inference import _check_alpha, _interval
 from .io import _jsonable
 from .known import (
     _block_len, _centered_variance, _defined, _golden_section, _moments_at, fit_known,
@@ -480,8 +480,8 @@ def run_replications(
         raise ValueError("need at least one replicate")
     if coverage_points and spec.method != "known":
         raise ValueError("coverage is only defined for the known-error estimator")
-    if coverage_points and not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if coverage_points:
+        _check_alpha(alpha)
     grid = grid or default_grid(scn)
     coverage_points = tuple(float(p) for p in coverage_points)
     rmse_points = tuple(float(p) for p in rmse_points)

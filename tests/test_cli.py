@@ -212,6 +212,40 @@ class TestCliCommands:
         assert fit["slope"] == pytest.approx(2.0, abs=0.2)
         assert fit["n"] == 60
 
+    def test_fit_proxy_infers_a_gaussian_delta(self, tmp_path):
+        rng = np.random.default_rng(7)
+        pairs, train = tmp_path / "pairs.csv", tmp_path / "train.csv"
+        t = rng.uniform(0, 1, 60)
+        x = 1.0 + 2.0 * t + rng.normal(0, 0.1, 60)
+        pairs.write_text("\n".join(
+            ["t,x"] + [f"{float(a)!r},{float(b)!r}" for a, b in zip(t, x)]) + "\n")
+        t = rng.uniform(0, 1, 80)
+        train.write_text("\n".join(
+            ["t,y"] + [f"{float(a)!r},{float(math.sin(3 * a))!r}" for a in t]) + "\n")
+        out = tmp_path / "fit.json"
+        code = main(["fit-proxy", "--pairs", str(pairs), "--train", str(train),
+                     "--grid", "1.5:2.5:5", "--format", "json", "--out", str(out)])
+        assert code == 0
+        body = json.loads(out.read_text())
+        fit = body["proxy_fit"]
+        assert fit["delta"] == f"gaussian:{math.sqrt(fit['residual_variance']):g}"
+        assert fit["delta"].startswith("gaussian:0.")
+        assert len(body["curve"]["m_hat"]) == 5
+
+    def test_fit_proxy_perfect_calibration_needs_delta(self, tmp_path, capsys):
+        pairs, train = tmp_path / "pairs.csv", tmp_path / "train.csv"
+        pairs.write_text("t,x\n0,1\n1,3\n2,5\n3,7\n")
+        train.write_text("t,y\n0,1\n1,2\n2,3\n")
+        out = tmp_path / "fit.json"
+        code = main(["fit-proxy", "--pairs", str(pairs), "--train", str(train),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert json.loads(err) == {
+            "error": "cannot infer an error density from a perfect fit; pass --delta"
+        }
+        assert not out.exists()
+
     def test_nw_cv(self, train_csv, tmp_path):
         out = tmp_path / "nw.csv"
         code = main(["nw", "--train", str(train_csv), "--grid", "0:1:9",

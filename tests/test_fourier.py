@@ -325,6 +325,19 @@ class TestInvert:
         np.testing.assert_allclose(den_a, den_b, atol=1e-14)
         np.testing.assert_allclose(num_a, num_b, atol=1e-14)
 
+    def test_odd_error_cf_names_both_residue_causes(self):
+        # the grid is symmetric; the skewed error CF alone leaves the residue
+        rng = np.random.default_rng(15)
+        s = TrainingSample(rng.normal(size=30), rng.normal(size=30))
+        grid = EvalGrid(np.linspace(-1.0, 1.0, 5))
+        cfg = FourierConfig(cutoff=8.0, t_step=0.05)
+        t = symmetric_tgrid(cfg.cutoff, cfg.t_step)
+        assert np.array_equal(t[::-1], -t)
+        skewed = lambda t: np.exp(-t**2 / 2) * (1 + 0.5 * np.tanh(t))
+        for source in (skewed, CfTable(t=t, values=skewed(t))):
+            with pytest.raises(ValueError, match="not symmetric enough or the error CF is not even"):
+                invert_cf(s, source, cfg, grid)
+
     def test_table_spacing_mismatch_rejected(self):
         s = TrainingSample([0.0], [1.0])
         grid = EvalGrid([-1.0, 1.0])
@@ -418,6 +431,7 @@ class TestOneResolver:
     def test_replicates_resolve_like_their_table(self, case):
         sample, rep, cfg = case
         table = error_cf_from_replicates(rep, symmetric_tgrid(cfg.cutoff, cfg.t_step))
+        bare = lambda t: error_cf_from_replicates(rep, t).values
         grid = EvalGrid(np.linspace(-1.0, 1.0, 7))
         proxy = LinearProxyFit(intercept=0.5, slope=-2.0, n_obs=2, residual_variance=0.0)
         for fit in (
@@ -425,4 +439,6 @@ class TestOneResolver:
             lambda src: fit_fourier(sample, src, cfg, grid),
             lambda src: fit_fourier_proxy(proxy, sample.w, sample.y, src, cfg, grid),
         ):
-            assert _bits(lambda: fit(rep)) == _bits(lambda: fit(table))
+            want = _bits(lambda: fit(rep))
+            assert _bits(lambda: fit(table)) == want
+            assert _bits(lambda: fit(bare)) == want

@@ -22,8 +22,16 @@ from coarsereg import io as cio
 from coarsereg.heart import heart_disease_calibration
 from coarsereg.io import read_columns, read_pairs_csv, read_replicates_csv, read_training_csv
 
+
+def examples(count):
+    """``count`` examples under the default profile, scaled by the loaded one
+    as unfixed tests are (``--hypothesis-profile=thorough`` gives 20x)."""
+    return count * settings.default.max_examples // 100
+
+
 SETTINGS = settings(
-    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=examples(40), deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 
 FORMATS = (repr, lambda v: f"{v:.17g}", lambda v: f"{v:.6e}")
@@ -161,7 +169,7 @@ def render(header, lines, mutation):
 @pytest.mark.parametrize(
     "mutation", [*MUTATIONS, "crlf", "no trailing newline", "bom", "bare cr"]
 )
-@settings(max_examples=8, deadline=None,
+@settings(max_examples=examples(8), deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_files_match_row_wise(kind, mutation, data, tmp_path):
@@ -263,6 +271,42 @@ def test_replicate_groups_keep_first_appearance_order(sizes, seed, tmp_path):
     got = outcome(read_replicates_csv, path)
     assert_same(got, ("ok", list(ReplicatedSample(list(expected.values())).groups)))
     assert_same(got, row_wise(read_replicates_csv, path))
+
+
+def test_single_member_group_is_named_without_a_row_wise_read(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("group,u\na,0.5\nb,1.5\na,2.5\nc,3.5\nc,4.5\n")
+    with mock.patch.object(cio, "_read_rows", side_effect=AssertionError("row-wise read")), \
+            mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        got = outcome(read_replicates_csv, path)
+    assert loadtxt.call_count == 1
+    assert got == ("error", {
+        "error": "group 'b' has a single measurement; every group needs >= 2",
+        "file": str(path),
+        "line": None,
+        "column": None,
+    })
+    assert_same(got, row_wise(read_replicates_csv, path))
+
+
+def test_labelled_fast_read_peak_is_a_few_times_the_file(tmp_path):
+    # labels become indices inside the one loadtxt pass; split rows and
+    # per-group lists took the peak to 11.8 times the file
+    rng = np.random.default_rng(41)
+    path = tmp_path / "r.csv"
+    path.write_text("group,u\n" + "".join(
+        f"g{i // 2},{float(v)!r}\n" for i, v in enumerate(rng.normal(size=50_000))
+    ))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        parsed = cio._read_fast(path, ("group", "u"), labelled=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * size, f"peak {peak} B for a {size} B file"
+    labels, indices, values = parsed
+    assert len(labels) == 25_000 and len(indices) == len(values) == 50_000
 
 
 # ---------------------------------------------------------- heart reader
