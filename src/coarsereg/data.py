@@ -8,6 +8,7 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -60,36 +61,69 @@ class ReplicatedSample:
     Each group holds repeated measurements of one latent value; within-group
     differences identify the measurement-error law. Every group needs at
     least two measurements.
+
+    The measurements are stored flat, group by group, in ``values``, with
+    the group lengths in ``sizes``; ``groups`` gives read-only views of the
+    groups, made on first access.
     """
 
-    groups: tuple
+    values: np.ndarray
+    sizes: np.ndarray
 
     def __init__(self, groups):
-        frozen = []
+        arrays = []
         for i, g in enumerate(groups):
-            arr = _frozen_array(g, f"group {i}")
-            if len(arr) < 2:
-                raise ValueError(f"group {i} has {len(arr)} measurements, need >= 2")
-            frozen.append(arr)
-        if not frozen:
+            arr = np.asarray(g, dtype=float)
+            if arr.ndim != 1:
+                raise ValueError(f"group {i} must be one-dimensional, got shape {arr.shape}")
+            arrays.append(arr)
+        sizes = np.array([len(a) for a in arrays], dtype=np.intp)
+        self._set_flat(np.concatenate(arrays) if arrays else np.empty(0), sizes)
+
+    @classmethod
+    def _from_flat(cls, values: np.ndarray, sizes: np.ndarray) -> "ReplicatedSample":
+        """The sample whose groups are ``values`` cut into runs of ``sizes``;
+        it takes ownership of both arrays and freezes them."""
+        rep = cls.__new__(cls)
+        rep._set_flat(values, sizes)
+        return rep
+
+    def _set_flat(self, values, sizes):
+        # the first faulty group is named; within one, non-finite comes first
+        if not len(sizes):
             raise ValueError("need at least one group")
-        object.__setattr__(self, "groups", tuple(frozen))
+        ends = np.cumsum(sizes)
+        nonfinite = np.flatnonzero(~np.isfinite(values))
+        bad = int(np.searchsorted(ends, nonfinite[0], side="right")) if nonfinite.size else None
+        small = np.flatnonzero(sizes < 2)
+        if small.size and (bad is None or small[0] < bad):
+            i = int(small[0])
+            raise ValueError(f"group {i} has {sizes[i]} measurements, need >= 2")
+        if bad is not None:
+            raise ValueError(f"group {bad} contains non-finite entries")
+        values.flags.writeable = sizes.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "sizes", sizes)
+
+    @cached_property
+    def groups(self) -> tuple:
+        """The groups, in order, as read-only views into ``values``."""
+        return tuple(np.split(self.values, np.cumsum(self.sizes)[:-1]))
 
     @property
     def n_groups(self) -> int:
-        return len(self.groups)
+        return len(self.sizes)
 
     @property
     def n_pairs(self) -> int:
         """Total count of within-group ordered pairs (k1 < k2)."""
-        return sum(len(g) * (len(g) - 1) // 2 for g in self.groups)
+        return int(np.sum(self.sizes * (self.sizes - 1) // 2))
 
     def pair_differences(self) -> np.ndarray:
         """All within-group differences u[k1] - u[k2] with k1 < k2, group by
         group in order; one gather per distinct group size."""
-        sizes = np.array([len(g) for g in self.groups])
+        sizes, u = self.sizes, self.values
         pairs = sizes * (sizes - 1) // 2
-        u = np.concatenate(self.groups)
         first, out_first = np.cumsum(sizes) - sizes, np.cumsum(pairs) - pairs
         out = np.empty(int(pairs.sum()))
         for m in np.unique(sizes):

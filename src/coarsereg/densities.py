@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import MissingCFError, UnsupportedDerivativeError
 
@@ -166,6 +165,9 @@ class ErrorDensity:
         return d
 
     def _validate_custom(self):
+        # imported here, so that only custom densities load scipy
+        from scipy.integrate import quad
+
         span = _VALIDATION_SPAN * self.scale
         probe = np.linspace(-span, span, 257)
         vals = np.asarray(self._pdf(probe), dtype=float)

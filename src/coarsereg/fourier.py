@@ -29,6 +29,12 @@ from .known import _block_len, _ratio_curve
 # Minimum number of positive-frequency nodes between 0 and the cutoff.
 MIN_NODES = 16
 
+# Most nodes a frequency grid may hold, all of -K..K; a grid that would be
+# larger is refused before anything is allocated. It is far above what an
+# inversion needs (a few thousand nodes) and keeps one grid-length complex
+# array near 16 MB.
+MAX_T_NODES = 1_000_001
+
 # Default spacing resolves phase oscillations up to the largest |x| on the
 # evaluation grid, with an absolute floor.
 _SPACING_OSCILLATION_FACTOR = 8.0
@@ -78,7 +84,13 @@ class CfTable:
 
 
 def symmetric_tgrid(cutoff: float, step: float) -> np.ndarray:
-    """Uniform grid -K*step .. K*step with K = round(cutoff/step)."""
+    """Uniform grid -K*step .. K*step with K = round(cutoff/step).
+
+    Raises
+    ------
+    ResolutionError
+        If K < 1, or if the 2K + 1 nodes exceed ``MAX_T_NODES``.
+    """
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
     if not math.isfinite(cutoff / step):
@@ -86,6 +98,11 @@ def symmetric_tgrid(cutoff: float, step: float) -> np.ndarray:
     k = int(round(cutoff / step))
     if k < 1:
         raise ResolutionError(f"cutoff {cutoff} too small for step {step}")
+    if 2 * k + 1 > MAX_T_NODES:
+        raise ResolutionError(
+            f"cutoff {cutoff} over step {step} needs {2 * k + 1} frequency nodes, "
+            f"more than the limit of {MAX_T_NODES}"
+        )
     return step * np.arange(-k, k + 1, dtype=float)
 
 

@@ -11,10 +11,11 @@ studentized supremum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import EvalGrid, RegressionCurve, TrainingSample
 from .densities import ErrorDensity
@@ -83,10 +84,80 @@ def _check_alpha(alpha):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
+# Cephes ndtri (S. L. Moshier, "Methods and Programs for Mathematical
+# Functions", 1989), the algorithm scipy.special.ndtri runs: a rational
+# function of (p - 1/2)^2 on [exp(-2), 1 - exp(-2)]; in the tails, with y
+# the smaller of p and 1 - p and x = sqrt(-2 log y), one of 1/x for x in
+# [2, 8) and another for x in [8, 64).
+_S2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x, coef):
+    """Horner's rule on ``coef``, highest power first, in Cephes' order; a
+    leading 1.0 gives Cephes' ``p1evl`` bits, as 1.0 * x is exact."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(p: float) -> float:
+    """The standard normal quantile, bit for bit as Cephes' ``ndtri``:
+    -inf at 0, inf at 1 and NaN outside [0, 1]."""
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    if not 0.0 < p < 1.0:
+        return math.nan
+    upper = p > 1.0 - _EXP_M2
+    y = 1.0 - p if upper else p
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:  # y > exp(-32)
+        x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2)
+    x = x0 - x1
+    return x if upper else -x
+
+
+@lru_cache(maxsize=None)
+def _z(alpha: float) -> float:
+    """z(1 - alpha/2), computed once per alpha: a study asks for the same
+    few alphas hundreds of times, and each pure-Python call costs
+    microseconds."""
+    return _ndtri(1.0 - alpha / 2.0)
+
+
 def _interval(num, den, v, n, alpha):
     """(1 - alpha) interval num/den +- z(1 - alpha/2) sqrt(v / n)."""
     est = num / den
-    half = ndtri(1.0 - alpha / 2.0) * np.sqrt(v) / np.sqrt(n)
+    half = _z(alpha) * np.sqrt(v) / np.sqrt(n)
     return est - half, est + half
 
 

@@ -208,8 +208,7 @@ def read_replicates_csv(path) -> ReplicatedSample:
             file=str(path),
         )
     # a stable sort keeps each group's values in file order
-    grouped = values[np.argsort(indices, kind="stable")]
-    return ReplicatedSample(np.split(grouped, np.cumsum(counts)[:-1]))
+    return ReplicatedSample._from_flat(values[np.argsort(indices, kind="stable")], counts)
 
 
 def read_pairs_csv(path, columns=("t", "x")) -> tuple:

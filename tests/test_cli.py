@@ -7,6 +7,7 @@ import pytest
 
 from coarsereg import DataFormatError, EvalGrid, RegressionCurve
 from coarsereg.cli import build_parser, main, parse_delta, parse_grid
+from coarsereg.fourier import MAX_T_NODES
 from coarsereg.io import (
     curve_csv_text,
     read_curve_csv,
@@ -343,6 +344,22 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "finite" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("args", [
+        ["fit-fourier", "--tau", "1e12", "--tstep", "1e-3"],
+        ["cf", "--tmax", "1e12", "--tstep", "1e-3"],
+    ])
+    def test_frequency_grid_over_the_node_limit_error_record(self, args, train_csv,
+                                                             replicates_csv, capsys):
+        inputs = ["--replicates", str(replicates_csv)]
+        if args[0] == "fit-fourier":
+            inputs += ["--train", str(train_csv), "--grid", "0:1:5"]
+        assert main(args + inputs) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        message = json.loads(err)["error"]
+        assert f"needs {2 * round(1e12 / 1e-3) + 1} frequency nodes" in message
+        assert message.endswith(f"limit of {MAX_T_NODES}")
 
     def test_bad_thread_env_only_breaks_simulate(self, train_csv, monkeypatch, capsys):
         monkeypatch.setenv("COARSEREG_THREADS", "two")

@@ -56,6 +56,30 @@ class TestReplicatedSample:
         with pytest.raises(ValueError, match=">= 2"):
             ReplicatedSample([[0.0, 1.0], [2.0]])
 
+    def test_flat_storage(self):
+        src = [np.array([3.0, 1.0]), np.array([0.0, 1.0, 2.0])]
+        r = ReplicatedSample(src)
+        np.testing.assert_array_equal(r.values, [3.0, 1.0, 0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(r.sizes, [2, 3])
+        src[0][0] = 9.0  # the sample holds its own copy
+        assert r.values[0] == 3.0
+        for g, want in zip(r.groups, ([3.0, 1.0], [0.0, 1.0, 2.0])):
+            np.testing.assert_array_equal(g, want)
+            assert np.shares_memory(g, r.values)
+        for arr in (r.values, r.sizes, *r.groups):
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+
+    @pytest.mark.parametrize("groups, message", [
+        ([[0.0, 1.0], [2.0], [np.nan, 1.0]], "group 1 has 1 measurements"),
+        ([[0.0, 1.0], [np.nan, 1.0], [2.0]], "group 1 contains non-finite"),
+        ([[0.0, 1.0], [np.inf]], "group 1 contains non-finite"),
+        ([[0.0, 1.0], [[1.0, 2.0]]], "group 1 must be one-dimensional"),
+    ])
+    def test_first_faulty_group_is_named(self, groups, message):
+        with pytest.raises(ValueError, match=message):
+            ReplicatedSample(groups)
+
     def test_no_groups(self):
         with pytest.raises(ValueError):
             ReplicatedSample([])

@@ -247,6 +247,12 @@ class TestFourierConfig:
         with pytest.raises(ValueError, match="cutoff/step must be finite"):
             symmetric_tgrid(cutoff, step)
 
+    def test_tgrid_node_limit(self):
+        k = coarsereg.fourier.MAX_T_NODES // 2
+        assert len(symmetric_tgrid(k * 0.5, 0.5)) == coarsereg.fourier.MAX_T_NODES
+        with pytest.raises(ResolutionError, match=f"needs {2 * k + 3} frequency nodes"):
+            symmetric_tgrid((k + 1) * 0.5, 0.5)
+
     def test_resolved_spacing(self):
         grid = EvalGrid(np.linspace(-2.0, 2.0, 9))
         cfg = FourierConfig(cutoff=8.0).resolved(grid)

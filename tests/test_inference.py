@@ -23,6 +23,7 @@ from coarsereg import (
 )
 from coarsereg import known
 from coarsereg.cli import main
+from coarsereg.inference import _ndtri, _z
 
 GAUSS = ErrorDensity.gaussian(1.0)
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -45,6 +46,38 @@ def plugin_covariance_reference(w, y, x1, x2, pdf):
         + plain * num1 * num2 / (den1 * den2) ** 2
         - resp * (num1 * den2 + num2 * den1) / (den1 * den2) ** 2
     )
+
+
+class TestNdtri:
+    """The Cephes port gives scipy.special.ndtri's bits."""
+
+    @staticmethod
+    def assert_same(p):
+        got, want = _ndtri(p), float(ndtri(p))
+        assert got == want or (math.isnan(got) and math.isnan(want)), (p, got, want)
+
+    @given(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 0.2).map(lambda d: 1.0 - d)))
+    def test_matches_scipy_bit_for_bit(self, p):
+        self.assert_same(p)
+
+    # the ends, the centre, both sides of the three branch points, the
+    # smallest subnormal, the largest double below 1 and the goldens' alphas
+    @pytest.mark.parametrize("p", [
+        0.0, 1.0, 0.5, math.exp(-2), 1 - math.exp(-2), math.exp(-32), 1 - math.exp(-32),
+        5e-324, 1 - 2**-53, *(1 - a / 2 for a in (0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0)),
+    ])
+    def test_probes(self, p):
+        self.assert_same(p)
+
+    def test_ends_and_quantile_of_the_goldens(self):
+        assert _ndtri(0.0) == -math.inf and _ndtri(1.0) == math.inf and _ndtri(0.5) == 0.0
+        assert _z(0.05) == _ndtri(0.975) == 1.959963984540054
+
+    @pytest.mark.parametrize("p", [-5e-324, -1.0, 1 + 2**-52, 2.0, math.inf, -math.inf,
+                                   math.nan])
+    def test_out_of_range_is_nan(self, p):
+        assert math.isnan(_ndtri(p))
+        self.assert_same(p)
 
 
 class TestProductMoments:

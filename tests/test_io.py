@@ -289,24 +289,46 @@ def test_single_member_group_is_named_without_a_row_wise_read(tmp_path):
     assert_same(got, row_wise(read_replicates_csv, path))
 
 
-def test_labelled_fast_read_peak_is_a_few_times_the_file(tmp_path):
-    # labels become indices inside the one loadtxt pass; split rows and
-    # per-group lists took the peak to 11.8 times the file
+def _pairs_file(tmp_path):
+    """A 5e4-row replicate file of 25 000 groups of two."""
     rng = np.random.default_rng(41)
     path = tmp_path / "r.csv"
     path.write_text("group,u\n" + "".join(
         f"g{i // 2},{float(v)!r}\n" for i, v in enumerate(rng.normal(size=50_000))
     ))
-    size = path.stat().st_size
+    return path
+
+
+def _traced_peak(call):
+    """``call()`` and the traced peak of its allocations."""
     tracemalloc.start()
     try:
-        parsed = cio._read_fast(path, ("group", "u"), labelled=True)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_labelled_fast_read_peak_is_a_few_times_the_file(tmp_path):
+    # labels become indices inside the one loadtxt pass; split rows and
+    # per-group lists took the peak to 11.8 times the file
+    path = _pairs_file(tmp_path)
+    size = path.stat().st_size
+    parsed, peak = _traced_peak(lambda: cio._read_fast(path, ("group", "u"), labelled=True))
     assert peak <= 5 * size, f"peak {peak} B for a {size} B file"
     labels, indices, values = parsed
     assert len(labels) == 25_000 and len(indices) == len(values) == 50_000
+
+
+def test_replicate_read_peak_is_the_parse_peak(tmp_path):
+    # the grouped values go into one flat array; 25 000 split views and
+    # their copies took the whole read to 7.3 times the file
+    path = _pairs_file(tmp_path)
+    size = path.stat().st_size
+    rep, peak = _traced_peak(lambda: read_replicates_csv(path))
+    assert peak <= 5 * size, f"peak {peak} B for a {size} B file"
+    assert rep.n_groups == 25_000 and rep.values.shape == (50_000,)
+    assert np.array_equal(rep.sizes, np.full(25_000, 2))
 
 
 # ---------------------------------------------------------- heart reader
