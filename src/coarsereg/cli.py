@@ -81,6 +81,17 @@ def parse_interval(text: str) -> tuple:
     return lo, hi
 
 
+def _thread_count(text: str) -> int:
+    """``--threads``: a whole number of at least 1, else a usage error."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = None
+    if count is None or count < 1:
+        raise argparse.ArgumentTypeError(f"expects a whole number of at least 1, got {text!r}")
+    return count
+
+
 def _provenance(args) -> dict:
     return {
         "command": shlex.join(["coarsereg"] + args._argv),
@@ -312,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmse-at", default="", help="comma-separated points")
     p.add_argument("--alpha", type=float, default=0.05)
     # a string default is converted by ``type`` only when simulate is parsed
-    p.add_argument("--threads", type=int, default=os.environ.get("COARSEREG_THREADS", "1"),
-                   help="worker threads for the replicates")
+    p.add_argument("--threads", type=_thread_count,
+                   default=os.environ.get("COARSEREG_THREADS", "1"),
+                   help="worker threads for the replicates (at least 1)")
 
     return parser
 

@@ -40,11 +40,16 @@ _VALIDATION_SPAN = 50.0
 _VALIDATION_TOL = 1e-6
 
 
-def _exp_into(arg: np.ndarray) -> np.ndarray:
+def _exp_into(arg: np.ndarray, lower: float = -math.inf) -> np.ndarray:
     """``np.exp(arg)``, bit for bit, in place in the float array ``arg``;
     lanes below ``_EXP_FAST_MIN`` are clamped, zeroed after the exp and, in
-    the subnormal band, recomputed apart."""
-    if arg.min(initial=0.0) < _EXP_FAST_MIN:
+    the subnormal band, recomputed apart. A caller that knows a ``lower``
+    bound of ``arg`` at or above ``_EXP_FAST_MIN`` saves the pass that looks
+    for such lanes. The bound needs no margin of its own: the bits are
+    ``np.exp``'s on either path, and a bound off by a rounding still leaves
+    every lane within the 8 units between ``_EXP_FAST_MIN`` and the fast
+    path's edge, so it can cost no speed either."""
+    if not lower >= _EXP_FAST_MIN and arg.min(initial=0.0) < _EXP_FAST_MIN:
         keep = arg >= _EXP_FAST_MIN
         band = np.flatnonzero((arg >= _EXP_ZERO) & ~keep)
         band_arg = arg.flat[band]
@@ -58,15 +63,18 @@ def _exp_into(arg: np.ndarray) -> np.ndarray:
     return arg
 
 
-def _gauss_exp_into(u: np.ndarray, s: float) -> np.ndarray:
-    """``exp(-0.5 * (u / s)**2)`` in place in the float array ``u``. Offsets
-    beyond about 1.3e154 * s square to inf, whose exp is the right 0, so
-    that overflow is not reported."""
+def _gauss_exp_into(u: np.ndarray, s: float, span: float) -> np.ndarray:
+    """``exp(-0.5 * (u / s)**2)`` in place in the float array ``u``, whose
+    entries are at most ``span`` in absolute value. Offsets beyond about
+    1.3e154 * s square to inf, whose exp is the right 0, so that overflow is
+    not reported."""
     with np.errstate(over="ignore"):
         np.divide(u, s, out=u)
         np.square(u, out=u)
     np.multiply(u, -0.5, out=u)
-    return _exp_into(u)
+    # the same roundings on span, which are monotone, bound every lane
+    q = span / s
+    return _exp_into(u, -0.5 * (q * q))
 
 
 @dataclass(frozen=True)
@@ -193,13 +201,14 @@ class ErrorDensity:
         out = self._pdf_into(np.array(u, dtype=float))
         return out if out.ndim else float(out)
 
-    def _pdf_into(self, u):
-        """:meth:`pdf` of the float array ``u``, which a built-in kind
-        overwrites with the result and returns; a custom density returns its
-        own array, which the caller must not write to."""
+    def _pdf_into(self, u, span=math.inf):
+        """:meth:`pdf` of the float array ``u``, whose entries are at most
+        ``span`` in absolute value, which a built-in kind overwrites with the
+        result and returns; a custom density returns its own array, which the
+        caller must not write to."""
         if self.kind == "gaussian":
             s = self.scale
-            return np.divide(_gauss_exp_into(u, s), s * _SQRT_2PI, out=u)
+            return np.divide(_gauss_exp_into(u, s, span), s * _SQRT_2PI, out=u)
         if self.kind == "laplace":
             b = self.scale
             np.abs(u, out=u)
@@ -207,7 +216,7 @@ class ErrorDensity:
             # whose exp is the right 0, so that overflow is not reported
             with np.errstate(over="ignore"):
                 np.divide(u, -b, out=u)
-            np.divide(_exp_into(u), 2.0 * b, out=u)
+            np.divide(_exp_into(u, -(span / b)), 2.0 * b, out=u)
             return u
         if self.kind == "uniform":
             a = self.scale

@@ -24,7 +24,7 @@ import numpy as np
 from .data import EvalGrid, RegressionCurve, ReplicatedSample, TrainingSample
 from .densities import ErrorDensity
 from .errors import MissingDecayError, ResolutionError
-from .known import _block_len, _ratio_curve
+from .known import _block_len, _ratio_curve, _row_blocks
 
 # Minimum number of positive-frequency nodes between 0 and the cutoff.
 MIN_NODES = 16
@@ -118,23 +118,23 @@ def _mean_exp(t: np.ndarray, points: np.ndarray, weights=None):
         halves = _mean_exp(t[mid:], points, weights)
         return tuple(None if v is None else np.concatenate([v[:0:-1].conj(), v])
                      for v in halves)
-    plain = np.empty(len(t), dtype=complex)
-    weighted = None if weights is None else np.empty(len(t), dtype=complex)
     scale = 1.0 / len(points)
     step = _block_len(len(points), itemsize=16)
-    # the complex casts the products would make on every block, made once
-    points_c = points.astype(complex)
-    weights_c = None if weights is None else weights.astype(complex)
-    phase = np.empty((min(step, len(t)), len(points)), dtype=complex)
-    for start in range(0, len(t), step):
-        rows = slice(start, start + step)
-        e = np.multiply(1j * t[rows, None], points_c, out=phase[: len(t[rows])])
-        np.exp(e, out=e)
-        plain[rows] = e.sum(axis=1) * scale
-        if weights is not None:
-            e *= weights_c
-            weighted[rows] = e.sum(axis=1) * scale
-    return plain, weighted
+
+    def blocks_of(starts):
+        phase = None
+        for start in starts:
+            rows = slice(start, start + step)
+            if phase is None:
+                phase = np.empty((min(step, len(t)), len(points)), dtype=complex)
+            e = np.multiply(1j * t[rows, None], points, out=phase[: len(t[rows])])
+            np.exp(e, out=e)
+            plain = e.sum(axis=1) * scale
+            if weights is not None:
+                e *= weights
+            yield start, (plain, None if weights is None else e.sum(axis=1) * scale)
+
+    return _row_blocks(blocks_of, len(t), step, len(points))
 
 
 def error_cf_from_replicates(rep: ReplicatedSample, t) -> CfTable:
@@ -362,14 +362,25 @@ def invert_cf(
     w = np.full(len(t), h)
     w[0] = w[-1] = h / 2.0
     plain_w, weighted_w = plain.values * err_vals * w, weighted.values * err_vals * w
-    den, num = np.empty(len(x), dtype=complex), np.empty(len(x), dtype=complex)
-    # grid-row blocks bound the G x T phase matrix for any node count
-    step = _block_len(len(t), itemsize=16)
-    for start in range(0, len(x), step):
-        rows = slice(start, start + step)
-        phase = np.exp(-1j * x[rows, None] * t[None, :])
-        den[rows] = (phase * plain_w).sum(axis=1) / (2.0 * math.pi)
-        num[rows] = (phase * weighted_w).sum(axis=1) / (2.0 * math.pi)
+    # grid-row blocks of the G x T phase matrix and of its weighted copy, which
+    # together fit one block budget, bound its memory for any node count
+    step = _block_len(len(t), itemsize=32)
+
+    def blocks_of(starts):
+        phase = None
+        for start in starts:
+            rows = x[start:start + step, None]
+            if phase is None:
+                shape = (min(step, len(x)), len(t))
+                phase, scratch = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+            e = np.multiply(-1j * rows, t[None, :], out=phase[: len(rows)])
+            np.exp(e, out=e)
+            product = np.multiply(e, plain_w, out=scratch[: len(rows)])
+            den = product.sum(axis=1) / (2.0 * math.pi)
+            np.multiply(e, weighted_w, out=product)
+            yield start, (den, product.sum(axis=1) / (2.0 * math.pi))
+
+    den, num = _row_blocks(blocks_of, len(x), step, len(t))
 
     for name, arr in (("denominator", den), ("numerator", num)):
         residue = np.abs(arr.imag)

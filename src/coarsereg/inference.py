@@ -209,6 +209,7 @@ def _centered_covariance(sample, err, x, den, num, zero):
     # block was 1.8x slower at G = 512. Two G x 2G buffers are O(G^2)
     # memory, like the covariance itself.
     m_hat = num / den
+    span = max(x.max() - w.min(), w.max() - x.min())  # at least every |x - w|
     cov = np.zeros((len(x), len(x)))
     step = max(_block_len(len(x)), 2 * len(x))
     # flat buffers, so that every block, the last one too, is contiguous
@@ -220,7 +221,7 @@ def _centered_covariance(sample, err, x, den, num, zero):
         u = u_buf[: shape[0] * shape[1]].reshape(shape)
         b = b_buf[: u.size].reshape(shape)
         # the kernel may be a custom pdf's own array, so b is built beside it
-        k = err._pdf_into(np.subtract(x[:, None], w[None, cols], out=u))
+        k = err._pdf_into(np.subtract(x[:, None], w[None, cols], out=u), span)
         np.subtract(y[None, cols], m_hat[:, None], out=b)
         b *= k
         b /= den[:, None]

@@ -14,6 +14,11 @@ interval and study in the package asks them which points are defined.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from .data import EvalGrid, RegressionCurve, TrainingSample
@@ -32,18 +37,109 @@ _GOLDEN = (5.0**0.5 - 1.0) / 2.0
 # Byte budget of one block, the one size of every blocked loop: the kernel
 # passes, the covariance's column blocks (at least 2G columns), the band
 # draws, the CFs and their inversion, LOO-CV and the oracle's quadrature
-# rows. Dense paths so take O(n + G + block) memory. A loop keeps about two
-# blocks live (the kernel pass: its offsets, overwritten by the kernel, and
-# the k * y scratch), so 512 KiB keeps them in a 1 MiB per-core L2 cache
-# through the block's ~9 elementwise passes; 4 MiB blocks ran from L3. Each
-# row's results depend on that row alone, so the size moves no output but
-# the band's bounds.
+# rows. Dense paths so take O(n + G + block) memory. A loop keeps at most two
+# blocks live per thread (a kernel pass with a per-row statistic: its
+# offsets, overwritten by the kernel, and the k * y scratch; without one,
+# k * y overwrites the kernel), so 512 KiB keeps them in a 1 MiB per-core L2
+# cache through the block's ~9 elementwise passes; 4 MiB blocks ran from L3.
+# Each row's results depend on that row alone, so the size moves no output
+# but the band's bounds.
 _BLOCK_BYTES = 512 << 10
 
 
 def _block_len(width: int, itemsize: int = 8) -> int:
     """Rows of ``width`` items of ``itemsize`` bytes that fit in one block."""
     return max(1, _BLOCK_BYTES // (itemsize * width))
+
+
+# Cells (grid rows x sample size) below which a blocked pass runs on the
+# calling thread alone. With a second thread, Laplace kernel passes on a
+# 2-vCPU Xeon VM (n = 5e3 and 5e4) ran 0.8-1.1x as fast at 2.5e5 cells for
+# up to 56% more CPU, 1.4x at 5e5 cells for 22% more, and 1.3-1.65x from 1e6
+# to 4e6 cells for 11-15% more; while the host held the other vCPU, 0.9-1.0x.
+_POOL_MIN_CELLS = 1 << 20
+
+# The one persistent pool thread of _row_blocks, made on first use; a forked
+# child inherits the object but not the thread, so it makes its own. A pass
+# takes no more threads than the caller and this one: each holds its own
+# blocks, so a pass's memory stays within twice the serial pass's, a few
+# blocks, on any machine, and more threads would want smaller blocks each.
+_pool = None
+
+
+def _forget_pool():
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _row_blocks(blocks_of, rows, step, width, serial=False):
+    """The per-row arrays (or None) of a pass over ``rows`` rows of ``width``
+    cells in blocks of ``step`` rows, each joined in row order.
+    ``blocks_of(starts)`` yields ``(start, arrays)`` for each block start it
+    takes from the iterator ``starts``, reusing its buffers from block to
+    block.
+
+    The calling thread and the persistent pool thread share the blocks: each
+    takes the next block when done with its last, so a thread late to start
+    (an idle CPU can take milliseconds to wake) takes fewer, and the caller
+    never waits for one that has not started. The pool thread runs in a copy
+    of the caller's context, so its ``np.errstate`` holds there too; numpy
+    drops the interpreter lock in the ufuncs and reductions the passes call.
+    As each row's values depend on that row alone, the arrays are the serial
+    ones, bit for bit, and the error of the first failing block is raised,
+    as in one serial pass.
+
+    The pass runs serially when ``serial`` is set (it runs user code, which
+    need not be thread-safe), below ``_POOL_MIN_CELLS`` cells, off the main
+    thread, so that the replicate threads of ``simulate --threads`` start no
+    pools of their own, when this process may run on one CPU only
+    (``taskset``, cgroups), or with fewer than two blocks per thread.
+    """
+    global _pool
+    starts = iter(range(0, rows, step))
+    if (serial or rows * width < _POOL_MIN_CELLS
+            or threading.current_thread() is not threading.main_thread()
+            or len(os.sched_getaffinity(0)) < 2 or -(-rows // step) < 4):
+        done = list(blocks_of(starts))
+    else:
+        failures = []  # (start, error) of each thread's failing block
+
+        def run():
+            taken, blocks = [], []
+
+            def take():
+                # a range iterator's next() is atomic under the interpreter lock
+                for start in starts:
+                    if failures:
+                        return  # every block before a failing one is taken
+                    taken.append(start)
+                    yield start
+
+            try:
+                blocks.extend(blocks_of(take()))
+            except Exception as exc:
+                failures.append((taken[-1], exc))
+            return blocks
+
+        if _pool is None:
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="coarsereg-rows")
+        future = _pool.submit(contextvars.copy_context().run, run)
+        try:
+            done = run()
+        finally:
+            failures.append((rows, None))  # stops the pool thread if the caller failed
+            helped = [] if future.cancel() else future.result()
+        _, error = min(failures, key=lambda failure: failure[0])
+        if error is not None:
+            raise error
+        done = sorted(done + helped, key=lambda block: block[0])
+    if len(done) == 1:
+        return done[0][1]
+    return tuple(None if arrays[0] is None else np.concatenate(arrays)
+                 for arrays in zip(*(block for _, block in done)))
 
 
 def _defined(den):
@@ -61,36 +157,57 @@ def _row_mean(a):
 
 def _kernel_moments(kernel, x, w, y, per_row=None):
     """den ``mean(k, axis=1)`` and num ``mean(k * y, axis=1)`` for
-    ``k = kernel(x[:, None] - w[None, :])`` built in blocks of grid rows;
+    ``k = kernel(x[:, None] - w[None, :], span)`` built in blocks of grid
+    rows, with ``span`` at least every offset's absolute value in the block;
     with ``per_row`` (:func:`_centered_variance` or :func:`_flat_support`),
     also its values on each block, given the responses less their median.
     ``kernel`` may overwrite its argument, a block buffer reused by every
     block, and return it. Each row's values depend on that row alone: not on
-    the blocking, nor on the BLAS library or its thread count.
+    the blocking, the thread of :func:`_row_blocks` that computes it, nor on
+    the BLAS library or its thread count.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     step = _block_len(len(w))
-    den, num, extra = np.empty(len(x)), np.empty(len(x)), []
-    if per_row is not None:
-        yc = y - np.median(y)
-    u = np.empty((min(step, len(x)), len(w)))
-    for start in range(0, len(x), step):
-        rows = slice(start, start + step)
-        k = kernel(np.subtract(x[rows, None], w[None, :], out=u[: len(x[rows])]))
-        if start == 0:
-            # k * y, reused by every block; allocated before the kernel, it
-            # took fresh pages from the OS on every call (165 minor faults
-            # and 3x the time of the whole call at n = 250, G = 101)
-            ky = np.empty(k.shape)
-        # numpy reductions over the sample axis accumulate pairwise, keeping
-        # long replication studies deterministic and well-conditioned; k may
-        # be a custom pdf's own array, so the product goes to the scratch
-        den[rows] = _row_mean(k)
-        scratch = ky[: len(k)]
-        num[rows] = _row_mean(np.multiply(k, y, out=scratch))
-        if per_row is not None:
-            extra.append(per_row(k, yc, den[rows], scratch))
-    return (den, num) if per_row is None else (den, num, np.concatenate(extra))
+    yc = None if per_row is None else y - np.median(y)
+    if len(x) > step:
+        # each block's largest |x - w|: the offsets are rounded differences,
+        # and rounding is monotone, so none exceeds the rounded extreme one
+        starts = np.arange(0, len(x), step)
+        spans = np.maximum(np.maximum.reduceat(x, starts) - w.min(),
+                           w.max() - np.minimum.reduceat(x, starts)).tolist()
+    else:  # one block, whose own search for far offsets costs about as much
+        spans = [np.inf]
+
+    def blocks_of(starts):
+        u = ky = None  # made on a thread's first block, so one given none makes none
+        for start in starts:
+            rows = slice(start, start + step)
+            if u is None:
+                u = np.empty((min(step, len(x)), len(w)))
+            offsets = np.subtract(x[rows, None], w[None, :], out=u[: len(x[rows])])
+            k = kernel(offsets, spans[start // step])
+            # numpy reductions over the sample axis accumulate pairwise,
+            # keeping long replication studies deterministic and
+            # well-conditioned
+            den = _row_mean(k)
+            if per_row is None and k is offsets:
+                scratch = k  # the kernel's own block, needed no more
+            else:
+                # per_row needs k beside k * y, and k may be a custom pdf's
+                # own array. The scratch is allocated after the first kernel:
+                # before it, it took fresh pages from the OS on every call
+                # (165 minor faults and 3x the time of the call at n = 250,
+                # G = 101)
+                if ky is None:
+                    ky = np.empty(k.shape)
+                scratch = ky[: len(k)]
+            num = _row_mean(np.multiply(k, y, out=scratch))
+            yield start, (den, num, None if per_row is None else per_row(k, yc, den, scratch))
+
+    # a custom density's pdf is the user's code, which need not be thread-safe
+    custom = getattr(getattr(kernel, "__self__", None), "kind", None) == "custom"
+    moments = _row_blocks(blocks_of, len(x), step, len(w), serial=custom)
+    return moments[:2] if per_row is None else moments
 
 
 def _centered_variance(k, yc, den, scratch=None):
@@ -219,7 +336,8 @@ def regression_derivative_at(sample: TrainingSample, err: ErrorDensity, x: float
         As in :func:`regression_at`.
     """
     den, num = (float(m[0]) for m in _moments_at(err._pdf_into, x, sample.w, sample.y))
-    (den_d,), (num_d,) = _kernel_moments(lambda u: err.pdf_derivative(u, 1), x, sample.w, sample.y)
+    (den_d,), (num_d,) = _kernel_moments(lambda u, span: err.pdf_derivative(u, 1), x,
+                                         sample.w, sample.y)
     return float((num_d * den - num * den_d) / den**2)
 
 

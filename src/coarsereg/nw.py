@@ -34,16 +34,17 @@ _CV_MIN_FACTOR = 0.05
 _CV_MAX_FACTOR = 2.0
 
 
-def _gauss(u, h):
-    """The standard Gaussian density at ``u / h``, computed in place in ``u``."""
-    return np.divide(_gauss_exp_into(u, h), _SQRT_2PI, out=u)
+def _gauss(u, h, span):
+    """The standard Gaussian density at ``u / h``, computed in place in ``u``,
+    whose entries are at most ``span`` in absolute value."""
+    return np.divide(_gauss_exp_into(u, h, span), _SQRT_2PI, out=u)
 
 
 def nw_estimate(sample: TrainingSample, h: float, x: float) -> float:
     """Kernel-weighted response average at ``x`` with bandwidth ``h``."""
     if not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
-    den, num = _moments_at(lambda u: _gauss(u, h), x, sample.w, sample.y)
+    den, num = _moments_at(lambda u, span: _gauss(u, h, span), x, sample.w, sample.y)
     return float(num[0]) / float(den[0])
 
 
@@ -51,7 +52,7 @@ def fit_nw(sample: TrainingSample, h: float, grid: EvalGrid) -> RegressionCurve:
     """Kernel regression curve on a grid; degenerate points carry NaN."""
     if not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
-    den, num = _kernel_moments(lambda u: _gauss(u, h), grid.points, sample.w, sample.y)
+    den, num = _kernel_moments(lambda u, span: _gauss(u, h, span), grid.points, sample.w, sample.y)
     return _ratio_curve(grid, den, num, {"estimator": "nadaraya-watson", "bandwidth": h})
 
 

@@ -437,7 +437,7 @@ def _fit_replicate(scn, spec, grid, rng, points, coverage_points, alpha):
     if spec.method == "nw":
         sample = data.noisy_training()
         h = cv_bandwidth(sample) if spec.bandwidth == "cv" else float(spec.bandwidth)
-        curve, kernel = fit_nw(sample, h, grid), lambda u: _gauss(u, h)
+        curve, kernel = fit_nw(sample, h, grid), lambda u, span: _gauss(u, h, span)
     else:
         density = make_density(scn) if spec.density == "true" else spec.density
         sample = data.training()

@@ -404,6 +404,23 @@ class TestSimulate:
         assert list(deciles) == ["x", "d1", "d5", "d9"]
         assert len(deciles["x"]) == 5
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_thread_count_below_one_is_a_usage_error(self, value, source, monkeypatch,
+                                                     tmp_path, capsys):
+        out = tmp_path / "report.json"
+        args = self.ARGS + ["--out", str(out)]
+        if source == "flag":
+            args += ["--threads", value]
+        else:
+            monkeypatch.setenv("COARSEREG_THREADS", value)
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert f"--threads: expects a whole number of at least 1, got '{value}'" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_threads_from_environment(self, monkeypatch):
         monkeypatch.setenv("COARSEREG_THREADS", "3")
         assert build_parser().parse_args(self.ARGS).threads == 3

@@ -1,4 +1,6 @@
 import math
+from contextlib import suppress
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from coarsereg import (
-    ErrorDensity, EvalGrid, MissingCFError, TrainingSample, UnsupportedDerivativeError, fit_known,
-    fit_nw,
+    DegenerateDenominatorError, ErrorDensity, EvalGrid, MissingCFError, TrainingSample,
+    UnsupportedDerivativeError, densities, fit_known, fit_nw, known,
 )
 from coarsereg.densities import _EXP_FAST_MIN, _EXP_ZERO, _exp_into
 
@@ -288,6 +290,59 @@ class TestExpInto:
     def test_no_clamp_above_fast_path_floor(self):
         a = np.linspace(_EXP_FAST_MIN, 0.0, 5001)
         assert _exp_into(a.copy()).tobytes() == np.exp(a).tobytes()
+
+    class _CountingMin(np.ndarray):
+        """An array that counts the calls of its ``min``: the search pass for
+        lanes below the fast path's floor."""
+
+        calls = 0
+
+        def min(self, *args, **kwargs):
+            type(self).calls += 1
+            return super().min(*args, **kwargs)
+
+    @pytest.mark.parametrize("lower, searches", [(np.nextafter(_EXP_FAST_MIN, 0.0), 0),
+                                                 (_EXP_FAST_MIN, 0),
+                                                 (np.nextafter(_EXP_FAST_MIN, -np.inf), 1),
+                                                 (-np.inf, 1), (np.nan, 1)])
+    def test_a_lower_bound_at_the_floor_skips_the_search(self, lower, searches):
+        # the bits are np.exp's either way; a bound below the floor, or none,
+        # still searches, and finds the lanes of the subnormal band
+        for values in (np.linspace(_EXP_FAST_MIN, 0.0, 999), self.exponents().ravel()):
+            if searches == 0 and values.min() < _EXP_FAST_MIN:
+                continue  # such a bound would not hold
+            a = values.copy().view(self._CountingMin)
+            self._CountingMin.calls = 0
+            got = _exp_into(a, lower)
+            assert self._CountingMin.calls == searches
+            assert got.view(np.ndarray).tobytes() == np.exp(values).tobytes()
+
+    @given(st.integers(1, 50), st.integers(2, 30), st.integers(0, 2**32 - 1),
+           st.sampled_from(["gaussian", "laplace", "nw"]), st.floats(1e-3, 10.0),
+           st.sampled_from([1.0, 1e3]))
+    def test_the_kernels_bounds_hold(self, n, g, seed, kind, scale, spread):
+        # every bound a kernel pass of one-row blocks hands _exp_into is at
+        # most its lowest argument, and near data it clears the floor,
+        # skipping the search
+        rng = np.random.default_rng(seed)
+        s = TrainingSample(spread * rng.uniform(0.0, 1.0, n), rng.normal(size=n))
+        grid = EvalGrid.linspace(-spread, 2.0 * spread, g)
+        seen = []
+
+        def checked(arg, lower=-np.inf):
+            seen.append((lower, arg.min()))
+            return _exp_into(arg, lower)
+
+        with mock.patch.object(densities, "_exp_into", checked), \
+                mock.patch.object(known, "_BLOCK_BYTES", 8 * n), \
+                suppress(DegenerateDenominatorError):  # a curve undefined everywhere
+            if kind == "nw":
+                fit_nw(s, scale, grid)
+            else:
+                fit_known(s, getattr(ErrorDensity, kind)(scale), grid)
+        assert seen and all(lower <= least for lower, least in seen)
+        if spread == 1.0 and scale >= 0.1:
+            assert all(lower >= _EXP_FAST_MIN for lower, _ in seen)
 
     @given(st.lists(st.one_of(st.floats(-1100.0, 0.0),
                               st.floats(_EXP_ZERO, _EXP_FAST_MIN, exclude_max=True),

@@ -325,7 +325,8 @@ class TestPointMoments:
             w = rng.uniform(0, 1, n)
             s = TrainingSample(w, np.cos(3 * w) + rng.normal(0, 0.5, n))
             xs = tuple(float(x) for x in np.linspace(0.25, 0.75, 5))
-            den, num, var = known._moments_at(err.pdf, xs, s.w, s.y, known._centered_variance)
+            den, num, var = known._moments_at(err._pdf_into, xs, s.w, s.y,
+                                              known._centered_variance)
             for i, x in enumerate(xs):
                 lo, hi = pointwise_ci(s, err, x, 0.05)
                 est = float(num[i]) / float(den[i])
@@ -337,7 +338,7 @@ class TestPointMoments:
     def test_first_degenerate_point_is_named(self):
         s = TrainingSample([0.0, 0.1], [1.0, 2.0])
         with pytest.raises(DegenerateDenominatorError, match="at x=7.0"):
-            known._moments_at(ErrorDensity.uniform(0.5).pdf, (0.0, 7.0, 5.0), s.w, s.y)
+            known._moments_at(ErrorDensity.uniform(0.5)._pdf_into, (0.0, 7.0, 5.0), s.w, s.y)
 
 
 def pointwise_loop(sample, err, grid, alpha):
@@ -471,9 +472,9 @@ class TestBandKernelPasses:
         cells = []
         pdf_into = ErrorDensity._pdf_into
 
-        def counting(self, u):
+        def counting(self, u, span):
             cells.append(np.size(u))
-            return pdf_into(self, u)
+            return pdf_into(self, u, span)
 
         monkeypatch.setattr(ErrorDensity, "_pdf_into", counting)
         rng = np.random.default_rng(53)

@@ -327,9 +327,9 @@ class TestRunReplications:
         shapes = []
         pdf_into = ErrorDensity._pdf_into
 
-        def recording(self, u):
+        def recording(self, u, span):
             shapes.append(np.shape(u))
-            return pdf_into(self, u)
+            return pdf_into(self, u, span)
 
         monkeypatch.setattr(ErrorDensity, "_pdf_into", recording)
         run_replications(LOGISTIC, EstimatorSpec(), reps=4,
