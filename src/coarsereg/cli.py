@@ -235,7 +235,6 @@ def _cmd_simulate(args):
         coverage_points=_parse_points(args.coverage_at),
         alpha=args.alpha,
         rmse_points=_parse_points(args.rmse_at),
-        threads=args.threads,
     )
     if args.out is not None:
         deciles = [report.decile_curves[k]["values"] for k in ("d1", "d5", "d9")]
@@ -322,10 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coverage-at", default="", help="comma-separated points")
     p.add_argument("--rmse-at", default="", help="comma-separated points")
     p.add_argument("--alpha", type=float, default=0.05)
-    # a string default is converted by ``type`` only when simulate is parsed
-    p.add_argument("--threads", type=_thread_count,
-                   default=os.environ.get("COARSEREG_THREADS", "1"),
-                   help="worker threads for the replicates (at least 1)")
+    p.add_argument("--threads", type=_thread_count, default=1,
+                   help="at least 1; ignored, as the replicates' work picks their threads")
 
     return parser
 

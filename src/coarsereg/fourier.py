@@ -24,7 +24,7 @@ import numpy as np
 from .data import EvalGrid, RegressionCurve, ReplicatedSample, TrainingSample
 from .densities import ErrorDensity
 from .errors import MissingDecayError, ResolutionError
-from .known import _block_len, _ratio_curve, _row_blocks
+from .known import _block_len, _joined, _ratio_curve, _row_blocks
 
 # Minimum number of positive-frequency nodes between 0 and the cutoff.
 MIN_NODES = 16
@@ -134,7 +134,7 @@ def _mean_exp(t: np.ndarray, points: np.ndarray, weights=None):
                 e *= weights
             yield start, (plain, None if weights is None else e.sum(axis=1) * scale)
 
-    return _row_blocks(blocks_of, len(t), step, len(points))
+    return _joined(_row_blocks(blocks_of, len(t), step, len(points)))
 
 
 def error_cf_from_replicates(rep: ReplicatedSample, t) -> CfTable:
@@ -380,7 +380,7 @@ def invert_cf(
             np.multiply(e, weighted_w, out=product)
             yield start, (den, product.sum(axis=1) / (2.0 * math.pi))
 
-    den, num = _row_blocks(blocks_of, len(x), step, len(t))
+    den, num = _joined(_row_blocks(blocks_of, len(x), step, len(t)))
 
     for name, arr in (("denominator", den), ("numerator", num)):
         residue = np.abs(arr.imag)

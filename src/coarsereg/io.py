@@ -46,14 +46,14 @@ def format_float(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _parse_float(text: str, *, path, line, column) -> float:
+def _parse_float(text: str, *, path, line, column, finite=True) -> float:
     try:
         v = float(text)
     except ValueError:
         raise DataFormatError(
             f"invalid number {text!r}", file=str(path), line=line, column=column
         ) from None
-    if not math.isfinite(v):
+    if finite and not math.isfinite(v):
         raise DataFormatError(
             f"non-finite value {text!r}", file=str(path), line=line, column=column
         )
@@ -61,11 +61,12 @@ def _parse_float(text: str, *, path, line, column) -> float:
 
 
 def _read_rows(path, columns, *, named=False):
-    """Non-blank data rows of a CSV as ``(line number, stripped cells)``.
+    """Cell names and non-blank rows ``(line number, stripped cells)`` of a CSV.
 
     The header must be exactly ``columns``. With ``named`` it need only
     contain them, matched case-insensitively; each row's cells then come
-    back in ``columns`` order and other columns are dropped unparsed.
+    back in ``columns`` order and other columns are dropped unparsed. With
+    ``columns`` None any header is taken, even with no rows under it.
     """
     try:
         handle = open(path, newline="")
@@ -89,7 +90,7 @@ def _read_rows(path, columns, *, named=False):
                     line=1,
                 )
             picks = [lookup[c.lower()] for c in columns]
-        elif header != list(columns):
+        elif columns is not None and header != list(columns):
             raise DataFormatError(
                 f"expected header {','.join(columns)!r}, got {','.join(header)!r}",
                 file=str(path),
@@ -107,18 +108,18 @@ def _read_rows(path, columns, *, named=False):
                 )
             cells = [cell.strip() for cell in row]
             rows.append((lineno, cells if picks is None else [cells[i] for i in picks]))
-        if not rows:
+        if not rows and columns is not None:
             raise DataFormatError("no data rows", file=str(path), line=2)
-    return rows
+    return (header if columns is None else list(columns)), rows
 
 
-def _parse_columns(path, rows, names) -> list:
-    """One float array per name from :func:`_read_rows` cells; the first bad
-    cell in file order raises."""
+def _parse_columns(path, rows, names, finite=True) -> list:
+    """One float array per name from :func:`_read_rows` cells, finite unless
+    ``finite`` is false; the first bad cell in file order raises."""
     values = [[] for _ in names]
     for lineno, cells in rows:
         for col, name, text in zip(values, names, cells):
-            col.append(_parse_float(text, path=path, line=lineno, column=name))
+            col.append(_parse_float(text, path=path, line=lineno, column=name, finite=finite))
     return [np.array(v) for v in values]
 
 
@@ -183,7 +184,7 @@ def _read_numeric(path, columns) -> list:
     fast = _read_fast(path, columns)
     if fast is not None:
         return fast
-    return _parse_columns(path, _read_rows(path, columns), columns)
+    return _parse_columns(path, _read_rows(path, columns)[1], columns)
 
 
 def read_training_csv(path) -> TrainingSample:
@@ -194,7 +195,7 @@ def read_replicates_csv(path) -> ReplicatedSample:
     header = ("group", "u")
     parsed = _read_fast(path, header, labelled=True)
     if parsed is None:  # the row-wise path numbers labels the same way
-        rows = _read_rows(path, header)
+        _, rows = _read_rows(path, header)
         index: dict = {}
         indices = np.array([index.setdefault(cells[0], len(index)) for _, cells in rows])
         (values,) = _parse_columns(path, [(n, cells[1:]) for n, cells in rows], ("u",))
@@ -222,7 +223,7 @@ def read_columns(path, names) -> dict:
     are ignored. Returns ``{name: array}`` keyed by ``names`` as given.
     """
     names = tuple(names)
-    return dict(zip(names, _parse_columns(path, _read_rows(path, names, named=True), names)))
+    return dict(zip(names, _parse_columns(path, _read_rows(path, names, named=True)[1], names)))
 
 
 def atomic_write_text(path, text: str):
@@ -262,19 +263,10 @@ def curve_csv_text(curve: RegressionCurve) -> str:
 
 
 def read_curve_csv(path) -> dict:
-    """Read a curve CSV back into column arrays (round-trip helper)."""
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise DataFormatError(str(exc), file=str(path)) from None
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        cols: dict = {name: [] for name in header}
-        for row in reader:
-            for name, cell in zip(header, row):
-                cols[name].append(float(cell))
-    return {name: np.array(vals) for name, vals in cols.items()}
+    """Read a written table, as a curve's, back into column arrays by header
+    name (round-trip helper); ``nan`` marks an undefined point."""
+    names, rows = _read_rows(path, None)
+    return dict(zip(names, _parse_columns(path, rows, names, finite=False)))
 
 
 def _jsonable(obj):

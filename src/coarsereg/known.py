@@ -76,11 +76,10 @@ os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _row_blocks(blocks_of, rows, step, width, serial=False):
-    """The per-row arrays (or None) of a pass over ``rows`` rows of ``width``
-    cells in blocks of ``step`` rows, each joined in row order.
-    ``blocks_of(starts)`` yields ``(start, arrays)`` for each block start it
-    takes from the iterator ``starts``, reusing its buffers from block to
-    block.
+    """Each block's value, in row order, from a pass over ``rows`` rows of
+    ``width`` cells in blocks of ``step`` rows. ``blocks_of(starts)`` yields
+    ``(start, value)`` for each block start it takes from the iterator
+    ``starts``, reusing its buffers from block to block.
 
     The calling thread and the persistent pool thread share the blocks: each
     takes the next block when done with its last, so a thread late to start
@@ -88,15 +87,16 @@ def _row_blocks(blocks_of, rows, step, width, serial=False):
     never waits for one that has not started. The pool thread runs in a copy
     of the caller's context, so its ``np.errstate`` holds there too; numpy
     drops the interpreter lock in the ufuncs and reductions the passes call.
-    As each row's values depend on that row alone, the arrays are the serial
-    ones, bit for bit, and the error of the first failing block is raised,
-    as in one serial pass.
+    As each block's value depends on that block alone, the values are the
+    serial ones, bit for bit, and the error of the first failing block is
+    raised, as in one serial pass.
 
     The pass runs serially when ``serial`` is set (it runs user code, which
-    need not be thread-safe), below ``_POOL_MIN_CELLS`` cells, off the main
-    thread, so that the replicate threads of ``simulate --threads`` start no
-    pools of their own, when this process may run on one CPU only
-    (``taskset``, cgroups), or with fewer than two blocks per thread.
+    need not be thread-safe, or its blocks are too small to pay), below
+    ``_POOL_MIN_CELLS`` cells, off the main thread (a pooled pass's blocks
+    start no pool), when this process may run on one CPU only (``taskset``,
+    cgroups), or with fewer than two blocks per thread. A pass begun in a
+    caller's block queues behind the busy pool thread; the caller runs it.
     """
     global _pool
     starts = iter(range(0, rows, step))
@@ -136,10 +136,16 @@ def _row_blocks(blocks_of, rows, step, width, serial=False):
         if error is not None:
             raise error
         done = sorted(done + helped, key=lambda block: block[0])
-    if len(done) == 1:
-        return done[0][1]
+    return [value for _, value in done]
+
+
+def _joined(blocks):
+    """The per-row arrays (or None) of a pass's :func:`_row_blocks` values,
+    each joined in row order."""
+    if len(blocks) == 1:
+        return blocks[0]
     return tuple(None if arrays[0] is None else np.concatenate(arrays)
-                 for arrays in zip(*(block for _, block in done)))
+                 for arrays in zip(*blocks))
 
 
 def _defined(den):
@@ -206,7 +212,7 @@ def _kernel_moments(kernel, x, w, y, per_row=None):
 
     # a custom density's pdf is the user's code, which need not be thread-safe
     custom = getattr(getattr(kernel, "__self__", None), "kind", None) == "custom"
-    moments = _row_blocks(blocks_of, len(x), step, len(w), serial=custom)
+    moments = _joined(_row_blocks(blocks_of, len(x), step, len(w), serial=custom))
     return moments[:2] if per_row is None else moments
 
 

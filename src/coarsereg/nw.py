@@ -42,16 +42,16 @@ def _gauss(u, h, span):
 
 def nw_estimate(sample: TrainingSample, h: float, x: float) -> float:
     """Kernel-weighted response average at ``x`` with bandwidth ``h``."""
-    if not h > 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    if not 0 < h < np.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {h}")
     den, num = _moments_at(lambda u, span: _gauss(u, h, span), x, sample.w, sample.y)
     return float(num[0]) / float(den[0])
 
 
 def fit_nw(sample: TrainingSample, h: float, grid: EvalGrid) -> RegressionCurve:
     """Kernel regression curve on a grid; degenerate points carry NaN."""
-    if not h > 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    if not 0 < h < np.inf:  # an infinite h would give the flat curve mean(y)
+        raise ValueError(f"bandwidth must be positive and finite, got {h}")
     den, num = _kernel_moments(lambda u, span: _gauss(u, h, span), grid.points, sample.w, sample.y)
     return _ratio_curve(grid, den, num, {"estimator": "nadaraya-watson", "bandwidth": h})
 

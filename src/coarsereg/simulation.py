@@ -23,13 +23,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
+from . import known
 from .data import EvalGrid, RegressionCurve, TrainingSample
 from .densities import ErrorDensity
 from .errors import CoarseRegError, DegenerateDenominatorError
@@ -38,7 +38,7 @@ from .io import _jsonable
 from .known import (
     _block_len, _centered_variance, _defined, _golden_section, _moments_at, fit_known,
 )
-from .nw import _gauss, cv_bandwidth, fit_nw
+from .nw import _CV_POINTS, _gauss, cv_bandwidth, fit_nw
 
 logger = logging.getLogger(__name__)
 
@@ -389,8 +389,9 @@ class EstimatorSpec:
             if not (self.density == "true" or isinstance(self.density, ErrorDensity)):
                 raise ValueError("density must be 'true' or an ErrorDensity")
         elif self.bandwidth != "cv":
-            if not (isinstance(self.bandwidth, (int, float)) and self.bandwidth > 0):
-                raise ValueError(f"bandwidth must be 'cv' or positive, got {self.bandwidth}")
+            if not (isinstance(self.bandwidth, (int, float)) and 0 < self.bandwidth < math.inf):
+                raise ValueError(f"bandwidth must be 'cv' or positive and finite, "
+                                 f"got {self.bandwidth}")
 
     def as_dict(self) -> dict:
         density = self.density if isinstance(self.density, str) else self.density.describe()
@@ -470,8 +471,13 @@ def run_replications(
     """Run ``reps`` independent replicates and summarize.
 
     Per-replicate generators derive from (master_seed, replicate index), so
-    the report is byte-identical for a given seed regardless of the thread
-    count. Estimator failures are tallied, not fatal.
+    the report is byte-identical for a given seed however the replicates
+    run: serially, or shared by the calling thread and the pool thread of
+    :func:`known._row_blocks` when one replicate's dense work (grid points x
+    n, plus n^2 per LOO-CV bandwidth of an NW study) reaches
+    ``known._POOL_MIN_CELLS`` and the density is not a custom one.
+    ``threads`` is accepted and ignored. Estimator failures are tallied, not
+    fatal; any other error of the first replicate raising one is raised.
 
     Confidence-interval coverage is only defined for the known-error
     estimator.
@@ -489,25 +495,24 @@ def run_replications(
     truth_at = {p: true_regression(scn, p) for p in points}
     truth = _truth(scn, grid.points)
 
-    def one(idx):
-        rng = np.random.default_rng((master_seed, idx))
-        try:
-            curve, at, ci = _fit_replicate(scn, spec, grid, rng, points, coverage_points, alpha)
-        except CoarseRegError as exc:
-            logger.warning("replicate %d failed: %s", idx, exc)
-            return None
-        return {
-            "ise": _ise(grid.points, curve.values, truth),
-            "values": curve.values,
-            "at": at,
-            "ci": ci,
-        }
+    def blocks_of(starts):  # one replicate per block
+        for idx in starts:
+            rng = np.random.default_rng((master_seed, idx))
+            try:
+                curve, at, ci = _fit_replicate(scn, spec, grid, rng, points, coverage_points,
+                                               alpha)
+            except CoarseRegError as exc:
+                logger.warning("replicate %d failed: %s", idx, exc)
+                yield idx, None
+            else:
+                yield idx, {"ise": _ise(grid.points, curve.values, truth),
+                            "values": curve.values, "at": at, "ci": ci}
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(reps)))
-    else:
-        results = [one(i) for i in range(reps)]
+    cv = spec.method == "nw" and spec.bandwidth == "cv"
+    cells = scn.n * (len(grid.points) + cv * _CV_POINTS * scn.n)
+    custom = getattr(spec.density, "kind", None) == "custom"  # its pdf need not be thread-safe
+    results = known._row_blocks(blocks_of, reps, 1, cells,
+                                serial=custom or cells < known._POOL_MIN_CELLS)
 
     ok = [r for r in results if r is not None]
     failures = reps - len(ok)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coarsereg import DataFormatError, EvalGrid, RegressionCurve
-from coarsereg.cli import build_parser, main, parse_delta, parse_grid
+from coarsereg.cli import main, parse_delta, parse_grid
 from coarsereg.fourier import MAX_T_NODES
 from coarsereg.io import (
     curve_csv_text,
@@ -254,6 +254,18 @@ class TestCliCommands:
         assert code == 0
         assert out.read_text().splitlines()[0] == "x,m_hat"
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_nw_bad_bandwidth_error_record(self, value, train_csv, tmp_path, capsys):
+        out = tmp_path / "nw.csv"
+        code = main(["nw", "--train", str(train_csv), "--grid", "0:1:9",
+                     "--bandwidth", value, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        message = f"bandwidth must be positive and finite, got {float(value)}"
+        assert json.loads(err) == {"error": message}
+        assert not out.exists()
+
     def test_extrema_and_zeros(self, train_csv, tmp_path):
         out = tmp_path / "e.csv"
         code = main(["extrema", "--train", str(train_csv),
@@ -361,15 +373,6 @@ class TestCliCommands:
         assert f"needs {2 * round(1e12 / 1e-3) + 1} frequency nodes" in message
         assert message.endswith(f"limit of {MAX_T_NODES}")
 
-    def test_bad_thread_env_only_breaks_simulate(self, train_csv, monkeypatch, capsys):
-        monkeypatch.setenv("COARSEREG_THREADS", "two")
-        assert main(["fit-known", "--train", str(train_csv),
-                     "--delta", "gaussian:0.144", "--grid", "0:1:3"]) == 0
-        with pytest.raises(SystemExit) as exc:
-            main(TestSimulate.ARGS)
-        assert exc.value.code == 2
-        assert "--threads" in capsys.readouterr().err
-
 
 class TestSimulate:
     ARGS = ["simulate", "--model", "logistic", "--n", "40", "--nsdelta", "0.25",
@@ -405,26 +408,16 @@ class TestSimulate:
         assert len(deciles["x"]) == 5
 
     @pytest.mark.parametrize("value", ["0", "-2"])
-    @pytest.mark.parametrize("source", ["flag", "environment"])
-    def test_thread_count_below_one_is_a_usage_error(self, value, source, monkeypatch,
-                                                     tmp_path, capsys):
+    @pytest.mark.parametrize("source", ["flag"])  # the one source of the count
+    def test_thread_count_below_one_is_a_usage_error(self, value, source, tmp_path, capsys):
         out = tmp_path / "report.json"
-        args = self.ARGS + ["--out", str(out)]
-        if source == "flag":
-            args += ["--threads", value]
-        else:
-            monkeypatch.setenv("COARSEREG_THREADS", value)
+        args = self.ARGS + ["--out", str(out), "--threads", value]
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
         assert f"--threads: expects a whole number of at least 1, got '{value}'" in \
             capsys.readouterr().err
         assert not out.exists()
-
-    def test_threads_from_environment(self, monkeypatch):
-        monkeypatch.setenv("COARSEREG_THREADS", "3")
-        assert build_parser().parse_args(self.ARGS).threads == 3
-        assert build_parser().parse_args(self.ARGS + ["--threads", "2"]).threads == 2
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         a = tmp_path / "a.json"

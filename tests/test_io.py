@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from coarsereg import DataFormatError, ReplicatedSample
 from coarsereg import io as cio
 from coarsereg.heart import heart_disease_calibration
-from coarsereg.io import read_columns, read_pairs_csv, read_replicates_csv, read_training_csv
+from coarsereg.io import (
+    read_columns, read_curve_csv, read_pairs_csv, read_replicates_csv, read_training_csv,
+)
 
 
 def examples(count):
@@ -220,6 +222,35 @@ def test_errors_keep_their_location(tmp_path):
     assert err.value.record() == {
         "error": "invalid number 'x'", "file": str(path), "line": 4, "column": "y"
     }
+
+
+@pytest.mark.parametrize(
+    "text, record",
+    [
+        ("", {"error": "empty file", "line": 1, "column": None}),
+        ("x,m_hat\n0.5,nan\n1,x\n", {"error": "invalid number 'x'", "line": 3,
+                                        "column": "m_hat"}),
+        ("x,m_hat\n0.5,1\n1\n", {"error": "expected 2 fields, got 1", "line": 3,
+                                    "column": None}),
+    ],
+)
+def test_curve_reader_locates_faults(tmp_path, text, record):
+    path = tmp_path / "c.csv"
+    path.write_text(text)
+    with pytest.raises(DataFormatError) as err:
+        read_curve_csv(path)
+    assert err.value.record() == {**record, "file": str(path)}
+
+
+def test_curve_reader_takes_any_header_nan_and_no_rows(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("x, d1\n0.5,nan\n\n1,-inf\n")
+    got = read_curve_csv(path)
+    assert list(got) == ["x", "d1"]
+    np.testing.assert_array_equal(got["x"], [0.5, 1.0])
+    np.testing.assert_array_equal(got["d1"], [np.nan, -np.inf])
+    path.write_text("location\n")  # a zeros table with no crossing
+    assert {k: v.tolist() for k, v in read_curve_csv(path).items()} == {"location": []}
 
 
 def test_missing_file_record(tmp_path):

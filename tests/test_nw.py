@@ -84,6 +84,15 @@ class TestNwEstimate:
         with pytest.raises(ValueError):
             nw_estimate(s, 0.0, 0.5)
 
+    @pytest.mark.parametrize("h", [np.inf, np.nan])
+    def test_non_finite_bandwidth_is_refused(self, h):
+        # an infinite bandwidth gave the flat curve mean(y) on every grid
+        s = TrainingSample([0.0, 0.5, 1.0], [0.0, 1.0, 3.0])
+        with pytest.raises(ValueError, match="positive and finite"):
+            nw_estimate(s, h, 0.5)
+        with pytest.raises(ValueError, match="positive and finite"):
+            fit_nw(s, h, EvalGrid.linspace(0.0, 1.0, 3))
+
 
 class TestCvBandwidth:
     @staticmethod
@@ -232,7 +241,8 @@ class TestCvBandwidth:
             cv_bandwidth(s)
 
     def test_config_validation(self):
-        for bandwidth in (-1.0, 0, "CV"):
+        # an infinite bandwidth was accepted and reported as null
+        for bandwidth in (-1.0, 0, "CV", float("inf"), float("nan")):
             with pytest.raises(ValueError, match="'cv' or positive"):
                 EstimatorSpec(method="nw", bandwidth=bandwidth)
 

@@ -1,6 +1,7 @@
 """The worker pool of the blocked passes (``known._row_blocks``): a pass split
 over worker threads gives the serial pass's bits, raises the serial pass's
-errors and honours the caller's ``np.errstate``."""
+errors and honours the caller's ``np.errstate``. A replication study's
+replicates are the blocks of one such pass."""
 
 import os
 import subprocess
@@ -15,7 +16,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coarsereg import DegenerateDenominatorError, ErrorDensity, fourier, known
+from coarsereg import (
+    DegenerateDenominatorError, ErrorDensity, EstimatorSpec, ScenarioConfig, fourier, known,
+    run_replications, simulation,
+)
 from coarsereg.known import _centered_variance, _flat_support, _kernel_moments, _moments_at
 from coarsereg.nw import _gauss
 
@@ -174,6 +178,94 @@ def test_serial_off_the_main_thread_and_for_custom_densities():
         side.join(timeout=60)
         assert not side.is_alive()
         assert threads == [side.name]
+
+
+M1 = ScenarioConfig(model="m1", n=60, predictor_noise=0.25, response_noise=0.1, seed=5)
+
+
+def replicate_threads(delay=0.0):
+    """Patch the study's data draw to record the thread of each replicate,
+    the caller's first draw sleeping ``delay`` seconds so that the pool
+    thread, if the study starts one, takes the next replicates."""
+    threads, generate, delays = [], simulation.generate, [delay]
+
+    def recording(scn, rng):
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(delays.pop() if delays else 0.0)
+        threads.append(threading.current_thread().name)
+        return generate(scn, rng)
+
+    return threads, mock.patch.object(simulation, "generate", recording)
+
+
+def test_custom_density_studies_call_the_pdf_on_one_thread():
+    threads = set()
+
+    def pdf(u):
+        threads.add(threading.current_thread().name)
+        return np.exp(-0.5 * (u / 0.1) ** 2) / (0.1 * np.sqrt(2.0 * np.pi))
+
+    spec = EstimatorSpec(density=ErrorDensity.custom(pdf, scale=0.1))
+    with pool_of(2):
+        report = run_replications(M1, spec, reps=8, master_seed=3, rmse_points=(0.5,),
+                                  threads=2)
+    assert report.failures == 0
+    assert threads == {"MainThread"}
+
+
+@pytest.mark.parametrize("spec, points", [
+    (EstimatorSpec(), dict(coverage_points=(0.25, 0.5), rmse_points=(0.5, 0.75))),
+    (EstimatorSpec(method="nw"), dict(rmse_points=(0.5,))),
+])
+def test_pooled_studies_give_the_serial_bytes(spec, points):
+    with pool_of(1):
+        want = run_replications(M1, spec, reps=8, master_seed=9, **points).to_json()
+    threads, recording = replicate_threads(delay=0.2)
+    with pool_of(2), recording:
+        assert run_replications(M1, spec, reps=8, master_seed=9, **points).to_json() == want
+    assert any(name.startswith("coarsereg-rows") for name in threads)
+
+
+def test_a_replicate_error_is_raised_as_in_the_serial_loop():
+    # replicates 0 and 3 raise; the caller's replicate 0 raises last, after
+    # the pool thread has raised on replicate 3
+    states = [np.random.default_rng((9, idx)).bit_generator.state for idx in range(8)]
+    fit, threads, delay = simulation._fit_replicate, set(), [0.0]
+
+    def failing(scn, spec, grid, rng, *args):
+        idx = states.index(rng.bit_generator.state)
+        threads.add(threading.current_thread().name)
+        if idx in (0, 3):
+            time.sleep(delay.pop() if idx == 0 and delay else 0.0)
+            raise RuntimeError(f"replicate {idx}")
+        return fit(scn, spec, grid, rng, *args)
+
+    def study():
+        with mock.patch.object(simulation, "_fit_replicate", failing):
+            run_replications(M1, EstimatorSpec(), reps=8, master_seed=9)
+
+    with pool_of(1), pytest.raises(RuntimeError, match="replicate 0"):
+        study()
+    delay[:] = [0.2]
+    threads.clear()
+    with pool_of(2), pytest.raises(RuntimeError, match="replicate 0"):
+        study()
+    assert any(name.startswith("coarsereg-rows") for name in threads)
+
+
+@pytest.mark.parametrize("method, scn, pooled", [
+    # the largest known cell of the benchmark: 101 x 500 cells per replicate
+    ("known", ScenarioConfig(model="logistic", n=500, predictor_noise=0.5,
+                             error_kind="uniform", seed=1), False),
+    # an NW cell: 101 x 250 cells and 32 LOO-CV passes of 250 x 250
+    ("nw", ScenarioConfig(model="sine2", n=250, predictor_noise=0.25, seed=2), True),
+])
+def test_a_study_pools_its_replicates_by_their_work(method, scn, pooled):
+    threads, recording = replicate_threads(delay=0.2)
+    with mock.patch.object(known.os, "sched_getaffinity", lambda pid: {0, 1}), recording:
+        run_replications(scn, EstimatorSpec(method=method), reps=5, master_seed=4)
+    assert any(name.startswith("coarsereg-rows") for name in threads) == pooled
+    assert len(threads) == 5
 
 
 CHILD = """
