@@ -126,12 +126,20 @@ def _row_blocks(blocks_of, rows, step, width, serial=False):
 
         if _pool is None:
             _pool = ThreadPoolExecutor(1, thread_name_prefix="coarsereg-rows")
-        future = _pool.submit(contextvars.copy_context().run, run)
+        # a call cancelled behind the busy pool thread stays in its queue
+        # until that thread comes free; emptying `job` lets the pass's
+        # arrays go at once
+        job = [run]
+        future = _pool.submit(contextvars.copy_context().run, lambda: job.pop()())
         try:
             done = run()
         finally:
             failures.append((rows, None))  # stops the pool thread if the caller failed
-            helped = [] if future.cancel() else future.result()
+            if future.cancel():
+                job.clear()
+                helped = []
+            else:
+                helped = future.result()
         _, error = min(failures, key=lambda failure: failure[0])
         if error is not None:
             raise error
@@ -140,11 +148,13 @@ def _row_blocks(blocks_of, rows, step, width, serial=False):
 
 
 def _joined(blocks):
-    """The per-row arrays (or None) of a pass's :func:`_row_blocks` values,
-    each joined in row order."""
+    """The per-row arrays of a pass's :func:`_row_blocks` values, each joined
+    in row order; a block's None stands for no rows, and None in every block
+    gives None."""
     if len(blocks) == 1:
         return blocks[0]
-    return tuple(None if arrays[0] is None else np.concatenate(arrays)
+    return tuple(None if all(a is None for a in arrays)
+                 else np.concatenate([a for a in arrays if a is not None])
                  for arrays in zip(*blocks))
 
 
@@ -161,58 +171,98 @@ def _row_mean(a):
     return np.add.reduce(a, axis=1) / a.shape[1]
 
 
-def _kernel_moments(kernel, x, w, y, per_row=None):
+def _kernel_moments(kernel, x, w, y, per_row=None, at=None):
     """den ``mean(k, axis=1)`` and num ``mean(k * y, axis=1)`` for
     ``k = kernel(x[:, None] - w[None, :], span)`` built in blocks of grid
     rows, with ``span`` at least every offset's absolute value in the block;
     with ``per_row`` (:func:`_centered_variance` or :func:`_flat_support`),
-    also its values on each block, given the responses less their median.
+    also its values on each block's rows, or on those of the ascending row
+    indices ``at`` alone, given the responses less their median.
+
+    ``w`` and ``y`` may also be (c, n) stacks of c samples. The rows are then
+    x's rows on each sample in turn, so den and num have c * len(x) entries
+    and ``per_row`` c * len(at), sample by sample. A block of a stack holds
+    whole samples (one at least), and the pass shares its blocks with the
+    pool thread only when one sample's len(x) * n cells would.
+
     ``kernel`` may overwrite its argument, a block buffer reused by every
     block, and return it. Each row's values depend on that row alone: not on
-    the blocking, the thread of :func:`_row_blocks` that computes it, nor on
-    the BLAS library or its thread count.
+    the blocking, the other samples of a stack, the thread of
+    :func:`_row_blocks` that computes it, nor on the BLAS library or its
+    thread count.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    step = _block_len(len(w))
-    yc = None if per_row is None else y - np.median(y)
-    if len(x) > step:
+    w, y = np.atleast_2d(w), np.atleast_2d(y)
+    at = None if at is None else [int(row) for row in at]
+    (c, n), g = w.shape, len(x)
+    step = _block_len(n)
+    if g and (c > 1 or step >= g):  # whole samples per block
+        step = max(1, step // g) * g
+    yc = None if per_row is None else y - np.median(y, axis=1, keepdims=True)
+    starts = np.arange(0, c * g, step)
+    if len(starts) > 1:
         # each block's largest |x - w|: the offsets are rounded differences,
         # and rounding is monotone, so none exceeds the rounded extreme one
-        starts = np.arange(0, len(x), step)
-        spans = np.maximum(np.maximum.reduceat(x, starts) - w.min(),
-                           w.max() - np.minimum.reduceat(x, starts)).tolist()
+        if c == 1:
+            x_hi, x_lo = np.maximum.reduceat(x, starts), np.minimum.reduceat(x, starts)
+            w_lo, w_hi = w.min(), w.max()
+        else:
+            x_hi, x_lo = x.max(), x.min()
+            w_lo = np.minimum.reduceat(w.min(axis=1), starts // g)
+            w_hi = np.maximum.reduceat(w.max(axis=1), starts // g)
+        spans = np.maximum(x_hi - w_lo, w_hi - x_lo).tolist()
     else:  # one block, whose own search for far offsets costs about as much
         spans = [np.inf]
 
     def blocks_of(starts):
         u = ky = None  # made on a thread's first block, so one given none makes none
         for start in starts:
-            rows = slice(start, start + step)
+            stop = min(start + step, c * g)
+            # the block is rows r0:r1 of x on samples s0:s1
+            s0, r0 = divmod(start, g)
+            s1, r1 = (s0 + 1, r0 + stop - start) if step < g else (stop // g, g)
+            shape = (s1 - s0, r1 - r0, n)
             if u is None:
-                u = np.empty((min(step, len(x)), len(w)))
-            offsets = np.subtract(x[rows, None], w[None, :], out=u[: len(x[rows])])
+                u = np.empty((min(step, c * g), n))
+            offsets = u[: stop - start]
+            np.subtract(x[None, r0:r1, None], w[s0:s1, None, :], out=offsets.reshape(shape))
             k = kernel(offsets, spans[start // step])
             # numpy reductions over the sample axis accumulate pairwise,
             # keeping long replication studies deterministic and
             # well-conditioned
             den = _row_mean(k)
-            if per_row is None and k is offsets:
-                scratch = k  # the kernel's own block, needed no more
-            else:
+            rows = None if at is None else [row - r0 for row in at if r0 <= row < r1]
+            # per_row runs on the block's rows of at, if it has any, and on
+            # the first block always, so that an empty at gives an empty array
+            per_block = per_row is not None and (rows is None or len(rows) > 0 or start == 0)
+            if ky is None and (per_row is not None or k is not offsets):
                 # per_row needs k beside k * y, and k may be a custom pdf's
-                # own array. The scratch is allocated after the first kernel:
-                # before it, it took fresh pages from the OS on every call
-                # (165 minor faults and 3x the time of the call at n = 250,
-                # G = 101)
-                if ky is None:
-                    ky = np.empty(k.shape)
-                scratch = ky[: len(k)]
-            num = _row_mean(np.multiply(k, y, out=scratch))
-            yield start, (den, num, None if per_row is None else per_row(k, yc, den, scratch))
+                # own array. The scratch is made after the first kernel, on
+                # the first block: made before it, or on a later block, it
+                # took fresh pages from the OS on every call (165 minor
+                # faults and 3x the time of the call at n = 250, G = 101;
+                # 398 faults per replicate of a study at n = 2e4 when made
+                # on the block of its first coverage point)
+                ky = np.empty(u.shape)
+            # without per_row, k * y overwrites the kernel's own block
+            scratch = k if not per_block and k is offsets else ky[: len(k)]
+            np.multiply(k.reshape(shape), y[s0:s1, None, :], out=scratch.reshape(shape))
+            num = _row_mean(scratch)
+            if not per_block:
+                yield start, (den, num, None)
+                continue
+            k_at, den_at, yc_at = k, den, yc[s0]
+            if rows is not None:
+                k_at = k.reshape(shape)[:, rows].reshape(-1, n)
+                den_at = den.reshape(shape[:2])[:, rows].ravel()
+            if s1 - s0 > 1:  # each row's own sample's responses
+                yc_at = np.repeat(yc[s0:s1], len(k_at) // (s1 - s0), axis=0)
+            yield start, (den, num, per_row(k_at, yc_at, den_at, scratch[: len(k_at)]))
 
     # a custom density's pdf is the user's code, which need not be thread-safe
     custom = getattr(getattr(kernel, "__self__", None), "kind", None) == "custom"
-    moments = _joined(_row_blocks(blocks_of, len(x), step, len(w), serial=custom))
+    moments = _joined(_row_blocks(blocks_of, c * g, step, n,
+                                  serial=custom or g * n < _POOL_MIN_CELLS))
     return moments[:2] if per_row is None else moments
 
 
@@ -238,14 +288,28 @@ def _centered_variance(k, yc, den, scratch=None):
 
 def _flat_support(k, yc, den, scratch=None):
     """Rows with den > 0 on whose kernel support (``k > 0``) ``yc`` takes
-    one value. ``scratch`` is unused; it keeps the signature of
+    one value; ``yc`` is one row of responses for every kernel row, or one
+    per kernel row. ``scratch`` is unused; it keeps the signature of
     :func:`_centered_variance`."""
-    if k.min() > 0:  # every row's support is the whole sample
-        flat = np.full(len(k), bool(np.all(yc == yc[0])))
+    if k.min(initial=np.inf) > 0:  # every row's support is its whole sample
+        flat = np.broadcast_to(np.all(yc == yc[..., :1], axis=-1), len(k))
     else:
-        ref = yc[np.argmax(k, axis=1)]  # a response on each row's support
-        flat = ~np.any((yc != ref[:, None]) & (k > 0), axis=1)
+        # a response on each row's support
+        ref = np.take_along_axis(np.broadcast_to(yc, k.shape), np.argmax(k, axis=1)[:, None], 1)
+        flat = ~np.any((yc != ref) & (k > 0), axis=1)
     return flat & (den > 0)  # a row with no support is not flat
+
+
+def _undefined(den, xs):
+    """The DegenerateDenominatorError naming the first point of ``xs`` where
+    ``den`` leaves the ratio undefined, or None."""
+    bad = np.flatnonzero(~_defined(den))
+    if bad.size:
+        i = bad[0]
+        return DegenerateDenominatorError(
+            f"denominator {den[i]:.3e} below {DEGENERACY_THRESHOLD:.0e} at x={xs[i]}"
+        )
+    return None
 
 
 def _moments_at(kernel, xs, w, y, per_row=None):
@@ -258,13 +322,9 @@ def _moments_at(kernel, xs, w, y, per_row=None):
         Naming the first point of ``xs`` where the ratio is undefined.
     """
     moments = _kernel_moments(kernel, xs, w, y, per_row)
-    den, xs = moments[0], np.atleast_1d(xs)
-    bad = np.flatnonzero(~_defined(den))
-    if bad.size:
-        i = bad[0]
-        raise DegenerateDenominatorError(
-            f"denominator {den[i]:.3e} below {DEGENERACY_THRESHOLD:.0e} at x={xs[i]}"
-        )
+    error = _undefined(moments[0], np.atleast_1d(xs))
+    if error is not None:
+        raise error
     return moments
 
 
@@ -407,6 +467,12 @@ def find_extremum(
     return loc, regression_at(sample, err, loc)
 
 
+def _straddle(a, b) -> bool:
+    """Whether ``a`` and ``b`` have strictly opposite signs: ``a * b < 0``
+    by comparisons, which cannot overflow or underflow."""
+    return (a < 0.0 < b) or (b < 0.0 < a)
+
+
 def find_zeros(
     sample: TrainingSample,
     err: ErrorDensity,
@@ -432,10 +498,10 @@ def find_zeros(
     roots = [
         float(xs[i])
         for i in range(1, len(xs) - 1)
-        if f[i] == 0.0 and f[i - 1] * f[i + 1] < 0
+        if f[i] == 0.0 and _straddle(f[i - 1], f[i + 1])
     ]
     for i in range(len(xs) - 1):
-        if f[i] * f[i + 1] < 0:
+        if _straddle(f[i], f[i + 1]):
             a, b = xs[i], xs[i + 1]
             fa = f[i]
             while b - a > 1e-10:
@@ -443,7 +509,7 @@ def find_zeros(
                 fm = regression_at(sample, err, mid) - level
                 if fm == 0.0:
                     a = b = mid
-                elif fa * fm < 0:
+                elif _straddle(fa, fm):
                     b = mid
                 else:
                     a, fa = mid, fm

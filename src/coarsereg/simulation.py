@@ -36,7 +36,7 @@ from .errors import CoarseRegError, DegenerateDenominatorError
 from .inference import _check_alpha, _interval
 from .io import _jsonable
 from .known import (
-    _block_len, _centered_variance, _defined, _golden_section, _moments_at, fit_known,
+    _block_len, _centered_variance, _defined, _golden_section, _moments_at,
 )
 from .nw import _CV_POINTS, _gauss, cv_bandwidth, fit_nw
 
@@ -347,21 +347,31 @@ def integrated_squared_error(curve: RegressionCurve, scn: ScenarioConfig) -> flo
     are excluded and logged.
     """
     x = curve.grid.points
-    return _ise(x, curve.values, _truth(scn, x))
+    (ise,), (skipped,) = _ise(x, curve.values, _truth(scn, x))
+    _log_excluded(skipped)
+    return float(ise)
 
 
-def _ise(x, values, truth) -> float:
-    """:func:`integrated_squared_error` given the truth on the grid ``x``."""
-    sq = (values - truth) ** 2
+def _ise(x, values, truth):
+    """:func:`integrated_squared_error` of each row of ``values`` (curves on
+    the grid ``x``) given the truth on ``x``, and the count of subintervals
+    each excludes. Each row's value is the pairwise sum of its own kept
+    terms, so it does not depend on the other rows."""
+    sq = (np.atleast_2d(values) - truth) ** 2
     ok = np.isfinite(sq)
-    both = ok[:-1] & ok[1:]
-    skipped = int(np.sum(~both))
+    both = ok[:, :-1] & ok[:, 1:]
+    terms = 0.5 * (sq[:, :-1] + sq[:, 1:]) * np.diff(x)
+    ise = np.add.reduce(terms, axis=1)
+    skipped = np.count_nonzero(~both, axis=1)
+    for row in np.flatnonzero(skipped):
+        ise[row] = np.sum(terms[row][both[row]])
+    return ise, skipped
+
+
+def _log_excluded(skipped):
     if skipped:
-        logger.info(
-            "excluded %d undefined subintervals from the squared-error integral", skipped
-        )
-    dx = np.diff(x)[both]
-    return float(np.sum(0.5 * (sq[:-1][both] + sq[1:][both]) * dx))
+        logger.info("excluded %d undefined subintervals from the squared-error integral",
+                    skipped)
 
 
 # -- replication studies ---------------------------------------------------
@@ -431,29 +441,54 @@ class StudyReport:
         return json.dumps(_jsonable(self.to_dict()), sort_keys=True, separators=(",", ":"))
 
 
+def _known_replicates(scn, density, xs, g, cover, alpha, master_seed, idxs):
+    """The results of the known-error replicates ``idxs``, from one kernel
+    pass over their samples, drawn one by one and stacked. Each sample's
+    rows are the points ``xs``: the ``g`` grid points, then the query
+    points; the variance is computed on the coverage rows ``cover`` alone.
+    Each row's values are the bits :func:`fit_known`, :func:`regression_at`
+    or :func:`inference.pointwise_ci` give that sample and point alone. A
+    replicate that fails gets its error in place of its result, as
+    :func:`fit_known` and :func:`known._moments_at` would raise it: first a
+    curve undefined on the whole grid, then the first undefined query point.
+    """
+    reps = len(idxs)
+    w, y = np.empty((reps, scn.n)), np.empty((reps, scn.n))
+    for row, idx in enumerate(idxs):
+        data = generate(scn, np.random.default_rng((master_seed, idx)))
+        w[row], y[row] = data.w, data.y
+    den, num, *var = known._kernel_moments(density._pdf_into, xs, w, y,
+                                           _centered_variance if len(cover) else None, cover)
+    den, num = den.reshape(reps, -1), num.reshape(reps, -1)
+    defined = _defined(den)
+    lo, hi = np.full((2, reps, len(xs)), np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):  # at the failing replicates' points
+        est = num / den
+        if len(cover):
+            lo[:, cover], hi[:, cover] = _interval(num[:, cover], den[:, cover],
+                                                   var[0].reshape(reps, -1), scn.n, alpha)
+    values = np.where(defined[:, :g], est[:, :g], np.nan)
+    whole_grid = ~np.any(defined[:, :g], axis=1)
+    some_point = ~np.all(defined[:, g:], axis=1)
+    return [DegenerateDenominatorError("estimate undefined on the whole grid") if whole_grid[row]
+            else known._undefined(den[row, g:], xs[g:]) if some_point[row]
+            else (values[row], est[row, g:], lo[row, g:], hi[row, g:])
+            for row in range(reps)]
+
+
 def _fit_replicate(scn, spec, grid, rng, points, coverage_points, alpha):
-    """One replicate's curve, its estimates at ``points`` and, for the
-    known-error estimator, its intervals at ``coverage_points``."""
-    data = generate(scn, rng)
-    if spec.method == "nw":
-        sample = data.noisy_training()
-        h = cv_bandwidth(sample) if spec.bandwidth == "cv" else float(spec.bandwidth)
-        curve, kernel = fit_nw(sample, h, grid), lambda u, span: _gauss(u, h, span)
-    else:
-        density = make_density(scn) if spec.density == "true" else spec.density
-        sample = data.training()
-        curve, kernel = fit_known(sample, density, grid), density._pdf_into
+    """One NW replicate's curve, its estimates at ``points`` and its
+    intervals at ``coverage_points``: none, as coverage is only defined for
+    the known-error estimator (:func:`_known_replicates`)."""
+    sample = generate(scn, rng).noisy_training()
+    h = cv_bandwidth(sample) if spec.bandwidth == "cv" else float(spec.bandwidth)
+    curve = fit_nw(sample, h, grid)
     if not points:
         return curve, {}, {}
     # one kernel for every query point; each row's moments are the bits
-    # :func:`regression_at` or :func:`nw_estimate` gives the point alone, and
-    # the variance is computed only for the intervals
-    den, num, *var = _moments_at(kernel, points, sample.w, sample.y,
-                                 _centered_variance if coverage_points else None)
-    at = {p: float(num[i]) / float(den[i]) for i, p in enumerate(points)}
-    ci = {p: _interval(float(num[i]), float(den[i]), var[0][i], sample.n, alpha)
-          for i, p in enumerate(points) if p in coverage_points}
-    return curve, at, ci
+    # :func:`nw_estimate` gives the point alone
+    den, num = _moments_at(lambda u, span: _gauss(u, h, span), points, sample.w, sample.y)
+    return curve, {p: float(num[i]) / float(den[i]) for i, p in enumerate(points)}, {}
 
 
 def run_replications(
@@ -472,12 +507,16 @@ def run_replications(
 
     Per-replicate generators derive from (master_seed, replicate index), so
     the report is byte-identical for a given seed however the replicates
-    run: serially, or shared by the calling thread and the pool thread of
-    :func:`known._row_blocks` when one replicate's dense work (grid points x
+    run. A known-error study evaluates its replicates in chunks, one
+    stacked kernel pass per chunk (:func:`_known_replicates`); an NW study
+    one replicate at a time. When one replicate's dense work (grid points x
     n, plus n^2 per LOO-CV bandwidth of an NW study) reaches
-    ``known._POOL_MIN_CELLS`` and the density is not a custom one.
+    ``known._POOL_MIN_CELLS`` and the density is not a custom one, the
+    replicates are shared, one at a time, by the calling thread and the
+    pool thread of :func:`known._row_blocks`; otherwise they run serially.
     ``threads`` is accepted and ignored. Estimator failures are tallied, not
-    fatal; any other error of the first replicate raising one is raised.
+    fatal, and logged after the replicates, in index order; any other error
+    of the first replicate raising one is raised.
 
     Confidence-interval coverage is only defined for the known-error
     estimator.
@@ -495,48 +534,75 @@ def run_replications(
     truth_at = {p: true_regression(scn, p) for p in points}
     truth = _truth(scn, grid.points)
 
-    def blocks_of(starts):  # one replicate per block
-        for idx in starts:
-            rng = np.random.default_rng((master_seed, idx))
-            try:
-                curve, at, ci = _fit_replicate(scn, spec, grid, rng, points, coverage_points,
-                                               alpha)
-            except CoarseRegError as exc:
-                logger.warning("replicate %d failed: %s", idx, exc)
-                yield idx, None
-            else:
-                yield idx, {"ise": _ise(grid.points, curve.values, truth),
-                            "values": curve.values, "at": at, "ci": ci}
-
     cv = spec.method == "nw" and spec.bandwidth == "cv"
     cells = scn.n * (len(grid.points) + cv * _CV_POINTS * scn.n)
     custom = getattr(spec.density, "kind", None) == "custom"  # its pdf need not be thread-safe
-    results = known._row_blocks(blocks_of, reps, 1, cells,
-                                serial=custom or cells < known._POOL_MIN_CELLS)
+    shared = not custom and cells >= known._POOL_MIN_CELLS
+    if spec.method == "known":
+        density = make_density(scn) if spec.density == "true" else spec.density
+        xs, g = np.concatenate([grid.points, points]), len(grid.points)
+        cover = g + np.flatnonzero(np.isin(points, coverage_points))
+        # a chunk's stacks (its samples, and its rows of moments) fill at
+        # most one block each, and its kernel blocks hold whole replicates
+        chunk = 1 if shared or _block_len(scn.n) < len(xs) else _block_len(max(scn.n, len(xs)))
 
-    ok = [r for r in results if r is not None]
-    failures = reps - len(ok)
+        def fit(idxs):
+            return _known_replicates(scn, density, xs, g, cover, alpha, master_seed, idxs)
+    else:
+        chunk = 1
+
+        def fit(idxs):  # one replicate, in the form of _known_replicates
+            rng = np.random.default_rng((master_seed, idxs[0]))
+            try:
+                curve, at, _ = _fit_replicate(scn, spec, grid, rng, points, coverage_points, alpha)
+            except CoarseRegError as exc:
+                return [exc]
+            no_ci = np.full(len(points), np.nan)
+            return [(curve.values, [at[p] for p in points], no_ci, no_ci)]
+
+    def blocks_of(starts):
+        for start in starts:
+            yield start, fit(range(start, min(start + chunk, reps)))
+
+    results = [r for block in known._row_blocks(blocks_of, reps, chunk, cells,
+                                                serial=not shared)
+               for r in block]
+
+    ok = [r for r in results if not isinstance(r, CoarseRegError)]
+    values = np.array([r[0] for r in ok]).reshape(len(ok), len(grid.points))
+    ise, skipped = _ise(grid.points, values, truth)
+    kept = iter(zip(ise.tolist(), skipped))
+    ise_ordered = []
+    for idx, r in enumerate(results):  # the serial loop's log, in index order
+        if isinstance(r, CoarseRegError):
+            logger.warning("replicate %d failed: %s", idx, r)
+            ise_ordered.append(None)
+        else:
+            value, excluded = next(kept)
+            _log_excluded(excluded)
+            ise_ordered.append(value)
     if not ok:
         raise CoarseRegError("every replicate failed")
-
-    ise_ordered = [r["ise"] if r is not None else None for r in results]
-    order = np.argsort([r["ise"] for r in ok], kind="stable")
+    failures = reps - len(ok)
+    at, lo, hi = (np.array([r[i] for r in ok]) for i in (1, 2, 3))
+    order = np.argsort(ise, kind="stable")
     n_ok = len(ok)
     deciles = {}
     for label, tenth in (("d1", 1), ("d5", 5), ("d9", 9)):
         rank = math.ceil(tenth * n_ok / 10.0)
-        chosen = ok[order[rank - 1]]
+        chosen = order[rank - 1]
         deciles[label] = {
             "rank": rank,
-            "ise": chosen["ise"],
-            "values": [float(v) for v in chosen["values"]],
+            "ise": float(ise[chosen]),
+            "values": values[chosen].tolist(),
         }
 
     coverage = {}
     if coverage_points:
         per_point = {}
         for p in coverage_points:
-            hits = sum(1 for r in ok if r["ci"][p][0] <= truth_at[p] <= r["ci"][p][1])
+            j = points.index(p)
+            hits = int(np.count_nonzero((lo[:, j] <= truth_at[p]) & (truth_at[p] <= hi[:, j])))
             per_point[repr(p)] = {
                 "covered": hits,
                 "total": n_ok,
@@ -546,7 +612,7 @@ def run_replications(
 
     rmse = {}
     for p in rmse_points:
-        errs = np.array([r["at"][p] - truth_at[p] for r in ok])
+        errs = at[:, points.index(p)] - truth_at[p]
         rmse[repr(p)] = float(np.sqrt(np.mean(errs**2)))
 
     return StudyReport(

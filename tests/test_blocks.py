@@ -26,6 +26,8 @@ from coarsereg import fourier, known
 from coarsereg.cli import main
 from coarsereg.known import _centered_variance, _kernel_moments
 
+pytestmark = pytest.mark.thorough
+
 
 def _triangular(u):
     return np.maximum(1.0 - np.abs(np.asarray(u, dtype=float)), 0.0)

@@ -22,6 +22,8 @@ from coarsereg import (
     simultaneous_band,
 )
 
+pytestmark = pytest.mark.thorough
+
 
 def _triangular(u):
     return np.maximum(1.0 - np.abs(np.asarray(u, dtype=float)), 0.0)

@@ -252,6 +252,7 @@ def pdf_cases(draw):
     return getattr(ErrorDensity, kind)(scale), np.array(u, dtype=float)
 
 
+@pytest.mark.thorough
 class TestInPlacePdf:
     @given(pdf_cases())
     def test_pdf_keeps_the_closed_form_bits(self, case):
@@ -270,6 +271,7 @@ class TestInPlacePdf:
             assert a == b and np.signbit(a) == np.signbit(b)
 
 
+@pytest.mark.thorough
 class TestExpInto:
     @staticmethod
     def exponents():

@@ -106,6 +106,7 @@ def mirrored_cases(draw):
     return t, points, rng.normal(size=n)
 
 
+@pytest.mark.thorough
 class TestHalfGrid:
     @settings(deadline=None)
     @given(case=mirrored_cases())
@@ -431,6 +432,7 @@ def _bits(call):
     return [a.tobytes() for a in (out if isinstance(out, tuple) else (out.values,))]
 
 
+@pytest.mark.thorough
 class TestOneResolver:
     @settings(deadline=None)
     @given(case=resolver_cases())

@@ -56,6 +56,7 @@ class TestNdtri:
         got, want = _ndtri(p), float(ndtri(p))
         assert got == want or (math.isnan(got) and math.isnan(want)), (p, got, want)
 
+    @pytest.mark.thorough
     @given(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 0.2).map(lambda d: 1.0 - d)))
     def test_matches_scipy_bit_for_bit(self, p):
         self.assert_same(p)
@@ -504,6 +505,7 @@ def samples(draw, min_n=2):
     return w, y, draw(st.sampled_from(PROPERTY_DENSITIES)), EvalGrid.linspace(-0.5, 1.5, 21)
 
 
+@pytest.mark.thorough
 class TestInvariances:
     @settings(deadline=None)
     @given(samples(), st.floats(1e-6, 1e6), st.sampled_from([1.0, -1.0]),
@@ -621,6 +623,7 @@ class TestInvariances:
         np.testing.assert_array_equal(band.band_upper, band.band_lower)
 
 
+@pytest.mark.thorough
 class TestOneVariance:
     @settings(deadline=None)
     @given(samples())

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -245,3 +246,26 @@ class TestFindZeros:
         s = TrainingSample([0.0, 1.0], [-1.0, 1.0])
         with pytest.raises(ValueError, match="level must be finite"):
             find_zeros(s, GAUSS, 0.0, 1.0, level=level)
+
+    def test_huge_responses_raise_no_overflow_warning(self):
+        # the sign tests multiplied neighbouring values, which overflows for
+        # responses of order 1e300; the comparisons find the same root
+        rng = np.random.default_rng(7)
+        w = rng.uniform(0.0, 1.0, 300)
+        y = np.sin(2.0 * np.pi * w) + rng.normal(0.0, 0.3, 300)
+        err = ErrorDensity.laplace(0.1)
+        plain = find_zeros(TrainingSample(w, y), err, 0.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = find_zeros(TrainingSample(w, y * 1e300), err, 0.0, 1.0)
+        assert len(plain) == 1
+        np.testing.assert_allclose(huge, plain, rtol=0.0, atol=1e-9)
+
+    def test_sign_change_through_underflowing_product(self):
+        # the product of 1e-200 and -1e-200 underflows to -0.0, which is not
+        # below 0, so the product test missed this crossing
+        s = TrainingSample([0.0, 1.0], [-1e-200, 1e-200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = find_zeros(s, GAUSS, 0.0, 1.0)
+        assert roots == pytest.approx([0.5], abs=1e-9)

@@ -180,6 +180,7 @@ class TestCvBandwidth:
         want = np.mean(np.square(y - (k @ y) / k.sum(axis=1)))
         assert abs(scores[j] - want) <= 1e-14 * want
 
+    @pytest.mark.thorough
     @given(cluster=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=12),
            gaps=st.lists(st.floats(0.5, 200.0), min_size=1, max_size=3))
     def test_inf_pattern_matches_brute_force(self, cluster, gaps):

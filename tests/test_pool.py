@@ -1,13 +1,17 @@
 """The worker pool of the blocked passes (``known._row_blocks``): a pass split
 over worker threads gives the serial pass's bits, raises the serial pass's
 errors and honours the caller's ``np.errstate``. A replication study's
-replicates are the blocks of one such pass."""
+chunks of replicates are the blocks of one such pass."""
 
+import gc
+import json
+import logging
 import os
 import subprocess
 import sys
 import threading
 import time
+import weakref
 from contextlib import ExitStack, nullcontext
 from unittest import mock
 
@@ -22,6 +26,8 @@ from coarsereg import (
 )
 from coarsereg.known import _centered_variance, _flat_support, _kernel_moments, _moments_at
 from coarsereg.nw import _gauss
+
+pytestmark = pytest.mark.thorough
 
 # gaussian(0.02) underflows from offsets of about 0.75, so grids past the
 # data hit the exp's underflow and, for the uniform kind, undefined points
@@ -92,6 +98,42 @@ def test_pooled_passes_match_serial_bits(case, workers, raising):
         assert outcome(call, raising) == want
 
 
+@st.composite
+def stacks(draw):
+    """A pass over a stack of samples, and the same pass sample by sample."""
+    c, n, g = draw(st.integers(1, 5)), draw(st.integers(1, 60)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0.0, 1.0, (c, n))
+    # each sample its own median; ties for _flat_support
+    y = np.round(rng.normal(size=(c, n)) + rng.normal(0.0, 5.0, (c, 1)),
+                 draw(st.sampled_from([0, 3])))
+    x = np.linspace(-0.2, draw(st.sampled_from([1.0, 1.5, 3.0])), g)
+    if draw(st.booleans()):
+        kernel = draw(st.sampled_from(DENSITIES))._pdf_into
+    else:
+        h = draw(st.sampled_from([0.01, 0.1]))
+        kernel = lambda u, span: _gauss(u, h, span)  # noqa: E731
+    per_row = draw(st.sampled_from(PER_ROW))
+    at = draw(st.none() | st.lists(st.integers(0, g - 1), unique=True).map(sorted))
+    rows = draw(st.integers(1, 3) | st.integers(1, 2 * c * g))
+    budget = 8 * n * rows + draw(st.integers(0, 8 * n))
+    return kernel, x, w, y, per_row, at, budget
+
+
+@given(stacks(), st.integers(1, 3))
+def test_a_stack_gives_each_sample_its_own_rows(case, workers):
+    # whole samples per block, or row blocks of a one-sample stack, serial
+    # or pooled: each row keeps the bits of its sample's own pass
+    kernel, x, w, y, per_row, at, budget = case
+    alone = [_kernel_moments(kernel, x, w_i, y_i, per_row) for w_i, y_i in zip(w, y)]
+    want = [np.concatenate([m[0] for m in alone]), np.concatenate([m[1] for m in alone])]
+    if per_row is not None:
+        want.append(np.concatenate([m[2] if at is None else m[2][at] for m in alone]))
+    with pool_of(workers, budget):
+        got = _kernel_moments(kernel, x, w, y, per_row, at)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def test_errstate_and_errors_reach_the_workers():
     # only the rows of the second half (x above 3.5, past the data) underflow;
     # the caller's first block is slow, so a pool thread takes all the others
@@ -144,6 +186,40 @@ def test_the_first_failing_block_raises():
     with pool_of(2, 8 * 50):
         delay[:] = [0.2]
         assert outcome(call, raising=False) == serial
+
+
+def test_a_pass_queued_behind_the_busy_pool_thread_holds_nothing_after():
+    # each of the caller's blocks starts a pass of its own, which queues a
+    # call behind the pool thread, busy with the outer pass, and runs on the
+    # caller; once it returns, the cancelled call holds none of its data, so
+    # a study's shared replicates do not pile up in memory
+    class Data:
+        pass
+
+    freed = []
+
+    def inner(data):
+        def blocks_of(starts):
+            for start in starts:
+                yield start, data is not None
+        return blocks_of
+
+    def outer(starts):
+        for start in starts:
+            if threading.current_thread() is threading.main_thread():
+                data = Data()
+                ref = weakref.ref(data)
+                assert known._row_blocks(inner(data), 8, 1, 1) == [True] * 8
+                del data
+                gc.collect()
+                freed.append(ref() is None)
+            else:
+                time.sleep(0.05)
+            yield start, start
+
+    with pool_of(2):
+        assert known._row_blocks(outer, 8, 1, 1) == list(range(8))
+    assert freed and all(freed)
 
 
 def test_first_undefined_point_is_named_from_a_worker_range():
@@ -230,18 +306,18 @@ def test_a_replicate_error_is_raised_as_in_the_serial_loop():
     # replicates 0 and 3 raise; the caller's replicate 0 raises last, after
     # the pool thread has raised on replicate 3
     states = [np.random.default_rng((9, idx)).bit_generator.state for idx in range(8)]
-    fit, threads, delay = simulation._fit_replicate, set(), [0.0]
+    generate, threads, delay = simulation.generate, set(), [0.0]
 
-    def failing(scn, spec, grid, rng, *args):
+    def failing(scn, rng):
         idx = states.index(rng.bit_generator.state)
         threads.add(threading.current_thread().name)
         if idx in (0, 3):
             time.sleep(delay.pop() if idx == 0 and delay else 0.0)
             raise RuntimeError(f"replicate {idx}")
-        return fit(scn, spec, grid, rng, *args)
+        return generate(scn, rng)
 
     def study():
-        with mock.patch.object(simulation, "_fit_replicate", failing):
+        with mock.patch.object(simulation, "generate", failing):
             run_replications(M1, EstimatorSpec(), reps=8, master_seed=9)
 
     with pool_of(1), pytest.raises(RuntimeError, match="replicate 0"):
@@ -251,6 +327,29 @@ def test_a_replicate_error_is_raised_as_in_the_serial_loop():
     with pool_of(2), pytest.raises(RuntimeError, match="replicate 0"):
         study()
     assert any(name.startswith("coarsereg-rows") for name in threads)
+
+
+def test_shared_nw_failures_are_logged_in_index_order(caplog):
+    # a fixed narrow bandwidth leaves the rmse point undefined on most of
+    # the five-point samples; the pool thread runs replicates 1 to 11 while
+    # the caller's replicate 0 sleeps, yet the warnings follow the indices
+    scn = ScenarioConfig(model="m1", n=5, predictor_noise=0.25, response_noise=0.1, seed=6)
+
+    def study():
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="coarsereg.simulation"):
+            report = run_replications(scn, EstimatorSpec(method="nw", bandwidth=0.01), reps=12,
+                                      master_seed=6, rmse_points=(0.5,))
+        return report.to_json(), [record.getMessage() for record in caplog.records]
+
+    with pool_of(1):
+        want = study()
+    threads, recording = replicate_threads(delay=0.2)
+    with pool_of(2), recording:
+        assert study() == want
+    assert any(name.startswith("coarsereg-rows") for name in threads)
+    failed = [int(message.split()[1]) for message in want[1]]
+    assert 1 < len(failed) < 12 and failed == sorted(failed)
 
 
 @pytest.mark.parametrize("method, scn, pooled", [
@@ -325,3 +424,34 @@ def test_cli_outputs_do_not_depend_on_the_cpu_count(tmp_path):
     assert pools["pinned"] == 0 and pools["free"] >= 1  # the pool ran unpinned only
     for command, pinned, free in zip(commands, outputs["pinned"], outputs["free"]):
         assert pinned == free, command.split()[0]
+
+
+STUDY_CHILD = """
+import os, sys, threading
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from coarsereg.simulation import EstimatorSpec, ScenarioConfig, run_replications
+scn = ScenarioConfig(model="m1", n=11_000, predictor_noise=0.25, response_noise=0.1, seed=12)
+report = run_replications(scn, EstimatorSpec(), reps=6, master_seed=12,
+                          coverage_points=(0.25, 0.5), rmse_points=(0.5, 0.75))
+print(sum(t.name.startswith("coarsereg-rows") for t in threading.enumerate()))
+print(report.to_json())
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="a one-CPU machine runs every study serially, pinned or not")
+def test_known_study_above_the_crossover_does_not_depend_on_the_cpu_count(tmp_path):
+    # 101 x 11 000 cells per replicate, above the pool's crossover: free,
+    # the replicates are shared with the pool thread, one per chunk; pinned
+    # to one CPU they run serially
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    outputs = {}
+    for mode in ("pinned", "free"):
+        run = subprocess.run([sys.executable, "-c", STUDY_CHILD, mode], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stderr
+        outputs[mode] = run.stdout.split("\n", 1)
+    assert outputs["pinned"][0] == "0" and outputs["free"][0] == "1"  # the pool ran free only
+    assert outputs["pinned"][1] == outputs["free"][1]
+    assert json.loads(outputs["free"][1])["failures"] == 0

@@ -1,5 +1,7 @@
 import json
+import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsereg import (
+    CoarseRegError,
     DegenerateDenominatorError,
     ErrorDensity,
     EstimatorSpec,
@@ -15,6 +18,7 @@ from coarsereg import (
     ScenarioConfig,
     calibrate,
     default_grid,
+    fit_known,
     generate,
     integrated_squared_error,
     make_density,
@@ -23,8 +27,9 @@ from coarsereg import (
     run_replications,
     true_regression,
 )
-from coarsereg import known
-from coarsereg.simulation import _truth
+from coarsereg import known, simulation
+from coarsereg.inference import _interval
+from coarsereg.simulation import StudyReport, _truth
 
 M1 = ScenarioConfig(model="m1", n=100, predictor_noise=0.25, response_noise=0.1,
                     error_kind="uniform", seed=5)
@@ -322,20 +327,40 @@ class TestRunReplications:
         after = true_regression.cache_info()
         assert after.hits + after.misses - before.hits - before.misses == 2
 
-    def test_known_replicate_builds_two_kernels(self, monkeypatch):
-        # one for the grid, one for every coverage and rmse point together
-        shapes = []
-        pdf_into = ErrorDensity._pdf_into
+    def test_known_study_stacks_its_replicates(self, monkeypatch):
+        # one kernel pass per chunk of replicates; each replicate's rows are
+        # the 4 grid points, then the 3 query points (0.0, 0.1, 0.2), and the
+        # variance is computed on the 2 coverage rows alone
+        shapes, variance_rows = [], []
+        pdf_into, variance = ErrorDensity._pdf_into, simulation._centered_variance
 
         def recording(self, u, span):
             shapes.append(np.shape(u))
             return pdf_into(self, u, span)
 
+        def counting(k, *args):
+            variance_rows.append(len(k))
+            return variance(k, *args)
+
         monkeypatch.setattr(ErrorDensity, "_pdf_into", recording)
-        run_replications(LOGISTIC, EstimatorSpec(), reps=4,
-                         grid=EvalGrid([-0.2, 0.0, 0.2, 0.3]), master_seed=3,
-                         coverage_points=(0.0, 0.1), rmse_points=(0.2,))
-        assert shapes == [(4, 100), (3, 100)] * 4
+        monkeypatch.setattr(simulation, "_centered_variance", counting)
+
+        def stacked(budget):
+            shapes.clear()
+            variance_rows.clear()
+            with mock.patch.object(known, "_BLOCK_BYTES", budget):
+                run_replications(LOGISTIC, EstimatorSpec(), reps=4,
+                                 grid=EvalGrid([-0.2, 0.0, 0.2, 0.3]), master_seed=3,
+                                 coverage_points=(0.0, 0.1), rmse_points=(0.2,))
+            return shapes, variance_rows
+
+        # every replicate in one block
+        assert stacked(known._BLOCK_BYTES) == ([(28, 100)], [8])
+        # blocks of 15 sample rows hold two whole replicates
+        assert stacked(8 * 100 * 15) == ([(14, 100)] * 2, [4] * 2)
+        # blocks of 5 rows hold less than one replicate: one replicate per
+        # chunk, in row blocks, the first coverage row in each
+        assert stacked(8 * 100 * 5) == ([(5, 100), (2, 100)] * 4, [1, 1] * 4)
 
     def test_bad_alpha_rejected_up_front(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -376,3 +401,143 @@ class TestRunReplications:
         b = run_replications(scn, EstimatorSpec(method="nw"), threads=2, **kwargs)
         assert a.failures == 0
         assert a.to_json() == b.to_json()
+
+
+def _triangular(u):
+    return np.maximum(1.0 - np.abs(np.asarray(u, dtype=float)) / 0.1, 0.0) / 0.1
+
+
+OVERRIDES = [None, ErrorDensity.gaussian(0.05), ErrorDensity.laplace(0.1),
+             ErrorDensity.uniform(0.1), ErrorDensity.custom(_triangular, scale=0.1)]
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def logged(study):
+    """``study()``'s report JSON, or its estimator error, and the messages
+    it logged from the INFO level up."""
+    logger = logging.getLogger("coarsereg.simulation")
+    handler, level = _Messages(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        outcome = study().to_json()
+    except CoarseRegError as exc:
+        outcome = (type(exc), str(exc))
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return outcome, handler.messages
+
+
+def replicate_by_replicate(scn, spec, reps, grid, master_seed, coverage_points, alpha,
+                           rmse_points):
+    """A known-error study as each replicate alone gives it: its curve from
+    fit_known, its estimates and variances at the query points from one
+    strict moment pass, and the summary over the replicates in index order."""
+    coverage_points = tuple(float(p) for p in coverage_points)
+    rmse_points = tuple(float(p) for p in rmse_points)
+    points = tuple(sorted(set(coverage_points) | set(rmse_points)))
+    truth_at = {p: true_regression(scn, p) for p in points}
+    truth = _truth(scn, grid.points)
+    density = make_density(scn) if spec.density == "true" else spec.density
+    log = logging.getLogger("coarsereg.simulation")
+    results = []
+    for idx in range(reps):
+        sample = generate(scn, np.random.default_rng((master_seed, idx))).training()
+        try:
+            curve = fit_known(sample, density, grid)
+            at, ci = {}, {}
+            if points:
+                den, num, *var = known._moments_at(
+                    density._pdf_into, points, sample.w, sample.y,
+                    known._centered_variance if coverage_points else None)
+                at = {p: float(num[i]) / float(den[i]) for i, p in enumerate(points)}
+                ci = {p: _interval(float(num[i]), float(den[i]), var[0][i], sample.n, alpha)
+                      for i, p in enumerate(points) if p in coverage_points}
+        except DegenerateDenominatorError as exc:
+            log.warning("replicate %d failed: %s", idx, exc)
+            results.append(None)
+            continue
+        sq = (curve.values - truth) ** 2
+        ok = np.isfinite(sq)
+        both = ok[:-1] & ok[1:]
+        if not both.all():
+            log.info("excluded %d undefined subintervals from the squared-error integral",
+                     int(np.sum(~both)))
+        ise = float(np.sum(0.5 * (sq[:-1][both] + sq[1:][both]) * np.diff(grid.points)[both]))
+        results.append({"ise": ise, "values": curve.values, "at": at, "ci": ci})
+    ok = [r for r in results if r is not None]
+    if not ok:
+        raise CoarseRegError("every replicate failed")
+    order = np.argsort([r["ise"] for r in ok], kind="stable")
+    deciles = {}
+    for label, tenth in (("d1", 1), ("d5", 5), ("d9", 9)):
+        rank = math.ceil(tenth * len(ok) / 10.0)
+        chosen = ok[order[rank - 1]]
+        deciles[label] = {"rank": rank, "ise": chosen["ise"],
+                          "values": [float(v) for v in chosen["values"]]}
+    coverage = {}
+    if coverage_points:
+        hits = {p: sum(1 for r in ok if r["ci"][p][0] <= truth_at[p] <= r["ci"][p][1])
+                for p in coverage_points}
+        coverage = {"alpha": alpha, "points": {
+            repr(p): {"covered": hits[p], "total": len(ok), "rate": hits[p] / len(ok)}
+            for p in coverage_points}}
+    rmse = {repr(p): float(np.sqrt(np.mean(np.array([r["at"][p] - truth_at[p] for r in ok])**2)))
+            for p in rmse_points}
+    return StudyReport(
+        scenario=scn.as_dict(), estimator=spec.as_dict(), replications=reps,
+        master_seed=master_seed, grid=list(grid.points), failures=reps - len(ok),
+        ise=[None if r is None else r["ise"] for r in results], decile_curves=deciles,
+        coverage=coverage, rmse=rmse)
+
+
+@st.composite
+def known_studies(draw):
+    model = draw(st.sampled_from(["m1", "logistic", "sine2", "sine4", "constant"]))
+    override = draw(st.sampled_from(OVERRIDES))
+    noise = draw(st.sampled_from([0.01, 0.1, 0.25, 1.0] + ([0.0] if override else [])))
+    # small samples leave the points of a narrow or uniform density undefined
+    n = draw(st.integers(2, 8) | st.integers(2, 300))
+    scn = ScenarioConfig(model=model, n=n, predictor_noise=noise,
+                         response_noise=None if model in ("logistic", "sine2", "sine4") else 0.1,
+                         error_kind=draw(st.sampled_from(["gaussian", "uniform"])),
+                         seed=draw(st.integers(0, 2**16)))
+    # grids and query points reach past the support, where the estimate
+    # (for a uniform or narrow density and a small sample) and the truth fail
+    lo = draw(st.floats(-1.0, 0.5))
+    grid = EvalGrid(np.linspace(lo, lo + draw(st.floats(0.05, 2.5)), draw(st.integers(2, 41))))
+    spots = st.sampled_from([-0.1, 0.0, 0.25, 0.5, 0.9, 1.05])
+    coverage_points = tuple(draw(st.lists(spots, max_size=3)))
+    rmse_points = tuple(draw(st.lists(spots, max_size=2)))
+    # from blocks of a few sample rows to whole chunks in one block
+    budget = 8 * scn.n * draw(st.integers(1, 3) | st.integers(1, 300))
+    spec = EstimatorSpec() if override is None else EstimatorSpec(density=override)
+    return dict(scn=scn, spec=spec, reps=draw(st.integers(1, 12)), grid=grid,
+                master_seed=draw(st.integers(0, 2**16)), coverage_points=coverage_points,
+                alpha=draw(st.sampled_from([0.05, 0.5, 1.0])), rmse_points=rmse_points,
+                budget=budget)
+
+
+@pytest.mark.thorough
+@settings(deadline=None)
+@given(known_studies())
+def test_stacked_study_matches_replicate_by_replicate(case):
+    # the report, or the error, and the log, byte for byte, whatever the
+    # chunking
+    case = dict(case)
+    budget, scn, spec = case.pop("budget"), case.pop("scn"), case.pop("spec")
+    with mock.patch.object(known, "_BLOCK_BYTES", budget):
+        stacked = logged(lambda: run_replications(
+            scn, spec, case["reps"], case["grid"], case["master_seed"],
+            coverage_points=case["coverage_points"], alpha=case["alpha"],
+            rmse_points=case["rmse_points"]))
+    assert stacked == logged(lambda: replicate_by_replicate(scn, spec, **case))
