@@ -65,11 +65,13 @@ _POOL_MIN_CELLS = 1 << 20
 # blocks, so a pass's memory stays within twice the serial pass's, a few
 # blocks, on any machine, and more threads would want smaller blocks each.
 _pool = None
+# Set while a pass shares the pool thread; a pass begun meanwhile runs serially.
+_busy = False
 
 
 def _forget_pool():
-    global _pool
-    _pool = None
+    global _pool, _busy
+    _pool, _busy = None, False
 
 
 os.register_at_fork(after_in_child=_forget_pool)
@@ -93,14 +95,15 @@ def _row_blocks(blocks_of, rows, step, width, serial=False):
 
     The pass runs serially when ``serial`` is set (it runs user code, which
     need not be thread-safe, or its blocks are too small to pay), below
-    ``_POOL_MIN_CELLS`` cells, off the main thread (a pooled pass's blocks
-    start no pool), when this process may run on one CPU only (``taskset``,
-    cgroups), or with fewer than two blocks per thread. A pass begun in a
-    caller's block queues behind the busy pool thread; the caller runs it.
+    ``_POOL_MIN_CELLS`` cells, off the main thread, while another pass shares
+    the pool thread (so a pass begun in a pooled pass's block submits
+    nothing to wait behind the busy pool thread), when this process may run
+    on one CPU only (``taskset``, cgroups), or with fewer than two blocks
+    per thread.
     """
-    global _pool
+    global _pool, _busy
     starts = iter(range(0, rows, step))
-    if (serial or rows * width < _POOL_MIN_CELLS
+    if (serial or _busy or rows * width < _POOL_MIN_CELLS
             or threading.current_thread() is not threading.main_thread()
             or len(os.sched_getaffinity(0)) < 2 or -(-rows // step) < 4):
         done = list(blocks_of(starts))
@@ -126,20 +129,16 @@ def _row_blocks(blocks_of, rows, step, width, serial=False):
 
         if _pool is None:
             _pool = ThreadPoolExecutor(1, thread_name_prefix="coarsereg-rows")
-        # a call cancelled behind the busy pool thread stays in its queue
-        # until that thread comes free; emptying `job` lets the pass's
-        # arrays go at once
-        job = [run]
-        future = _pool.submit(contextvars.copy_context().run, lambda: job.pop()())
+        future = _pool.submit(contextvars.copy_context().run, run)
+        _busy = True
         try:
             done = run()
         finally:
             failures.append((rows, None))  # stops the pool thread if the caller failed
-            if future.cancel():
-                job.clear()
-                helped = []
-            else:
+            try:
                 helped = future.result()
+            finally:
+                _busy = False
         _, error = min(failures, key=lambda failure: failure[0])
         if error is not None:
             raise error
@@ -148,13 +147,11 @@ def _row_blocks(blocks_of, rows, step, width, serial=False):
 
 
 def _joined(blocks):
-    """The per-row arrays of a pass's :func:`_row_blocks` values, each joined
-    in row order; a block's None stands for no rows, and None in every block
-    gives None."""
+    """The per-row arrays (or None) of a pass's :func:`_row_blocks` values,
+    each joined in row order."""
     if len(blocks) == 1:
         return blocks[0]
-    return tuple(None if all(a is None for a in arrays)
-                 else np.concatenate([a for a in arrays if a is not None])
+    return tuple(None if arrays[0] is None else np.concatenate(arrays)
                  for arrays in zip(*blocks))
 
 
@@ -171,29 +168,27 @@ def _row_mean(a):
     return np.add.reduce(a, axis=1) / a.shape[1]
 
 
-def _kernel_moments(kernel, x, w, y, per_row=None, at=None):
+def _kernel_moments(kernel, x, w, y, per_row=None):
     """den ``mean(k, axis=1)`` and num ``mean(k * y, axis=1)`` for
     ``k = kernel(x[:, None] - w[None, :], span)`` built in blocks of grid
     rows, with ``span`` at least every offset's absolute value in the block;
     with ``per_row`` (:func:`_centered_variance` or :func:`_flat_support`),
-    also its values on each block's rows, or on those of the ascending row
-    indices ``at`` alone, given the responses less their median.
+    also its values on each block, given the responses less their median.
 
     ``w`` and ``y`` may also be (c, n) stacks of c samples. The rows are then
-    x's rows on each sample in turn, so den and num have c * len(x) entries
-    and ``per_row`` c * len(at), sample by sample. A block of a stack holds
-    whole samples (one at least), and the pass shares its blocks with the
-    pool thread only when one sample's len(x) * n cells would.
+    x's rows on each sample in turn, so every result has c * len(x) entries,
+    sample by sample. A block of a stack holds whole samples (one at least),
+    and the pass shares its blocks with the pool thread only when one
+    sample's len(x) * n cells would.
 
     ``kernel`` may overwrite its argument, a block buffer reused by every
     block, and return it. Each row's values depend on that row alone: not on
-    the blocking, the other samples of a stack, the thread of
-    :func:`_row_blocks` that computes it, nor on the BLAS library or its
-    thread count.
+    the blocking, the other rows of ``x``, the other samples of a stack, the
+    thread of :func:`_row_blocks` that computes it, nor on the BLAS library
+    or its thread count.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     w, y = np.atleast_2d(w), np.atleast_2d(y)
-    at = None if at is None else [int(row) for row in at]
     (c, n), g = w.shape, len(x)
     step = _block_len(n)
     if g and (c > 1 or step >= g):  # whole samples per block
@@ -231,33 +226,24 @@ def _kernel_moments(kernel, x, w, y, per_row=None, at=None):
             # keeping long replication studies deterministic and
             # well-conditioned
             den = _row_mean(k)
-            rows = None if at is None else [row - r0 for row in at if r0 <= row < r1]
-            # per_row runs on the block's rows of at, if it has any, and on
-            # the first block always, so that an empty at gives an empty array
-            per_block = per_row is not None and (rows is None or len(rows) > 0 or start == 0)
-            if ky is None and (per_row is not None or k is not offsets):
+            if per_row is None and k is offsets:
+                scratch = k  # the kernel's own block, needed no more
+            else:
                 # per_row needs k beside k * y, and k may be a custom pdf's
-                # own array. The scratch is made after the first kernel, on
-                # the first block: made before it, or on a later block, it
-                # took fresh pages from the OS on every call (165 minor
-                # faults and 3x the time of the call at n = 250, G = 101;
-                # 398 faults per replicate of a study at n = 2e4 when made
-                # on the block of its first coverage point)
-                ky = np.empty(u.shape)
-            # without per_row, k * y overwrites the kernel's own block
-            scratch = k if not per_block and k is offsets else ky[: len(k)]
+                # own array. The scratch is allocated after the first kernel:
+                # before it, it took fresh pages from the OS on every call
+                # (165 minor faults and 3x the time of the call at n = 250,
+                # G = 101)
+                if ky is None:
+                    ky = np.empty(u.shape)
+                scratch = ky[: len(k)]
             np.multiply(k.reshape(shape), y[s0:s1, None, :], out=scratch.reshape(shape))
             num = _row_mean(scratch)
-            if not per_block:
+            if per_row is None:
                 yield start, (den, num, None)
-                continue
-            k_at, den_at, yc_at = k, den, yc[s0]
-            if rows is not None:
-                k_at = k.reshape(shape)[:, rows].reshape(-1, n)
-                den_at = den.reshape(shape[:2])[:, rows].ravel()
-            if s1 - s0 > 1:  # each row's own sample's responses
-                yc_at = np.repeat(yc[s0:s1], len(k_at) // (s1 - s0), axis=0)
-            yield start, (den, num, per_row(k_at, yc_at, den_at, scratch[: len(k_at)]))
+            else:  # each row's own sample's responses
+                rows_yc = yc[s0] if s1 - s0 == 1 else np.repeat(yc[s0:s1], r1 - r0, axis=0)
+                yield start, (den, num, per_row(k, rows_yc, den, scratch))
 
     # a custom density's pdf is the user's code, which need not be thread-safe
     custom = getattr(getattr(kernel, "__self__", None), "kind", None) == "custom"

@@ -20,7 +20,6 @@ despite its unusual units).
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import asdict, dataclass
@@ -34,7 +33,7 @@ from .data import EvalGrid, RegressionCurve, TrainingSample
 from .densities import ErrorDensity
 from .errors import CoarseRegError, DegenerateDenominatorError
 from .inference import _check_alpha, _interval
-from .io import _jsonable
+from .io import json_text
 from .known import (
     _block_len, _centered_variance, _defined, _golden_section, _moments_at,
 )
@@ -437,17 +436,19 @@ class StudyReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        """Canonical JSON: sorted keys, no whitespace, NaN encoded as null."""
-        return json.dumps(_jsonable(self.to_dict()), sort_keys=True, separators=(",", ":"))
+        """Canonical JSON: sorted keys, no whitespace, NaN encoded as null
+        (:func:`io.json_text` without its closing newline)."""
+        return json_text(self.to_dict())[:-1]
 
 
 def _known_replicates(scn, density, xs, g, cover, alpha, master_seed, idxs):
     """The results of the known-error replicates ``idxs``, from one kernel
     pass over their samples, drawn one by one and stacked. Each sample's
     rows are the points ``xs``: the ``g`` grid points, then the query
-    points; the variance is computed on the coverage rows ``cover`` alone.
-    Each row's values are the bits :func:`fit_known`, :func:`regression_at`
-    or :func:`inference.pointwise_ci` give that sample and point alone. A
+    points; a second pass computes the variance on the coverage rows
+    ``cover`` of ``xs`` alone. Each row's values are the bits
+    :func:`fit_known`, :func:`regression_at` or
+    :func:`inference.pointwise_ci` give that sample and point alone. A
     replicate that fails gets its error in place of its result, as
     :func:`fit_known` and :func:`known._moments_at` would raise it: first a
     curve undefined on the whole grid, then the first undefined query point.
@@ -457,16 +458,16 @@ def _known_replicates(scn, density, xs, g, cover, alpha, master_seed, idxs):
     for row, idx in enumerate(idxs):
         data = generate(scn, np.random.default_rng((master_seed, idx)))
         w[row], y[row] = data.w, data.y
-    den, num, *var = known._kernel_moments(density._pdf_into, xs, w, y,
-                                           _centered_variance if len(cover) else None, cover)
-    den, num = den.reshape(reps, -1), num.reshape(reps, -1)
+    den, num = (m.reshape(reps, -1) for m in known._kernel_moments(density._pdf_into, xs, w, y))
+    if len(cover):
+        var = known._kernel_moments(density._pdf_into, xs[cover], w, y, _centered_variance)[2]
     defined = _defined(den)
     lo, hi = np.full((2, reps, len(xs)), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):  # at the failing replicates' points
         est = num / den
         if len(cover):
             lo[:, cover], hi[:, cover] = _interval(num[:, cover], den[:, cover],
-                                                   var[0].reshape(reps, -1), scn.n, alpha)
+                                                   var.reshape(reps, -1), scn.n, alpha)
     values = np.where(defined[:, :g], est[:, :g], np.nan)
     whole_grid = ~np.any(defined[:, :g], axis=1)
     some_point = ~np.all(defined[:, g:], axis=1)
@@ -476,19 +477,19 @@ def _known_replicates(scn, density, xs, g, cover, alpha, master_seed, idxs):
             for row in range(reps)]
 
 
-def _fit_replicate(scn, spec, grid, rng, points, coverage_points, alpha):
-    """One NW replicate's curve, its estimates at ``points`` and its
-    intervals at ``coverage_points``: none, as coverage is only defined for
-    the known-error estimator (:func:`_known_replicates`)."""
+def _nw_replicate(scn, spec, grid, points, rng):
+    """One NW replicate's result in the form :func:`_known_replicates` gives:
+    its curve's values, its estimates at ``points`` and NaN intervals, as
+    coverage is only defined for the known-error estimator."""
     sample = generate(scn, rng).noisy_training()
     h = cv_bandwidth(sample) if spec.bandwidth == "cv" else float(spec.bandwidth)
-    curve = fit_nw(sample, h, grid)
+    values, no_ci = fit_nw(sample, h, grid).values, np.full(len(points), np.nan)
     if not points:
-        return curve, {}, {}
+        return values, no_ci, no_ci, no_ci
     # one kernel for every query point; each row's moments are the bits
     # :func:`nw_estimate` gives the point alone
     den, num = _moments_at(lambda u, span: _gauss(u, h, span), points, sample.w, sample.y)
-    return curve, {p: float(num[i]) / float(den[i]) for i, p in enumerate(points)}, {}
+    return values, num / den, no_ci, no_ci
 
 
 def run_replications(
@@ -551,14 +552,12 @@ def run_replications(
     else:
         chunk = 1
 
-        def fit(idxs):  # one replicate, in the form of _known_replicates
-            rng = np.random.default_rng((master_seed, idxs[0]))
+        def fit(idxs):  # one replicate
             try:
-                curve, at, _ = _fit_replicate(scn, spec, grid, rng, points, coverage_points, alpha)
+                return [_nw_replicate(scn, spec, grid, points,
+                                      np.random.default_rng((master_seed, idxs[0])))]
             except CoarseRegError as exc:
                 return [exc]
-            no_ci = np.full(len(points), np.nan)
-            return [(curve.values, [at[p] for p in points], no_ci, no_ci)]
 
     def blocks_of(starts):
         for start in starts:

@@ -21,7 +21,7 @@ from coarsereg import (
 )
 from coarsereg import known
 from coarsereg.nw import _loo_scores, cv_grid, loo_score
-from coarsereg.simulation import _fit_replicate
+from coarsereg.simulation import _nw_replicate
 
 # the two cells of the NW replication benchmark (simulate --estimator nw)
 STUDY_NW_CELLS = {
@@ -70,12 +70,13 @@ class TestNwEstimate:
         errs = {p: [] for p in points}
         for idx in range(3):
             rng = np.random.default_rng((scn.seed, idx))
-            _, at, _ = _fit_replicate(scn, spec, default_grid(scn), rng, points, (), 0.05)
+            _, at, lo, hi = _nw_replicate(scn, spec, default_grid(scn), points, rng)
             sample = generate(scn, np.random.default_rng((scn.seed, idx))).noisy_training()
             h = cv_bandwidth(sample)
-            assert at == {p: nw_estimate(sample, h, p) for p in points}
-            for p in points:
-                errs[p].append(at[p] - true_regression(scn, p))
+            assert at.tolist() == [nw_estimate(sample, h, p) for p in points]
+            assert np.isnan(lo).all() and np.isnan(hi).all()
+            for p, estimate in zip(points, at):
+                errs[p].append(estimate - true_regression(scn, p))
         for p in points:
             assert report.rmse[repr(p)] == float(np.sqrt(np.mean(np.array(errs[p]) ** 2)))
 

@@ -114,7 +114,7 @@ def stacks(draw):
         h = draw(st.sampled_from([0.01, 0.1]))
         kernel = lambda u, span: _gauss(u, h, span)  # noqa: E731
     per_row = draw(st.sampled_from(PER_ROW))
-    at = draw(st.none() | st.lists(st.integers(0, g - 1), unique=True).map(sorted))
+    at = draw(st.lists(st.integers(0, g - 1), min_size=1, unique=True).map(sorted))
     rows = draw(st.integers(1, 3) | st.integers(1, 2 * c * g))
     budget = 8 * n * rows + draw(st.integers(0, 8 * n))
     return kernel, x, w, y, per_row, at, budget
@@ -123,15 +123,16 @@ def stacks(draw):
 @given(stacks(), st.integers(1, 3))
 def test_a_stack_gives_each_sample_its_own_rows(case, workers):
     # whole samples per block, or row blocks of a one-sample stack, serial
-    # or pooled: each row keeps the bits of its sample's own pass
+    # or pooled: each row keeps the bits of its sample's own pass, in a pass
+    # over all of x and in one over the rows x[at] alone, as a study's
+    # variance pass over its coverage points
     kernel, x, w, y, per_row, at, budget = case
     alone = [_kernel_moments(kernel, x, w_i, y_i, per_row) for w_i, y_i in zip(w, y)]
-    want = [np.concatenate([m[0] for m in alone]), np.concatenate([m[1] for m in alone])]
-    if per_row is not None:
-        want.append(np.concatenate([m[2] if at is None else m[2][at] for m in alone]))
-    with pool_of(workers, budget):
-        got = _kernel_moments(kernel, x, w, y, per_row, at)
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    for rows in (slice(None), at):
+        want = [np.concatenate([m[i][rows] for m in alone]) for i in range(len(alone[0]))]
+        with pool_of(workers, budget):
+            got = _kernel_moments(kernel, x[rows], w, y, per_row)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_errstate_and_errors_reach_the_workers():
@@ -220,6 +221,57 @@ def test_a_pass_queued_behind_the_busy_pool_thread_holds_nothing_after():
     with pool_of(2):
         assert known._row_blocks(outer, 8, 1, 1) == list(range(8))
     assert freed and all(freed)
+
+
+def count_submits():
+    """Patch the pool thread's ``submit`` (made first by a pooled pass) to
+    count its calls."""
+    with pool_of(2):
+        known._row_blocks(lambda starts: ((start, start) for start in starts), 8, 1, 1)
+    return mock.patch.object(known._pool, "submit", wraps=known._pool.submit)
+
+
+def test_a_pass_begun_in_a_pooled_block_submits_nothing():
+    # the caller's blocks each start a pass while the pool thread is busy
+    # with the outer one: those run serially, calling no submit
+    inner = []
+
+    def outer(starts):
+        for start in starts:
+            if threading.current_thread() is threading.main_thread():
+                inner.append(known._row_blocks(lambda s: ((i, i) for i in s), 8, 1, 1))
+            else:
+                time.sleep(0.05)
+            yield start, start
+
+    with count_submits() as submit, pool_of(2):
+        assert known._row_blocks(outer, 8, 1, 1) == list(range(8))
+    assert inner and all(values == list(range(8)) for values in inner)
+    assert submit.call_count == 1  # the outer pass's own
+
+
+def test_the_pool_is_free_again_after_a_pooled_pass_raises():
+    threads = []
+
+    def failing(starts):
+        for start in starts:
+            raise ValueError(f"block {start}")
+        yield
+
+    def recording(starts):
+        for start in starts:
+            threads.append(threading.current_thread().name)
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.05)  # the pool thread, when asked, takes the others
+            yield start, start
+
+    with count_submits() as submit, pool_of(2):
+        with pytest.raises(ValueError, match="block 0"):
+            known._row_blocks(failing, 8, 1, 1)
+        assert not known._busy
+        assert known._row_blocks(recording, 8, 1, 1) == list(range(8))
+    assert submit.call_count == 2
+    assert any(name.startswith("coarsereg-rows") for name in threads)
 
 
 def test_first_undefined_point_is_named_from_a_worker_range():

@@ -328,9 +328,9 @@ class TestRunReplications:
         assert after.hits + after.misses - before.hits - before.misses == 2
 
     def test_known_study_stacks_its_replicates(self, monkeypatch):
-        # one kernel pass per chunk of replicates; each replicate's rows are
-        # the 4 grid points, then the 3 query points (0.0, 0.1, 0.2), and the
-        # variance is computed on the 2 coverage rows alone
+        # two kernel passes per chunk of replicates: one whose rows, for each
+        # replicate, are the 4 grid points, then the 3 query points (0.0,
+        # 0.1, 0.2), and one computing the variance on the 2 coverage points
         shapes, variance_rows = [], []
         pdf_into, variance = ErrorDensity._pdf_into, simulation._centered_variance
 
@@ -354,13 +354,14 @@ class TestRunReplications:
                                  coverage_points=(0.0, 0.1), rmse_points=(0.2,))
             return shapes, variance_rows
 
-        # every replicate in one block
-        assert stacked(known._BLOCK_BYTES) == ([(28, 100)], [8])
-        # blocks of 15 sample rows hold two whole replicates
-        assert stacked(8 * 100 * 15) == ([(14, 100)] * 2, [4] * 2)
+        # every replicate in one block, in each pass
+        assert stacked(known._BLOCK_BYTES) == ([(28, 100), (8, 100)], [8])
+        # blocks of 15 sample rows hold two whole replicates of the first
+        # pass, and all four of the second
+        assert stacked(8 * 100 * 15) == ([(14, 100)] * 2 + [(8, 100)], [8])
         # blocks of 5 rows hold less than one replicate: one replicate per
-        # chunk, in row blocks, the first coverage row in each
-        assert stacked(8 * 100 * 5) == ([(5, 100), (2, 100)] * 4, [1, 1] * 4)
+        # chunk, its first pass in row blocks, its second in one block
+        assert stacked(8 * 100 * 5) == ([(5, 100), (2, 100), (2, 100)] * 4, [2] * 4)
 
     def test_bad_alpha_rejected_up_front(self):
         with pytest.raises(ValueError, match="alpha"):
