@@ -10,7 +10,12 @@ instead of a BLAS product. The inputs are generated here
 from fixed seeds and written with ``%.17g``: an m1 sample of n = 400 with
 normal response noise, the same responses on Laplace-contaminated
 predictors, 150 groups of 3 Laplace replicates, and, from a second seed,
-proxy calibration pairs ``t,x`` and analysis pairs ``t,y``. JSON outputs
+proxy calibration pairs ``t,x`` and analysis pairs ``t,y``. A third seed
+makes an n = 8 000 sample of a sine with normal noise, whose 512-point
+scans (4.1e6 kernel cells) are above the row pool's crossover; its cases
+were captured at commit 3403a0f, before the Laplace scans became certified
+O(n + G) sums, and pin a Laplace maximum, minimum and three zeros, and a
+Gaussian maximum, whose scan stays dense. JSON outputs
 embed the temporary directory in ``provenance.command``; it is replaced by
 ``TMP`` before the comparison. ``simulate`` also writes a deciles CSV next
 to its report, pinned under its own key. Regenerate (only on purpose, from
@@ -41,6 +46,16 @@ PROXY_SEED = 20081
 PROXY_N = 120
 DELTA = f"laplace:{LAPLACE_B}"
 JSON = ["--format", "json"]
+LARGE_SEED = 20082
+LARGE_N = 8000
+
+# name -> argv without --train/--out, run on the n = 8 000 sample
+LARGE_CASES = {
+    "n8000-extrema-max": ["extrema", "--delta", DELTA, "--interval", "0:1", "--kind", "max"],
+    "n8000-extrema-min": ["extrema", "--delta", DELTA, "--interval", "0:1", "--kind", "min"],
+    "n8000-zeros": ["zeros", "--delta", DELTA, "--interval", "0:1", "--level", "0"],
+    "n8000-extrema-gaussian": ["extrema", "--delta", "gaussian:0.1", "--interval", "0:1"],
+}
 
 # name -> argv without --train/--replicates/--pairs/--out
 CASES = {
@@ -73,6 +88,7 @@ CASES = {
     "zeros-json": ["zeros", "--delta", DELTA, "--interval", "0:1", "--level", "4", *JSON],
     "fit-proxy-train-csv": ["fit-proxy", "--delta", "gaussian:0.1", "--grid", "0:1:21",
                             "--format", "csv"],
+    **LARGE_CASES,
 }
 
 # key -> (case, suffix): a further file a case writes next to its --out
@@ -80,8 +96,9 @@ SIDE_FILES = {"simulate-deciles": ("simulate", "_deciles.csv")}
 
 
 def write_inputs(directory: pathlib.Path) -> dict:
-    """Write train.csv (w, y), noisy.csv (w + delta, y), reps.csv, and the
-    proxy inputs pairs.csv (t, x) and proxy.csv (t, y)."""
+    """Write train.csv (w, y), noisy.csv (w + delta, y), reps.csv, the
+    proxy inputs pairs.csv (t, x) and proxy.csv (t, y), and large.csv (w, y)
+    of n = 8 000."""
     rng = np.random.default_rng(SEED)
     w = rng.uniform(0.0, 1.0, N)
     y = (3.0 * w + 20.0 / math.sqrt(2.0 * math.pi) * np.exp(-200.0 * (w - 0.5) ** 2)
@@ -106,6 +123,13 @@ def write_inputs(directory: pathlib.Path) -> dict:
         paths[name] = directory / f"{name}.csv"
         np.savetxt(paths[name], np.column_stack(cols), fmt="%.17g", delimiter=",",
                    header=header, comments="")
+
+    rng = np.random.default_rng(LARGE_SEED)
+    w = rng.uniform(0.0, 1.0, LARGE_N)
+    y = np.sin(4.0 * math.pi * w) + rng.normal(0.0, 0.5, LARGE_N)
+    paths["large"] = directory / "large.csv"
+    np.savetxt(paths["large"], np.column_stack((w, y)), fmt="%.17g", delimiter=",",
+               header="w,y", comments="")
     return paths
 
 
@@ -120,6 +144,8 @@ def run_case(name: str, paths: dict, directory: pathlib.Path) -> str:
         argv += ["--pairs", str(paths["pairs"])]
         if "--delta" in argv:
             argv += ["--train", str(paths["proxy"])]
+    elif name in LARGE_CASES:
+        argv += ["--train", str(paths["large"])]
     elif argv[0] != "simulate":
         argv += ["--train", str(paths["noisy"])]
     out = directory / f"{name}.csv"
