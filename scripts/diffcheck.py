@@ -5,9 +5,11 @@
 
 Unpacks REV's tree with ``git archive`` into a temporary directory, makes
 the ``analysis`` benchmark's inputs once (n = 5e4, from
-``perfbench/workloads.py``) and runs its 10 commands, one known-error
-``simulate`` cell with coverage points and one NW cell through REV's tree
-and through this checkout's. Each command runs in a fresh ``python -I``
+``perfbench/workloads.py``) and runs its 10 commands, ``extrema`` and
+``zeros`` under a Gaussian density (whose scans stay dense, while the
+Laplace ones decide from certified sums), one known-error ``simulate``
+cell with coverage points and one NW cell through REV's tree and through
+this checkout's. Each command runs in a fresh ``python -I``
 interpreter, once free and once pinned to one CPU, so its four runs cover
 both trees and both the pooled and the serial block passes. Every child
 runs OpenBLAS on one thread: the band's bounds move with the BLAS thread
@@ -50,6 +52,15 @@ STUDIES = [
                      "--nsdelta", "0.25", "--nseps", "0.1", "--n", "250",
                      "--rmse-at", "0.5", "--estimator", "nw", "--reps", "20"]),
 ]
+
+
+def dense_scans(paths):
+    """The analysis ``extrema`` and ``zeros`` commands under a Gaussian
+    density, whose 512 x n scans run the dense kernel pass."""
+    known = ["--train", paths["train"], "--delta", "gaussian:0.1"]
+    return [("extrema-gaussian", ["extrema", *known, "--interval", "0.3:0.7"]),
+            ("zeros-gaussian", ["zeros", *known, "--interval", "0:1", "--level", "3"])]
+
 
 BLAS_ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
@@ -165,7 +176,8 @@ def main(argv=None):
             return 2
         inputs = os.path.join(scratch, "inputs")
         os.makedirs(inputs)
-        kinds = analysis_kinds(make_analysis_inputs(np.random.default_rng(SEED), inputs))
+        paths = make_analysis_inputs(np.random.default_rng(SEED), inputs)
+        kinds = analysis_kinds(paths) + dense_scans(paths)
         sources = {"rev": os.path.join(rev_tree, "src"), "tree": os.path.join(ROOT, "src")}
         print(f"diffcheck: {args.rev} ({sha[:12]}) against the working tree, "
               f"{len(os.sched_getaffinity(0))} CPUs free, 1 pinned, 1 BLAS thread")

@@ -10,6 +10,14 @@ Grid points where the denominator average falls below
 than returned as garbage ratios. That rule lives here alone, in
 :func:`_defined` and the strict :func:`_moments_at`; every estimator,
 interval and study in the package asks them which points are defined.
+
+Every value the package returns comes from a dense kernel pass,
+:func:`_kernel_moments`. The coarse scans of :func:`find_extremum` and
+:func:`find_zeros` use their values only to decide (the argmin, each
+point's sign), so under a Laplace density they decide from O(n + G)
+recursive kernel sums with a certified error radius (:func:`_scan_ratios`)
+and take dense rows only for the points the radius leaves open; their
+results are the dense scan's, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +40,9 @@ DEGENERACY_THRESHOLD = 1e-12
 SCAN_POINTS = 512
 
 _GOLDEN = (5.0**0.5 - 1.0) / 2.0
+
+# Unit roundoff of float64.
+_U = 2.0**-53
 
 
 # Byte budget of one block, the one size of every blocked loop: the kernel
@@ -190,8 +201,10 @@ def _kernel_moments(kernel, x, w, y, per_row=None):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     w, y = np.atleast_2d(w), np.atleast_2d(y)
     (c, n), g = w.shape, len(x)
+    if not g:  # no rows: every result is empty
+        return tuple(np.empty(0) for _ in range(2 if per_row is None else 3))
     step = _block_len(n)
-    if g and (c > 1 or step >= g):  # whole samples per block
+    if c > 1 or step >= g:  # whole samples per block
         step = max(1, step // g) * g
     yc = None if per_row is None else y - np.median(y, axis=1, keepdims=True)
     starts = np.arange(0, c * g, step)
@@ -319,13 +332,13 @@ def predictor_density(sample: TrainingSample, err: ErrorDensity, x):
     predictor at ``x`` (the ratio denominator). Vectorized over ``x``.
     """
     den = _kernel_moments(err._pdf_into, x, sample.w, sample.y)[0]
-    return den if den.size > 1 else float(den[0])
+    return den if den.size != 1 else float(den[0])
 
 
 def response_weighted_density(sample: TrainingSample, err: ErrorDensity, x):
     """Average of y_i * err.pdf(x - w_i): the ratio numerator."""
     num = _kernel_moments(err._pdf_into, x, sample.w, sample.y)[1]
-    return num if num.size > 1 else float(num[0])
+    return num if num.size != 1 else float(num[0])
 
 
 def regression_at(sample: TrainingSample, err: ErrorDensity, x: float) -> float:
@@ -420,6 +433,112 @@ def _scan_grid(lo, hi, scan_points):
     return np.linspace(lo, hi, scan_points)
 
 
+def _scan_ratios(err, xs, w, y):
+    """The ratios ``r`` of the scan at the ascending points ``xs`` and radii
+    ``e`` with ``|r - r_dense| <= e``, where ``r_dense`` is num / den of
+    :func:`_moments_at` at ``xs``. A point left undecided has ``r = 0`` and
+    ``e = inf``. The one scan of :func:`find_extremum` and
+    :func:`find_zeros`.
+
+    Under a Laplace density of scale b, the kernel sums
+    ``S_g = sum_i v_i k(x_g - w_i)`` for v = 1, y and |y| (D, N and A) are
+    O(n + G) recursions. With ``seg_i`` the first g where x_g >= w_i and
+    ``a_g = exp(-(x_g - x_{g-1}) / b)``, ``S_g = L_g + R_g`` where
+
+        L_g = a_g L_{g-1} + sum_{seg_i = g} v_i k(x_g - w_i),
+        R_g = a_{g+1} R_{g+1} + sum_{seg_i = g+1} v_i k(w_i - x_g),
+
+    as each term's product of a's is its own kernel ratio. Every exponent
+    is at most 0. The local terms are ``err``'s pdf, the dense pass's own
+    formula, summed by ``np.bincount``; the recursions take one loop over
+    the G points.
+
+    The radius bounds both sums' errors against the exact ones, taking
+    np.exp within 4 ulp (8u, u the unit roundoff) and s = span / b, span the
+    largest |x_g - w_i|:
+
+    - the dense row: the offset and the division by -b round the exponent
+      by 2u relative, so the exp by 2.01 s u; the exp 8u; the division by
+      2b and the product with y 2u; numpy's pairwise mean, at most
+      log2(n) + 19 roundings deep; in all (2.01 s + log2 n + 29) u;
+    - the recursion: the same 2.01 s u, as a term's exponents (its local
+      one and its a's) sum to its own; the local term's 10u; the
+      bincount's sequential sum, up to n - 1 roundings; each of up to G
+      steps an exp, a product and a sum, 10u; L + R, u; in all
+      (n + 10 G + 2.01 s + 11) u.
+
+    Their sum, (n + 10 G + 4.02 s + log2 n + 40) u relative to the sum of
+    |v_i| k_i, doubled for second-order terms and for bounding the exact
+    sum of |v_i| k_i by the computed one, is within
+    ``c = 2 (n + 10 G + 5 s + log2 n + 40) u``, which the certificate
+    requires below 1/2. Results below the normal range have absolute
+    errors instead: 4 ulp of 2^-1074 from an exp, so 2^-1074 / b once
+    divided by 2b, and 2^-1075 per rounding, over n terms, G steps and the
+    mean's division by n on both sides; doubled as c is, that is within
+    ``tiny = 16 (n + G) 2^-1074 (1 + 1 / b)``. So, in sums of k (n times
+    den and num), |D - D_dense| <= e_D = c D + tiny and
+    |N - N_dense| <= e_N = c A + tiny, and
+
+        e = (e_N + |r| e_D) / (D - e_D) + 4 u |r|,
+
+    the last term for the divisions by n and the two ratios' roundings (a
+    ratio rounded to a subnormal is off by at most 2^-1075, less than
+    e_N / D, as D <= n / (2b)). The few roundings of e itself are within
+    the slack of c's constants.
+
+    A point is undecided where r is not finite or e is not finite and
+    positive. Unless every point is certainly defined, (D - 2 e_D) / n at
+    or above ``DEGENERACY_THRESHOLD`` (which puts D - e_D above it,
+    roundings included), the dense scan runs instead and raises
+    DegenerateDenominatorError as it does. Every other density kind runs
+    the dense scan, with e = 0 where r is finite. No floating-point warning
+    escapes.
+    """
+    g, n = len(xs), len(w)
+    e = None
+    with np.errstate(all="ignore"):
+        if err.kind == "laplace":
+            b = err.scale
+            seg = np.searchsorted(xs, w, "left")
+            # each w_i's kernel to the nearest scan point at or right of it
+            # (row 0, for L) and left of it (row 1, for R); a w_i with none
+            # on one side gets a finite term in a bin that is dropped
+            k = np.empty((2, n))
+            np.subtract(xs[np.minimum(seg, g - 1)], w, out=k[0])
+            np.subtract(w, xs[np.maximum(seg - 1, 0)], out=k[1])
+            k = err._pdf_into(k)
+            local = np.empty((2, 3, g))
+            for side, bins in enumerate((slice(0, g), slice(1, g + 1))):
+                for j, v in enumerate((1.0, y, np.abs(y))):
+                    local[side, j] = np.bincount(seg, k[side] * v, g + 1)[bins]
+            a = np.exp(np.diff(xs) / -b).tolist()
+
+            def sweep(a, local):
+                # s_j = a[j] s_{j-1} + local[:, j] from s_{-1} = 0, in floats
+                sums, out = [0.0, 0.0, 0.0], []
+                for aj, *terms in zip(a, *local.tolist()):
+                    sums = [aj * s + t for s, t in zip(sums, terms)]
+                    out.append(sums)
+                return np.array(out).T
+
+            den, num, mag = (sweep([0.0, *a], local[0])
+                             + sweep([0.0, *a[::-1]], local[1][:, ::-1])[:, ::-1])
+            span = np.maximum(xs[-1] - w.min(), w.max() - xs[0])
+            c = 2.0 * (n + 10 * g + 5 * (span / b) + np.log2(n) + 40) * _U
+            tiny = 16 * (n + g) * 2.0**-1074 * (1.0 + 1.0 / b)
+            e_den = c * den + tiny
+            if c < 0.5 and np.all(_defined((den - 2.0 * e_den) / n)):
+                r = num / den
+                e = (c * mag + tiny + np.abs(r) * e_den) / (den - e_den) + 4.0 * _U * np.abs(r)
+                e[~(e > 0.0)] = np.inf  # a radius lost to underflow or NaN
+        if e is None:
+            den, num = _moments_at(err._pdf_into, xs, w, y)
+            r, e = num / den, np.zeros(g)
+        undecided = ~(np.isfinite(r) & np.isfinite(e))
+        r[undecided], e[undecided] = 0.0, np.inf
+    return r, e
+
+
 def find_extremum(
     sample: TrainingSample,
     err: ErrorDensity,
@@ -434,6 +553,12 @@ def find_extremum(
     refinement around the best bracket to 1e-8 in x. The interval must stay
     clear of the degeneracy threshold throughout.
 
+    The scan's best point is the first argmin of the dense ratios. Under a
+    Laplace density it is decided by certified approximate ratios
+    (:func:`_scan_ratios`): only the points whose interval could hold the
+    minimum get their dense rows, and each row's bits depend on that row
+    alone, so the result is the dense scan's.
+
     Returns
     -------
     (location, value)
@@ -441,10 +566,13 @@ def find_extremum(
     if kind not in ("max", "min"):
         raise ValueError(f"kind must be 'max' or 'min', got {kind!r}")
     xs = _scan_grid(lo, hi, scan_points)
-    den, num = _moments_at(err._pdf_into, xs, sample.w, sample.y)
-    vals = num / den
     sign = -1.0 if kind == "max" else 1.0
-    best = int(np.argmin(sign * vals))
+    r, e = _scan_ratios(err, xs, sample.w, sample.y)
+    v = sign * r
+    # rounding is monotone, so the first argmin is among these
+    cand = np.flatnonzero(v - e <= np.min(v + e))
+    den, num = _moments_at(err._pdf_into, xs[cand], sample.w, sample.y)
+    best = int(cand[np.argmin(sign * (num / den))])
     bracket_lo = xs[max(best - 1, 0)]
     bracket_hi = xs[min(best + 1, len(xs) - 1)]
     loc = _golden_section(
@@ -472,12 +600,21 @@ def find_zeros(
     Sign changes on a ``scan_points`` scan, each refined by bisection to
     1e-10. A scan point sitting exactly on the level counts only when its
     neighbors straddle the level. The returned array may be empty.
+
+    Only the signs of the dense scan's ratios less the level are used.
+    Under a Laplace density, a point whose certified approximate ratio
+    (:func:`_scan_ratios`) lies farther from the level than its radius has
+    the dense ratio's sign; the others get their dense rows. The result is
+    the dense scan's.
     """
     xs = _scan_grid(lo, hi, scan_points)
     if not np.isfinite(level):
         raise ValueError(f"level must be finite, got {level}")
-    den, num = _moments_at(err._pdf_into, xs, sample.w, sample.y)
-    f = num / den - level
+    r, e = _scan_ratios(err, xs, sample.w, sample.y)
+    f = r - level
+    near = np.flatnonzero(np.abs(f) <= e)
+    den, num = _moments_at(err._pdf_into, xs[near], sample.w, sample.y)
+    f[near] = num / den - level
     # strict sign changes only; a scan point sitting exactly on the level
     # counts only when its neighbors straddle the level (so constant
     # sections do not spray spurious roots)

@@ -1,9 +1,14 @@
 import math
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coarsereg import known
 from coarsereg import (
     DegenerateDenominatorError,
     ErrorDensity,
@@ -49,6 +54,14 @@ class TestDensityAverages:
         assert response_weighted_density(s, GAUSS, 0.5) == pytest.approx(
             expected, abs=1e-12
         )
+
+    @pytest.mark.parametrize("average", [predictor_density, response_weighted_density])
+    def test_empty_points_give_an_empty_array(self, average):
+        # a pass over no rows used to join no blocks and raise IndexError
+        s = TrainingSample([0.0, 1.0], [1.0, 2.0])
+        for err in (GAUSS, ErrorDensity.laplace(0.5), ErrorDensity.uniform(0.5)):
+            out = average(s, err, [])
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     def test_zero_responses(self):
         s = TrainingSample([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
@@ -269,3 +282,86 @@ class TestFindZeros:
             warnings.simplefilter("error")
             roots = find_zeros(s, GAUSS, 0.0, 1.0)
         assert roots == pytest.approx([0.5], abs=1e-9)
+
+
+def outcome(f):
+    """A call's result as its repr (NaN equal to NaN), or its degeneracy error."""
+    try:
+        result = f()
+    except DegenerateDenominatorError as exc:
+        return f"DegenerateDenominatorError: {exc}"
+    return repr(result.tolist() if isinstance(result, np.ndarray) else result)
+
+
+@st.composite
+def scans(draw):
+    """A Laplace scan from 1e-300 to 1e300 in w and y, with ties (w on scan
+    points, repeated w and rounded y), span / b from 1e-2 to 1e4, where
+    the kernel underflows, and levels on a scan value."""
+    n = draw(st.sampled_from([1, 2, 3, 50, 2000]))
+    g = draw(st.sampled_from([2, 3, 64, 512]))
+    w_scale = 10.0 ** draw(st.floats(-300, 300))
+    y_scale = 10.0 ** draw(st.floats(-300, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = np.sort(rng.uniform(-0.5, 1.5, 2)) * w_scale
+    w = rng.uniform(-1.0, 2.0, n)
+    if draw(st.booleans()):  # repeated predictors
+        w = np.round(w * 4.0) / 4.0
+    w *= w_scale
+    xs = known._scan_grid(lo, hi, g)
+    on_scan = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 1.0]))
+    w[on_scan] = xs[rng.integers(0, g, np.count_nonzero(on_scan))]
+    y = rng.normal(0.0, 1.0, n)
+    if draw(st.booleans()):  # tied responses, so tied ratios
+        y = np.round(y)
+    y *= y_scale
+    span = max(hi - w.min(), w.max() - lo)
+    err = ErrorDensity.laplace(span / 10.0 ** draw(st.floats(-2, 4)))
+    return err, lo, hi, g, TrainingSample(w, y), draw(st.integers(0, g - 1))
+
+
+@pytest.mark.thorough
+@settings(deadline=None)
+@given(scans())
+def test_the_scan_radius_holds_and_decides_as_the_dense_scan(scan):
+    err, lo, hi, g, s, at = scan
+    xs = known._scan_grid(lo, hi, g)
+
+    def scan_ratios():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return known._scan_ratios(err, xs, s.w, s.y)
+
+    try:
+        with np.errstate(all="ignore"):
+            den, num = known._moments_at(err._pdf_into, xs, s.w, s.y)
+            dense = num / den
+    except DegenerateDenominatorError as exc:
+        with pytest.raises(DegenerateDenominatorError, match=re.escape(str(exc))):
+            scan_ratios()
+        level = 0.0
+    else:
+        r, e = scan_ratios()
+        assert np.all(e >= 0.0)
+        bounded = np.isfinite(e)
+        assert np.all(np.abs(r - dense)[bounded] <= e[bounded])
+        level = float(dense[at]) if np.isfinite(dense[at]) else 0.0
+
+    if max(-lo, hi) > 2.0**18:
+        # the refinements' absolute tolerances (1e-8, 1e-10) are below the
+        # spacing of floats there, and they never end
+        return
+
+    def finders():
+        # the refinements' dense rows may overflow at these scales, as they
+        # do without the certificate
+        with np.errstate(all="ignore"):
+            return [outcome(lambda: find_extremum(s, err, lo, hi, "max", g)),
+                    outcome(lambda: find_extremum(s, err, lo, hi, "min", g)),
+                    outcome(lambda: find_zeros(s, err, lo, hi, level, g))]
+
+    certified = finders()
+    # with an infinite unit roundoff no radius certifies anything, and the
+    # scan is the dense one
+    with mock.patch.object(known, "_U", np.inf):
+        assert finders() == certified

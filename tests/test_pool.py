@@ -190,10 +190,10 @@ def test_the_first_failing_block_raises():
 
 
 def test_a_pass_queued_behind_the_busy_pool_thread_holds_nothing_after():
-    # each of the caller's blocks starts a pass of its own, which queues a
-    # call behind the pool thread, busy with the outer pass, and runs on the
-    # caller; once it returns, the cancelled call holds none of its data, so
-    # a study's shared replicates do not pile up in memory
+    # each of the caller's blocks starts a pass of its own while the pool
+    # thread is busy with the outer pass; that pass runs serially on the
+    # caller and submits nothing, so once it returns nothing holds its
+    # data, and a study's shared replicates do not pile up in memory
     class Data:
         pass
 
