@@ -407,12 +407,16 @@ def regression_derivative_at(sample: TrainingSample, err: ErrorDensity, x: float
 
 
 def _golden_section(f, lo: float, hi: float, xtol: float) -> float:
-    """Golden-section minimizer of ``f`` on [lo, hi] to absolute ``xtol``."""
+    """Golden-section minimizer of ``f`` on [lo, hi] to absolute ``xtol``.
+    It also stops once rounding leaves the interior points out of strict
+    order inside the bracket, which happens only when the bracket is a few
+    float spacings wide; every step it takes shrinks the bracket, so it
+    ends at any magnitude."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > xtol:
+    while b - a > xtol and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -550,8 +554,9 @@ def find_extremum(
     """Locate an extremum of the fitted curve on [lo, hi].
 
     Coarse scan on ``scan_points`` locations, then golden-section
-    refinement around the best bracket to 1e-8 in x. The interval must stay
-    clear of the degeneracy threshold throughout.
+    refinement around the best bracket to 1e-8 in x, or to a few float
+    spacings where those are wider. The interval must stay clear of the
+    degeneracy threshold throughout.
 
     The scan's best point is the first argmin of the dense ratios. Under a
     Laplace density it is decided by certified approximate ratios
@@ -598,8 +603,9 @@ def find_zeros(
     """All crossings of the fitted curve through ``level`` on [lo, hi].
 
     Sign changes on a ``scan_points`` scan, each refined by bisection to
-    1e-10. A scan point sitting exactly on the level counts only when its
-    neighbors straddle the level. The returned array may be empty.
+    1e-10, or to adjacent floats where their spacing is wider. A scan point
+    sitting exactly on the level counts only when its neighbors straddle
+    the level. The returned array may be empty.
 
     Only the signs of the dense scan's ratios less the level are used.
     Under a Laplace density, a point whose certified approximate ratio
@@ -629,6 +635,8 @@ def find_zeros(
             fa = f[i]
             while b - a > 1e-10:
                 mid = 0.5 * (a + b)
+                if not a < mid < b:  # a and b are adjacent floats
+                    break
                 fm = regression_at(sample, err, mid) - level
                 if fm == 0.0:
                     a = b = mid

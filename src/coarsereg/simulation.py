@@ -219,7 +219,8 @@ def _simpson_adaptive(f, lo, hi, tol: float = _SIMPSON_TOL) -> np.ndarray:
 
     ``f(rows, m)`` gives the integrand at the m + 1 equally spaced nodes of
     each selected row, one row each. Rows are evaluated a block at a time,
-    so memory stays bounded however far a row doubles.
+    so memory stays bounded however far a row doubles. The oracle and the
+    mass check of :meth:`ErrorDensity.custom` both integrate with it.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     m = _SIMPSON_START
@@ -250,7 +251,8 @@ def _simpson_adaptive(f, lo, hi, tol: float = _SIMPSON_TOL) -> np.ndarray:
 
 def _truth(scn: ScenarioConfig, x) -> np.ndarray:
     """:func:`true_regression` at every point of ``x``, NaN where it is
-    undefined."""
+    undefined. Under Gaussian contamination the smoothing kernel is the
+    pdf of :func:`make_density`, the density the estimators are given."""
     x = np.asarray(x, dtype=float)
     delta_var, _ = calibrate(scn)
     lo, hi = scn.support
@@ -275,12 +277,10 @@ def _truth(scn: ScenarioConfig, x) -> np.ndarray:
         out[ok] = _simpson_adaptive(smeared, a, b) / (b - a)
         return out
 
-    sigma = math.sqrt(delta_var)
+    pdf_into = make_density(scn)._pdf_into
 
     def kernel(points, w):
-        return np.exp(-0.5 * ((points[:, None] - w) / sigma) ** 2) / (
-            sigma * math.sqrt(2 * math.pi)
-        )
+        return pdf_into(np.subtract.outer(points, w))
 
     def moment(rows, m):
         w = np.linspace(lo, hi, m + 1)

@@ -225,6 +225,35 @@ class TestCustom:
         with pytest.raises(ValueError, match="integrates"):
             ErrorDensity.custom(lambda u: 2.0 * self._triangular(u))
 
+    def test_jumps_off_the_row_edges_accepted(self):
+        # the validation rows split [-50, 50] at multiples of 100/1024;
+        # +-0.3137 is none, so each jump sits inside a row
+        a = 0.3137
+        d = ErrorDensity.custom(lambda u: np.where(np.abs(u) <= a, 0.5 / a, 0.0))
+        assert d.pdf(0.0) == 0.5 / a
+
+    def test_narrow_peak_accepted(self):
+        # sd 1e-3 against the scale 1; scipy's quad over the window missed
+        # the peak and read a mass of 0
+        s = 1e-3
+        d = ErrorDensity.custom(lambda u: np.exp(-0.5 * (u / s) ** 2) / (s * SQRT_2PI))
+        assert d.pdf(0.0) == pytest.approx(1.0 / (s * SQRT_2PI))
+
+    def test_heavy_tails_rejected(self):
+        # Cauchy keeps about 1.3% of its mass outside +-50
+        with pytest.raises(ValueError, match="integrates to 0.98"):
+            ErrorDensity.custom(lambda u: 1.0 / (math.pi * (1.0 + u * u)))
+
+    def test_pdf_sees_only_1d_float_arrays(self):
+        seen = set()
+
+        def pdf(u):
+            seen.add((type(u), u.ndim, u.dtype))
+            return self._triangular(u)
+
+        ErrorDensity.custom(pdf)
+        assert seen == {(np.ndarray, 1, np.dtype(float))}
+
 
 def closed_form_pdf(d, u):
     """The built-in kinds' pdf as written before it evaluated in place."""

@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 import warnings
 from unittest import mock
 
@@ -30,6 +31,17 @@ SQRT_2PI = math.sqrt(2 * math.pi)
 
 def std_normal_pdf(u):
     return math.exp(-0.5 * u * u) / SQRT_2PI
+
+
+def returns_within(seconds, call):
+    """``call()``'s result; fails if it has none after ``seconds``, leaving
+    the call on a daemon thread."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(call()), daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert result, f"no result within {seconds} s"
+    return result[0]
 
 
 class TestDensityAverages:
@@ -211,6 +223,16 @@ class TestFindExtremum:
             find_extremum(s, GAUSS, 0.0, 1.0, scan_points=scan_points)
         assert find_extremum(s, GAUSS, 0.0, 1.0, scan_points=2)[0] == pytest.approx(1.0)
 
+    def test_ends_where_floats_are_wider_than_the_tolerance(self):
+        # float spacing near 1e9 is 1.2e-7, above the 1e-8 tolerance; the
+        # refinement used to loop forever once its points rounded together
+        s = TrainingSample([0.0, 1e9, 2e9], [-1.0, 1.0, -1.0])
+        err = ErrorDensity.gaussian(1e9)
+        loc, value = returns_within(8.0, lambda: find_extremum(s, err, 0.0, 2e9))
+        assert abs(loc - 1e9) <= 2.0 * 2e9 / (known.SCAN_POINTS - 1)
+        assert value == regression_at(s, err, loc)
+        assert value == pytest.approx(regression_at(s, err, 1e9), rel=1e-12)
+
 
 class TestFindZeros:
     def test_constant_no_crossing(self):
@@ -252,6 +274,15 @@ class TestFindZeros:
         with pytest.raises(ValueError, match="scan_points must be at least 2"):
             find_zeros(s, GAUSS, 0.0, 1.0, scan_points=scan_points)
         assert find_zeros(s, GAUSS, 0.0, 1.0, scan_points=2) == pytest.approx([0.5], abs=1e-9)
+
+    def test_ends_where_floats_are_wider_than_the_tolerance(self):
+        # float spacing near 1e6 is 1.2e-10, above the 1e-10 tolerance; the
+        # bisection used to loop forever once its midpoint rounded to an end
+        w = np.linspace(1e6, 1e6 + 10.0, 200)
+        s = TrainingSample(w, np.sin(w - 1e6))
+        roots = returns_within(
+            8.0, lambda: find_zeros(s, ErrorDensity.laplace(0.1), 1e6 + 1.0, 1e6 + 9.0))
+        assert roots - 1e6 == pytest.approx([math.pi, 2.0 * math.pi], abs=1e-3)
 
     @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
     def test_non_finite_level(self, level):
@@ -346,11 +377,6 @@ def test_the_scan_radius_holds_and_decides_as_the_dense_scan(scan):
         bounded = np.isfinite(e)
         assert np.all(np.abs(r - dense)[bounded] <= e[bounded])
         level = float(dense[at]) if np.isfinite(dense[at]) else 0.0
-
-    if max(-lo, hi) > 2.0**18:
-        # the refinements' absolute tolerances (1e-8, 1e-10) are below the
-        # spacing of floats there, and they never end
-        return
 
     def finders():
         # the refinements' dense rows may overflow at these scales, as they

@@ -334,8 +334,12 @@ class TestRunReplications:
         shapes, variance_rows = [], []
         pdf_into, variance = ErrorDensity._pdf_into, simulation._centered_variance
 
-        def recording(self, u, span):
-            shapes.append(np.shape(u))
+        def recording(self, u, span=math.inf):
+            # the oracle's kernel is the density's pdf too, on quadrature
+            # rows of 2**k * 256 + 1 nodes; only the passes over the
+            # n = 100 sample count here
+            if np.shape(u)[1:] == (100,):
+                shapes.append(np.shape(u))
             return pdf_into(self, u, span)
 
         def counting(k, *args):
