@@ -24,7 +24,7 @@ import numpy as np
 from .data import EvalGrid, RegressionCurve, ReplicatedSample, TrainingSample
 from .densities import ErrorDensity
 from .errors import MissingDecayError, ResolutionError
-from .known import _block_len, _joined, _ratio_curve, _row_blocks
+from .known import _block_len, _joined, _ratio_curve, _row_blocks, _scratch
 
 # Minimum number of positive-frequency nodes between 0 and the cutoff.
 MIN_NODES = 16
@@ -121,20 +121,17 @@ def _mean_exp(t: np.ndarray, points: np.ndarray, weights=None):
     scale = 1.0 / len(points)
     step = _block_len(len(points), itemsize=16)
 
-    def blocks_of(starts):
-        phase = None
-        for start in starts:
-            rows = slice(start, start + step)
-            if phase is None:
-                phase = np.empty((min(step, len(t)), len(points)), dtype=complex)
-            e = np.multiply(1j * t[rows, None], points, out=phase[: len(t[rows])])
-            np.exp(e, out=e)
-            plain = e.sum(axis=1) * scale
-            if weights is not None:
-                e *= weights
-            yield start, (plain, None if weights is None else e.sum(axis=1) * scale)
+    def block(start):
+        rows = t[start:start + step, None]
+        e = np.multiply(1j * rows, points, out=_scratch(0, (len(rows), len(points)), complex))
+        np.exp(e, out=e)
+        plain = e.sum(axis=1) * scale
+        if weights is None:
+            return plain, None
+        e *= weights
+        return plain, e.sum(axis=1) * scale
 
-    return _joined(_row_blocks(blocks_of, len(t), step, len(points)))
+    return _joined(_row_blocks(block, len(t), step, len(points)))
 
 
 def error_cf_from_replicates(rep: ReplicatedSample, t) -> CfTable:
@@ -366,21 +363,17 @@ def invert_cf(
     # together fit one block budget, bound its memory for any node count
     step = _block_len(len(t), itemsize=32)
 
-    def blocks_of(starts):
-        phase = None
-        for start in starts:
-            rows = x[start:start + step, None]
-            if phase is None:
-                shape = (min(step, len(x)), len(t))
-                phase, scratch = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-            e = np.multiply(-1j * rows, t[None, :], out=phase[: len(rows)])
-            np.exp(e, out=e)
-            product = np.multiply(e, plain_w, out=scratch[: len(rows)])
-            den = product.sum(axis=1) / (2.0 * math.pi)
-            np.multiply(e, weighted_w, out=product)
-            yield start, (den, product.sum(axis=1) / (2.0 * math.pi))
+    def block(start):
+        rows = x[start:start + step, None]
+        shape = (len(rows), len(t))
+        e = np.multiply(-1j * rows, t[None, :], out=_scratch(0, shape, complex))
+        np.exp(e, out=e)
+        product = np.multiply(e, plain_w, out=_scratch(1, shape, complex))
+        den = product.sum(axis=1) / (2.0 * math.pi)
+        np.multiply(e, weighted_w, out=product)
+        return den, product.sum(axis=1) / (2.0 * math.pi)
 
-    den, num = _joined(_row_blocks(blocks_of, len(x), step, len(t)))
+    den, num = _joined(_row_blocks(block, len(x), step, len(t)))
 
     for name, arr in (("denominator", den), ("numerator", num)):
         residue = np.abs(arr.imag)

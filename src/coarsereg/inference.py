@@ -22,7 +22,7 @@ from .densities import ErrorDensity
 from .errors import DegenerateDenominatorError
 from .known import (
     _block_len, _centered_variance, _defined, _flat_support, _kernel_moments, _known_curve,
-    _moments_at,
+    _moments_at, _scratch,
 )
 
 # Covariance eigenvalues below this fraction of the largest are zeroed
@@ -206,23 +206,18 @@ def _centered_covariance(sample, err, x, den, num, zero):
     # update, so the sum is exactly symmetric with a nonnegative diagonal.
     # A block also pays a G x G product and sum, so it holds at least 2G
     # columns, where that costs at most about half its kernel: a 512 KiB
-    # block was 1.8x slower at G = 512. Two G x 2G buffers are O(G^2)
+    # block was 1.8x slower at G = 512. Two G x 2G blocks are O(G^2)
     # memory, like the covariance itself.
     m_hat = num / den
     span = max(x.max() - w.min(), w.max() - x.min())  # at least every |x - w|
     cov = np.zeros((len(x), len(x)))
     step = max(_block_len(len(x)), 2 * len(x))
-    # flat buffers, so that every block, the last one too, is contiguous
-    size = len(x) * min(step, n)
-    u_buf, b_buf = np.empty(size), np.empty(size)
     for start in range(0, n, step):
         cols = slice(start, start + step)
         shape = (len(x), len(w[cols]))
-        u = u_buf[: shape[0] * shape[1]].reshape(shape)
-        b = b_buf[: u.size].reshape(shape)
         # the kernel may be a custom pdf's own array, so b is built beside it
-        k = err._pdf_into(np.subtract(x[:, None], w[None, cols], out=u), span)
-        np.subtract(y[None, cols], m_hat[:, None], out=b)
+        k = err._pdf_into(np.subtract(x[:, None], w[None, cols], out=_scratch(0, shape)), span)
+        b = np.subtract(y[None, cols], m_hat[:, None], out=_scratch(1, shape))
         b *= k
         b /= den[:, None]
         cov += b @ b.T
@@ -309,12 +304,17 @@ def simultaneous_band(
 
     Raises
     ------
+    ValueError
+        If ``alpha`` or ``n_sim`` is out of range, or the sample has fewer
+        than two observations, as :func:`pointwise_band` does.
     DegenerateDenominatorError
         Naming the first grid point where the ratio is undefined.
     """
     _check_alpha(alpha)
     if n_sim < 1:
         raise ValueError("n_sim must be positive")
+    if sample.n < 2:
+        raise ValueError("confidence interval needs n >= 2")
     # one pass gives the fit and the pointwise variance; the covariance,
     # built in a second, only shapes the draws
     den, num, var = _moments_at(err._pdf_into, grid.points, sample.w, sample.y,
@@ -340,10 +340,10 @@ def simultaneous_band(
     rng = np.random.default_rng(seed)
     sups = np.empty(n_sim)
     step = min(_block_len(len(grid)), n_sim)
-    z, draws = np.empty((step, len(grid))), np.empty((step, len(grid)))
     for start in range(0, n_sim, step):
         block = sups[start:start + step]
-        d = np.matmul(rng.standard_normal(out=z[: len(block)]), root, out=draws[: len(block)])
+        shape = (len(block), len(grid))
+        d = np.matmul(rng.standard_normal(out=_scratch(0, shape)), root, out=_scratch(1, shape))
         d /= np.sqrt(n)
         np.abs(d, out=d)
         d /= scale

@@ -23,6 +23,7 @@ results are the dense scan's, bit for bit.
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -48,13 +49,13 @@ _U = 2.0**-53
 # Byte budget of one block, the one size of every blocked loop: the kernel
 # passes, the covariance's column blocks (at least 2G columns), the band
 # draws, the CFs and their inversion, LOO-CV and the oracle's quadrature
-# rows. Dense paths so take O(n + G + block) memory. A loop keeps at most two
-# blocks live per thread (a kernel pass with a per-row statistic: its
-# offsets, overwritten by the kernel, and the k * y scratch; without one,
-# k * y overwrites the kernel), so 512 KiB keeps them in a 1 MiB per-core L2
-# cache through the block's ~9 elementwise passes; 4 MiB blocks ran from L3.
-# Each row's results depend on that row alone, so the size moves no output
-# but the band's bounds.
+# rows. Dense paths so take O(n + G + block) memory. A loop holds at most two
+# blocks per thread, the two slots of _scratch (a kernel pass with a per-row
+# statistic: its offsets, overwritten by the kernel, and the k * y scratch;
+# without one, k * y overwrites the kernel), so 512 KiB keeps them in a 1 MiB
+# per-core L2 cache through the block's ~9 elementwise passes; 4 MiB blocks
+# ran from L3. Each row's results depend on that row alone, so the size
+# moves no output but the band's bounds.
 _BLOCK_BYTES = 512 << 10
 
 
@@ -88,11 +89,10 @@ def _forget_pool():
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _row_blocks(blocks_of, rows, step, width, serial=False):
-    """Each block's value, in row order, from a pass over ``rows`` rows of
-    ``width`` cells in blocks of ``step`` rows. ``blocks_of(starts)`` yields
-    ``(start, value)`` for each block start it takes from the iterator
-    ``starts``, reusing its buffers from block to block.
+def _row_blocks(body, rows, step, width, serial=False):
+    """``[body(start) for start in range(0, rows, step)]``: a pass over
+    ``rows`` rows of ``width`` cells in blocks of ``step`` rows, each
+    block's value ``body(start)``.
 
     The calling thread and the persistent pool thread share the blocks: each
     takes the next block when done with its last, so a thread late to start
@@ -113,48 +113,66 @@ def _row_blocks(blocks_of, rows, step, width, serial=False):
     per thread.
     """
     global _pool, _busy
-    starts = iter(range(0, rows, step))
+    starts = range(0, rows, step)
     if (serial or _busy or rows * width < _POOL_MIN_CELLS
             or threading.current_thread() is not threading.main_thread()
-            or len(os.sched_getaffinity(0)) < 2 or -(-rows // step) < 4):
-        done = list(blocks_of(starts))
-    else:
-        failures = []  # (start, error) of each thread's failing block
+            or len(os.sched_getaffinity(0)) < 2 or len(starts) < 4):
+        return [body(start) for start in starts]
+    values = [None] * len(starts)
+    failures = []  # (index, error) of each thread's failing block
+    blocks = iter(range(len(starts)))  # its next() is atomic under the interpreter lock
 
-        def run():
-            taken, blocks = [], []
-
-            def take():
-                # a range iterator's next() is atomic under the interpreter lock
-                for start in starts:
-                    if failures:
-                        return  # every block before a failing one is taken
-                    taken.append(start)
-                    yield start
-
+    def run():
+        for i in blocks:
+            if failures:
+                return  # every block before a failing one is taken
             try:
-                blocks.extend(blocks_of(take()))
+                values[i] = body(starts[i])
             except Exception as exc:
-                failures.append((taken[-1], exc))
-            return blocks
+                failures.append((i, exc))
+                return
 
-        if _pool is None:
-            _pool = ThreadPoolExecutor(1, thread_name_prefix="coarsereg-rows")
-        future = _pool.submit(contextvars.copy_context().run, run)
-        _busy = True
+    if _pool is None:
+        _pool = ThreadPoolExecutor(1, thread_name_prefix="coarsereg-rows")
+    future = _pool.submit(contextvars.copy_context().run, run)
+    _busy = True
+    try:
+        run()
+    finally:
+        failures.append((len(starts), None))  # stops the pool thread if the caller failed
         try:
-            done = run()
+            future.result()
         finally:
-            failures.append((rows, None))  # stops the pool thread if the caller failed
-            try:
-                helped = future.result()
-            finally:
-                _busy = False
-        _, error = min(failures, key=lambda failure: failure[0])
-        if error is not None:
-            raise error
-        done = sorted(done + helped, key=lambda block: block[0])
-    return [value for _, value in done]
+            _busy = False
+    _, error = min(failures, key=lambda failure: failure[0])
+    if error is not None:
+        raise error
+    return values
+
+
+# Each thread's two slots of _scratch, kept from pass to pass.
+_slots = threading.local()
+
+
+def _scratch(slot, shape, dtype=float):
+    """An uninitialised C-contiguous array of ``shape`` and ``dtype``, the
+    block buffers of every blocked loop: a view of this thread's slot 0 or
+    1, each ``_BLOCK_BYTES`` kept from pass to pass, so a pass takes no
+    fresh pages from the OS; or, for a request larger than ``_BLOCK_BYTES``,
+    a fresh array that is not kept, so a thread keeps two blocks at most.
+
+    A view is valid until the thread next asks for its slot, so a block
+    body must not start another pass while it holds one. None does: the
+    kernel bodies call only the density and the per-row statistic, and a
+    study's replicate body holds no slot.
+    """
+    nbytes = np.dtype(dtype).itemsize * math.prod(shape)
+    if nbytes > _BLOCK_BYTES:
+        return np.empty(shape, dtype)
+    kept = vars(_slots)
+    if slot not in kept or kept[slot].nbytes != _BLOCK_BYTES:
+        kept[slot] = np.empty(_BLOCK_BYTES, np.uint8)
+    return kept[slot][:nbytes].view(dtype).reshape(shape)
 
 
 def _joined(blocks):
@@ -192,11 +210,13 @@ def _kernel_moments(kernel, x, w, y, per_row=None):
     and the pass shares its blocks with the pool thread only when one
     sample's len(x) * n cells would.
 
-    ``kernel`` may overwrite its argument, a block buffer reused by every
-    block, and return it. Each row's values depend on that row alone: not on
-    the blocking, the other rows of ``x``, the other samples of a stack, the
-    thread of :func:`_row_blocks` that computes it, nor on the BLAS library
-    or its thread count.
+    ``kernel`` may overwrite its argument, the offsets in slot 0 of
+    :func:`_scratch`, and return it. ``k * y``, and ``per_row``'s work after
+    it, go to slot 1, or over the kernel's values when there is no
+    ``per_row`` and they are in the offsets' block. Each row's values depend
+    on that row alone: not on the blocking, the other rows of ``x``, the
+    other samples of a stack, the thread of :func:`_row_blocks` that
+    computes it, nor on the BLAS library or its thread count.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     w, y = np.atleast_2d(w), np.atleast_2d(y)
@@ -222,45 +242,33 @@ def _kernel_moments(kernel, x, w, y, per_row=None):
     else:  # one block, whose own search for far offsets costs about as much
         spans = [np.inf]
 
-    def blocks_of(starts):
-        u = ky = None  # made on a thread's first block, so one given none makes none
-        for start in starts:
-            stop = min(start + step, c * g)
-            # the block is rows r0:r1 of x on samples s0:s1
-            s0, r0 = divmod(start, g)
-            s1, r1 = (s0 + 1, r0 + stop - start) if step < g else (stop // g, g)
-            shape = (s1 - s0, r1 - r0, n)
-            if u is None:
-                u = np.empty((min(step, c * g), n))
-            offsets = u[: stop - start]
-            np.subtract(x[None, r0:r1, None], w[s0:s1, None, :], out=offsets.reshape(shape))
-            k = kernel(offsets, spans[start // step])
-            # numpy reductions over the sample axis accumulate pairwise,
-            # keeping long replication studies deterministic and
-            # well-conditioned
-            den = _row_mean(k)
-            if per_row is None and k is offsets:
-                scratch = k  # the kernel's own block, needed no more
-            else:
-                # per_row needs k beside k * y, and k may be a custom pdf's
-                # own array. The scratch is allocated after the first kernel:
-                # before it, it took fresh pages from the OS on every call
-                # (165 minor faults and 3x the time of the call at n = 250,
-                # G = 101)
-                if ky is None:
-                    ky = np.empty(u.shape)
-                scratch = ky[: len(k)]
-            np.multiply(k.reshape(shape), y[s0:s1, None, :], out=scratch.reshape(shape))
-            num = _row_mean(scratch)
-            if per_row is None:
-                yield start, (den, num, None)
-            else:  # each row's own sample's responses
-                rows_yc = yc[s0] if s1 - s0 == 1 else np.repeat(yc[s0:s1], r1 - r0, axis=0)
-                yield start, (den, num, per_row(k, rows_yc, den, scratch))
+    def block(start):
+        stop = min(start + step, c * g)
+        # the block is rows r0:r1 of x on samples s0:s1
+        s0, r0 = divmod(start, g)
+        s1, r1 = (s0 + 1, r0 + stop - start) if step < g else (stop // g, g)
+        shape = (s1 - s0, r1 - r0, n)
+        offsets = _scratch(0, (stop - start, n))
+        np.subtract(x[None, r0:r1, None], w[s0:s1, None, :], out=offsets.reshape(shape))
+        k = kernel(offsets, spans[start // step])
+        # numpy reductions over the sample axis accumulate pairwise,
+        # keeping long replication studies deterministic and
+        # well-conditioned
+        den = _row_mean(k)
+        # per_row needs k beside k * y, and k may be a custom pdf's own
+        # array; otherwise k * y overwrites the kernel's own block
+        scratch = k if per_row is None and k is offsets else _scratch(1, k.shape)
+        np.multiply(k.reshape(shape), y[s0:s1, None, :], out=scratch.reshape(shape))
+        num = _row_mean(scratch)
+        if per_row is None:
+            return den, num, None
+        # each row's own sample's responses
+        rows_yc = yc[s0] if s1 - s0 == 1 else np.repeat(yc[s0:s1], r1 - r0, axis=0)
+        return den, num, per_row(k, rows_yc, den, scratch)
 
     # a custom density's pdf is the user's code, which need not be thread-safe
     custom = getattr(getattr(kernel, "__self__", None), "kind", None) == "custom"
-    moments = _joined(_row_blocks(blocks_of, c * g, step, n,
+    moments = _joined(_row_blocks(block, c * g, step, n,
                                   serial=custom or g * n < _POOL_MIN_CELLS))
     return moments[:2] if per_row is None else moments
 

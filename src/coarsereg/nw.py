@@ -25,7 +25,7 @@ import numpy as np
 from .data import EvalGrid, RegressionCurve, TrainingSample
 from .densities import _EXP_FAST_MIN, _SQRT_2PI, _gauss_exp_into
 from .errors import DegenerateDenominatorError
-from .known import _block_len, _kernel_moments, _moments_at, _ratio_curve
+from .known import _block_len, _kernel_moments, _moments_at, _ratio_curve, _scratch
 
 # The CV grid: _CV_POINTS geometric points spanning [_CV_MIN_FACTOR,
 # _CV_MAX_FACTOR] times the reference scale std(x) * n**(-1/5).
@@ -74,9 +74,10 @@ def _loo_scores(sample: TrainingSample, bandwidths) -> np.ndarray:
     factor ``exp(scale * nn2_i) / sqrt(2 pi)`` cancels in num/den, and its
     rounded value is the row's largest unshifted weight (the rounded kernel
     is monotone in d2), so the row underflows exactly when it is 0. Rows
-    are built in blocks of :func:`known._block_len` and the squared errors
-    are averaged once at the end, so the summation order of the scores
-    does not depend on the blocking.
+    are built in blocks of :func:`known._block_len`, in the buffers of
+    :func:`known._scratch`, and the squared errors are averaged once at the
+    end, so the summation order of the scores does not depend on the
+    blocking.
     """
     w, y = sample.w, sample.y
     n = len(w)
@@ -90,14 +91,14 @@ def _loo_scores(sample: TrainingSample, bandwidths) -> np.ndarray:
     for start in range(0, n, step):
         rows = np.arange(start, min(start + step, n))
         own = (np.arange(len(rows)), rows)
-        d2 = np.subtract.outer(w[rows], w)
+        d2 = np.subtract.outer(w[rows], w, out=_scratch(0, (len(rows), n)))
         np.square(d2, out=d2)
         d2[own] = np.inf
         nn2[rows] = d2.min(axis=1)
         d2[own] = nn2[rows]  # shifts to 0; its weight is zeroed after exp
         d2 -= nn2[rows, None]
         spread = float(d2.max())
-        k = np.empty_like(d2)
+        k = _scratch(1, d2.shape)
         for j, scale in enumerate(scales):
             np.multiply(d2, scale, out=k)
             if spread * scale < _EXP_FAST_MIN:

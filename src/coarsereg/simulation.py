@@ -559,13 +559,9 @@ def run_replications(
             except CoarseRegError as exc:
                 return [exc]
 
-    def blocks_of(starts):
-        for start in starts:
-            yield start, fit(range(start, min(start + chunk, reps)))
-
-    results = [r for block in known._row_blocks(blocks_of, reps, chunk, cells,
-                                                serial=not shared)
-               for r in block]
+    blocks = known._row_blocks(lambda start: fit(range(start, min(start + chunk, reps))),
+                               reps, chunk, cells, serial=not shared)
+    results = [r for block in blocks for r in block]
 
     ok = [r for r in results if not isinstance(r, CoarseRegError)]
     values = np.array([r[0] for r in ok]).reshape(len(ok), len(grid.points))

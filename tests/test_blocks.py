@@ -2,6 +2,10 @@
 grid-by-sample kernel is split into blocks, and memory that does not grow
 with G x n."""
 
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -35,6 +39,7 @@ def _triangular(u):
 
 DENSITIES = [ErrorDensity.gaussian(0.1), ErrorDensity.laplace(0.05),
              ErrorDensity.uniform(0.1), ErrorDensity.custom(_triangular, scale=0.5)]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def blocks_of(n, rows):
@@ -232,6 +237,67 @@ def test_fit_known_evaluates_each_block_in_place(err):
     s = TrainingSample(w, np.sin(3.0 * w) + rng.normal(0.0, 0.3, n))
     peak = traced_peak(lambda: fit_known(s, err, EvalGrid.linspace(0.0, 1.0, g)))
     assert peak <= 3 * known._BLOCK_BYTES
+
+
+FAULTS_CHILD = """
+import resource
+import numpy as np
+from coarsereg import ErrorDensity
+from coarsereg.known import _centered_variance, _kernel_moments
+rng = np.random.default_rng(89)
+w = rng.uniform(0.0, 1.0, 500)
+y = np.sin(3.0 * w) + rng.normal(0.0, 0.3, 500)
+x = np.linspace(0.0, 1.0, 101)
+kernel = ErrorDensity.gaussian(0.1)._pdf_into
+_kernel_moments(kernel, x, w, y, _centered_variance)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    _kernel_moments(kernel, x, w, y, _centered_variance)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_kept_slots_take_no_fresh_pages():
+    # 200 variance passes at n = 500 and G = 101, each holding one 404 kB
+    # block in each slot, in a fresh interpreter, whose allocator has not
+    # yet raised its mmap threshold: with buffers allocated per call, glibc
+    # gave their pages back between calls, and the passes took about
+    # 39 000 minor faults
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", FAULTS_CHILD], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 200
+
+
+def test_a_block_over_the_budget_is_fresh_and_not_kept():
+    floats = known._BLOCK_BYTES // 8
+    small = [known._scratch(slot, (4, 8)) for slot in (0, 1)]
+    for slot in (0, 1):
+        big = known._scratch(slot, (floats + 1,))
+        assert not any(np.shares_memory(big, view) for view in small)
+        # the slot is the one it was, and no larger
+        full = known._scratch(slot, (floats,))
+        assert np.shares_memory(full, small[slot]) and full.base.nbytes == known._BLOCK_BYTES
+
+
+def test_the_two_slots_never_alias():
+    floats = known._BLOCK_BYTES // 8
+    for shape, dtype in [((floats,), float), ((3, 7), float), ((floats // 2,), complex),
+                         ((1, 1), complex)]:
+        views = [known._scratch(slot, shape, dtype) for slot in (0, 1)]
+        assert views[0].shape == shape and views[0].dtype == dtype
+        assert views[0].flags.c_contiguous and views[1].flags.c_contiguous
+        assert not np.shares_memory(*views)
+    # another thread has slots of its own
+    other = []
+    thread = threading.Thread(target=lambda: other.extend(
+        known._scratch(slot, (floats,)) for slot in (0, 1)))
+    thread.start()
+    thread.join()
+    for view in other:
+        assert not any(np.shares_memory(view, known._scratch(slot, (floats,)))
+                       for slot in (0, 1))
 
 
 def test_band_draws_take_a_few_blocks():

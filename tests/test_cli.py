@@ -166,6 +166,18 @@ class TestCliCommands:
         assert np.all(band["lower"] <= ci["lower"] + 1e-12)
         assert np.all(band["upper"] >= ci["upper"] - 1e-12)
 
+    @pytest.mark.parametrize("command", ["ci", "band"])
+    def test_one_observation_error_record(self, command, tmp_path, capsys):
+        train, out = tmp_path / "one.csv", tmp_path / "out.csv"
+        train.write_text("w,y\n0.5,1.0\n")
+        code = main([command, "--train", str(train), "--delta", "gaussian:0.1",
+                     "--grid", "0:1:3", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "confidence interval needs n >= 2"}
+        assert not out.exists()
+
     def test_cf_table(self, replicates_csv, tmp_path):
         out = tmp_path / "cf.csv"
         code = main(["cf", "--replicates", str(replicates_csv),

@@ -454,6 +454,18 @@ class TestSimultaneousBand:
             assert band.band_lower[j] <= lo + 1e-9
             assert band.band_upper[j] >= hi - 1e-9
 
+    def test_needs_two_points(self):
+        # as pointwise_band: one observation has no sampling variance to
+        # estimate, so the band is refused rather than made zero-width,
+        # after the alpha and n_sim checks
+        one, grid = TrainingSample([0.5], [1.0]), EvalGrid([0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match="alpha"):
+            simultaneous_band(one, GAUSS, grid, alpha=0.0)
+        with pytest.raises(ValueError, match="n_sim"):
+            simultaneous_band(one, GAUSS, grid, n_sim=0)
+        with pytest.raises(ValueError, match="n >= 2"):
+            simultaneous_band(one, GAUSS, grid, n_sim=10, seed=1)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(31)
         s = TrainingSample(rng.normal(size=30), rng.normal(size=30))

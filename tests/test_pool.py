@@ -200,23 +200,19 @@ def test_a_pass_queued_behind_the_busy_pool_thread_holds_nothing_after():
     freed = []
 
     def inner(data):
-        def blocks_of(starts):
-            for start in starts:
-                yield start, data is not None
-        return blocks_of
+        return lambda start: data is not None
 
-    def outer(starts):
-        for start in starts:
-            if threading.current_thread() is threading.main_thread():
-                data = Data()
-                ref = weakref.ref(data)
-                assert known._row_blocks(inner(data), 8, 1, 1) == [True] * 8
-                del data
-                gc.collect()
-                freed.append(ref() is None)
-            else:
-                time.sleep(0.05)
-            yield start, start
+    def outer(start):
+        if threading.current_thread() is threading.main_thread():
+            data = Data()
+            ref = weakref.ref(data)
+            assert known._row_blocks(inner(data), 8, 1, 1) == [True] * 8
+            del data
+            gc.collect()
+            freed.append(ref() is None)
+        else:
+            time.sleep(0.05)
+        return start
 
     with pool_of(2):
         assert known._row_blocks(outer, 8, 1, 1) == list(range(8))
@@ -227,7 +223,7 @@ def count_submits():
     """Patch the pool thread's ``submit`` (made first by a pooled pass) to
     count its calls."""
     with pool_of(2):
-        known._row_blocks(lambda starts: ((start, start) for start in starts), 8, 1, 1)
+        known._row_blocks(lambda start: start, 8, 1, 1)
     return mock.patch.object(known._pool, "submit", wraps=known._pool.submit)
 
 
@@ -236,13 +232,12 @@ def test_a_pass_begun_in_a_pooled_block_submits_nothing():
     # with the outer one: those run serially, calling no submit
     inner = []
 
-    def outer(starts):
-        for start in starts:
-            if threading.current_thread() is threading.main_thread():
-                inner.append(known._row_blocks(lambda s: ((i, i) for i in s), 8, 1, 1))
-            else:
-                time.sleep(0.05)
-            yield start, start
+    def outer(start):
+        if threading.current_thread() is threading.main_thread():
+            inner.append(known._row_blocks(lambda i: i, 8, 1, 1))
+        else:
+            time.sleep(0.05)
+        return start
 
     with count_submits() as submit, pool_of(2):
         assert known._row_blocks(outer, 8, 1, 1) == list(range(8))
@@ -253,17 +248,14 @@ def test_a_pass_begun_in_a_pooled_block_submits_nothing():
 def test_the_pool_is_free_again_after_a_pooled_pass_raises():
     threads = []
 
-    def failing(starts):
-        for start in starts:
-            raise ValueError(f"block {start}")
-        yield
+    def failing(start):
+        raise ValueError(f"block {start}")
 
-    def recording(starts):
-        for start in starts:
-            threads.append(threading.current_thread().name)
-            if threading.current_thread() is threading.main_thread():
-                time.sleep(0.05)  # the pool thread, when asked, takes the others
-            yield start, start
+    def recording(start):
+        threads.append(threading.current_thread().name)
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(0.05)  # the pool thread, when asked, takes the others
+        return start
 
     with count_submits() as submit, pool_of(2):
         with pytest.raises(ValueError, match="block 0"):
@@ -272,6 +264,29 @@ def test_the_pool_is_free_again_after_a_pooled_pass_raises():
         assert known._row_blocks(recording, 8, 1, 1) == list(range(8))
     assert submit.call_count == 2
     assert any(name.startswith("coarsereg-rows") for name in threads)
+
+
+def test_blocks_keep_their_places_and_slots_under_fast_switching():
+    # the threads switch as often as the interpreter lets them: every
+    # block's value lands in its own place, and each thread's slot views
+    # are its own, so no other block writes into them meanwhile
+    threads = set()
+
+    def body(start):
+        threads.add(threading.current_thread().name)
+        view = known._scratch(start % 2, (64,))
+        view[:] = start
+        time.sleep(0)
+        return float(view.sum()) / 64
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pool_of(2):
+            assert known._row_blocks(body, 2000, 1, 1) == list(range(2000))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) == 2
 
 
 def test_first_undefined_point_is_named_from_a_worker_range():
@@ -287,25 +302,25 @@ def test_serial_off_the_main_thread_and_for_custom_densities():
     w = np.linspace(0.0, 1.0, 50)
     x = np.linspace(0.0, 1.0, 40)
     custom = ErrorDensity.custom(lambda u: np.maximum(1.0 - np.abs(u), 0.0), scale=0.5)
-    threads = []
+    threads = set()  # the thread of each block
 
-    def spy(blocks_of, *args, **kwargs):
-        def recording(starts):
-            threads.append(threading.current_thread().name)
-            return blocks_of(starts)
+    def spy(body, *args, **kwargs):
+        def recording(start):
+            threads.add(threading.current_thread().name)
+            return body(start)
         return row_blocks(recording, *args, **kwargs)
 
     row_blocks = known._row_blocks
     with pool_of(2, 8 * 50), mock.patch.object(known, "_row_blocks", spy):
         _kernel_moments(custom._pdf_into, x, w, w)
-        assert threads == ["MainThread"]
+        assert threads == {"MainThread"}
         threads.clear()
         side = threading.Thread(target=_kernel_moments,
                                 args=(ErrorDensity.laplace(0.1)._pdf_into, x, w, w))
         side.start()
         side.join(timeout=60)
         assert not side.is_alive()
-        assert threads == [side.name]
+        assert threads == {side.name}
 
 
 M1 = ScenarioConfig(model="m1", n=60, predictor_noise=0.25, response_noise=0.1, seed=5)
