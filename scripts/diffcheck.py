@@ -12,8 +12,10 @@ cell with coverage points and one NW cell through REV's tree and through
 this checkout's. Each command runs in a fresh ``python -I``
 interpreter, once free and once pinned to one CPU, so its four runs cover
 both trees and both the pooled and the serial block passes. Every child
-runs OpenBLAS on one thread: the band's bounds move with the BLAS thread
-count, which pinning changes too, and that is not what the runs compare.
+runs OpenBLAS on one thread. The band runs its BLAS work on one OpenBLAS
+thread itself, so its bytes do not depend on that; the environment pin is
+needed only for revisions older than that change, whose band bounds move
+with the BLAS thread count (which the one-CPU pinning changes too).
 
 Every output file is compared with REV's free run. The script prints each
 file's sha256 and, where a run's file differs, the first differing line and

@@ -24,7 +24,7 @@ import numpy as np
 from .data import EvalGrid, RegressionCurve, ReplicatedSample, TrainingSample
 from .densities import ErrorDensity
 from .errors import MissingDecayError, ResolutionError
-from .known import _block_len, _joined, _ratio_curve, _row_blocks, _scratch
+from .known import _U, _block_len, _joined, _ratio_curve, _row_blocks, _scratch
 
 # Minimum number of positive-frequency nodes between 0 and the cutoff.
 MIN_NODES = 16
@@ -47,6 +47,8 @@ _IMAG_TOL = 1e-8
 # the cap, against the noise floor N**(-_CUTOFF_FLOOR_EXPONENT).
 _CUTOFF_PROBES = 512
 _CUTOFF_FLOOR_EXPONENT = 0.25
+# Probes the bound leaves open are computed this many at a time, in t order.
+_CUTOFF_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -142,12 +144,12 @@ def error_cf_from_replicates(rep: ReplicatedSample, t) -> CfTable:
     t == 0 is exactly 1 and every value lies in [0, 1].
     """
     t = np.asarray(t, dtype=float)
-    return CfTable(t=t, values=_error_cf(rep, t))
+    return CfTable(t=t, values=_error_cf(rep.pair_differences(), t))
 
 
-def _error_cf(rep: ReplicatedSample, t: np.ndarray) -> np.ndarray:
-    """sqrt|mean over within-group pairs of exp(i t (u_jk1 - u_jk2))| per t."""
-    return np.sqrt(np.abs(_mean_exp(t, rep.pair_differences())[0]))
+def _error_cf(d: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sqrt|mean over the pair differences d of exp(i t d)| per t."""
+    return np.sqrt(np.abs(_mean_exp(t, d)[0]))
 
 
 def empirical_cfs(sample: TrainingSample, t) -> tuple:
@@ -180,6 +182,14 @@ def select_cutoff(
     noise floor N**(-1/4), and never go below the lower-rate guard
     n**(1/(2*(signal_decay+error_decay-1))) / log(max(n, 3)) unless the
     guard exceeds the cap, in which case the cap wins with a warning.
+
+    Only the first crossing is used, so the probes are not all computed: a
+    prefix of them is certified above the floor by the lower bound
+    1 - t^2 mean(d^2) / 2 on the CF's square over the pair differences d,
+    and exact probes start at the first one the bound leaves open, in
+    blocks of 32, up to the first crossing. The cutoff is the one all 512
+    exact probes give, bit for bit; where the CF stays near 1 up to the cap,
+    no probe is computed at all.
 
     ``signal_decay`` defaults to ``error_decay + 2``, which always satisfies
     the smoothness ordering the rate bracket assumes. An explicit
@@ -227,11 +237,10 @@ def select_cutoff(
     cap = big_n ** (1.0 / (2.0 * (1.0 + error_decay))) / math.log(max(big_n, 3))
     tau = cap
     probe_t = np.linspace(0.0, cap, _CUTOFF_PROBES + 1)[1:]
-    probe_vals = _error_cf(rep, probe_t)
-    floor = big_n ** (-_CUTOFF_FLOOR_EXPONENT)
-    below = np.nonzero(probe_vals <= floor)[0]
-    if len(below):
-        tau = min(tau, float(probe_t[below[0]]))
+    crossing = _first_probe_below(rep.pair_differences(), probe_t,
+                                  big_n ** (-_CUTOFF_FLOOR_EXPONENT))
+    if crossing is not None:
+        tau = min(tau, crossing)
 
     guard = n ** (1.0 / (2.0 * (signal_decay + error_decay - 1.0))) / math.log(
         max(n, 3)
@@ -246,6 +255,36 @@ def select_cutoff(
         )
         tau = cap
     return float(tau)
+
+
+def _first_probe_below(d, probe_t, floor):
+    """The first of the increasing positive ``probe_t`` where the error CF
+    on the pair differences ``d`` is at most ``floor``, or None: the answer
+    of :func:`_error_cf` on every probe, bit for bit.
+
+    |mean exp(i t d)| >= mean cos(t d) >= 1 - t^2 mean(d^2) / 2, and the
+    error CF is the square root of the left side. So a probe is above the
+    floor when that bound, with mean(d^2) raised by a relative 1e-6 and
+    lowered by a slack of 1e-6 + 64u (1 + t max|d|) for the rounding of the
+    dense value (its phases t d carry up to u t max|d| each), exceeds
+    floor^2. The bound falls as t grows, in floats too, so the certified
+    probes are a prefix; squares that overflow certify nothing. The probes
+    from the first open one are computed exactly, ``_CUTOFF_BLOCK`` at a
+    time in t order, up to the block that holds the first crossing; each
+    row's value depends on its own t alone, so it is the dense pass's.
+    """
+    with np.errstate(all="ignore"):
+        spread = np.mean(np.square(d)) * (1.0 + 1e-6)
+        slack = 1e-6 + 64.0 * _U * (1.0 + probe_t * np.max(np.abs(d)))
+        certain = 1.0 - probe_t**2 * spread / 2.0 - slack > floor**2
+    open_at = np.flatnonzero(~certain)
+    for start in range(open_at[0] if len(open_at) else len(probe_t), len(probe_t),
+                       _CUTOFF_BLOCK):
+        t = probe_t[start:start + _CUTOFF_BLOCK]
+        below = np.flatnonzero(_error_cf(d, t) <= floor)
+        if len(below):
+            return float(t[below[0]])
+    return None
 
 
 @dataclass(frozen=True)

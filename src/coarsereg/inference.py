@@ -11,7 +11,10 @@ studentized supremum.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +31,73 @@ from .known import (
 # Covariance eigenvalues below this fraction of the largest are zeroed
 # before taking the symmetric square root.
 EIGENVALUE_CLIP = 1e-12
+
+# OpenBLAS's thread-count getter and setter under the names its builds
+# export: numpy's wheels (scipy-openblas), other 64-bit-integer builds, and
+# plain builds.
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_blas_lock = threading.Lock()
+# blocks inside _one_blas_thread, and the thread count the first one in found
+_blas_depth = 0
+_blas_restore = 1
+
+
+@lru_cache(maxsize=None)
+def _openblas():
+    """The (get, set) thread-count calls of the OpenBLAS numpy loaded, or
+    None where numpy's BLAS is another library or the lookup fails; looked up
+    once, at the first band."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        # a handle on numpy's LAPACK module also resolves the symbols of the
+        # libraries it links, its BLAS among them
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the count after.
+
+    The band's rank-k update, ``eigh`` and draw products split their work
+    among the BLAS threads in a way that moves their last bits, and a second
+    thread buys them no wall time while it keeps spinning into whatever runs
+    next. Nested or concurrent blocks share one pin: the first in sets the
+    count to 1 (only if it was above 1) and the last out restores it. Where
+    numpy's BLAS is not OpenBLAS this does nothing.
+    """
+    global _blas_depth, _blas_restore
+    calls = _openblas()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_restore = get()
+            if _blas_restore > 1:
+                set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0 and _blas_restore > 1:
+                set_(_blas_restore)
 
 
 @dataclass(frozen=True)
@@ -189,8 +259,9 @@ def covariance_matrix(
     """
     x = grid.points
     den, num, flat = _moments_at(err._pdf_into, x, sample.w, sample.y, _flat_support)
-    return CovarianceMatrix(grid=grid,
-                            entries=_centered_covariance(sample, err, x, den, num, flat))
+    with _one_blas_thread():
+        entries = _centered_covariance(sample, err, x, den, num, flat)
+    return CovarianceMatrix(grid=grid, entries=entries)
 
 
 def _centered_covariance(sample, err, x, den, num, zero):
@@ -320,7 +391,6 @@ def simultaneous_band(
     den, num, var = _moments_at(err._pdf_into, grid.points, sample.w, sample.y,
                                 _centered_variance)
     curve = _known_curve(err, grid, den, num)
-    cov = _centered_covariance(sample, err, grid.points, den, num, var == 0)
     n = sample.n
     se = np.sqrt(var / n)
     meta = dict(curve.meta)
@@ -328,26 +398,29 @@ def simultaneous_band(
     if not np.any(var > 0):
         meta["degenerate_covariance"] = True
 
-    eigval, eigvec = np.linalg.eigh(cov)
-    eigval[eigval < EIGENVALUE_CLIP * eigval.max()] = 0.0
-    root = (eigvec * np.sqrt(eigval)[None, :]) @ eigvec.T
+    with _one_blas_thread():
+        cov = _centered_covariance(sample, err, grid.points, den, num, var == 0)
+        eigval, eigvec = np.linalg.eigh(cov)
+        eigval[eigval < EIGENVALUE_CLIP * eigval.max()] = 0.0
+        root = (eigvec * np.sqrt(eigval)[None, :]) @ eigvec.T
 
-    # points with zero variance drop out of the sup: |draw| / inf = 0, so a
-    # zero covariance gives q = 0
-    scale = np.where(var > 0, se, np.inf)
-    # the draws in blocks of rows, in the generator's stream order; only each
-    # row's sup is kept
-    rng = np.random.default_rng(seed)
-    sups = np.empty(n_sim)
-    step = min(_block_len(len(grid)), n_sim)
-    for start in range(0, n_sim, step):
-        block = sups[start:start + step]
-        shape = (len(block), len(grid))
-        d = np.matmul(rng.standard_normal(out=_scratch(0, shape)), root, out=_scratch(1, shape))
-        d /= np.sqrt(n)
-        np.abs(d, out=d)
-        d /= scale
-        np.max(d, axis=1, out=block)
+        # points with zero variance drop out of the sup: |draw| / inf = 0, so a
+        # zero covariance gives q = 0
+        scale = np.where(var > 0, se, np.inf)
+        # the draws in blocks of rows, in the generator's stream order; only
+        # each row's sup is kept
+        rng = np.random.default_rng(seed)
+        sups = np.empty(n_sim)
+        step = min(_block_len(len(grid)), n_sim)
+        for start in range(0, n_sim, step):
+            block = sups[start:start + step]
+            shape = (len(block), len(grid))
+            d = np.matmul(rng.standard_normal(out=_scratch(0, shape)), root,
+                          out=_scratch(1, shape))
+            d /= np.sqrt(n)
+            np.abs(d, out=d)
+            d /= scale
+            np.max(d, axis=1, out=block)
     q = float(np.quantile(sups, 1.0 - alpha))
 
     meta["sup_quantile"] = q

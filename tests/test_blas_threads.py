@@ -2,13 +2,13 @@
 
 Every sample-axis moment (the kernel den and num, the empirical CFs and the
 Fourier inversions) is an elementwise product summed by numpy's pairwise
-reduction, so no BLAS call decides its bits. Each command runs in a fresh
-interpreter, since OpenBLAS reads its thread count once, at import.
-
-``band`` is left out: its covariance is a BLAS rank-k update, its square
-root comes from LAPACK's ``eigh`` and its draws from a BLAS product, and
-OpenBLAS splits each of those among its threads differently, so the
-covariance, the eigenpairs and the draws all move with the thread count.
+reduction, so no BLAS call decides its bits. ``band``'s covariance is a BLAS
+rank-k update, its square root comes from LAPACK's ``eigh`` and its draws
+from a BLAS product, and OpenBLAS would split each of those among its
+threads in a way that moves their last bits; the band runs them on one
+OpenBLAS thread, so its bytes are the one-thread bytes under any count.
+Each command runs in a fresh interpreter, since OpenBLAS reads its thread
+count once, at import.
 """
 
 import os
@@ -30,7 +30,13 @@ COMMANDS = {
     "ci": ["ci", "--delta", f"laplace:{LAPLACE_B}"],
     "nw": ["nw", "--bandwidth", "0.05"],
     "fit-fourier": ["fit-fourier", "--tau", "20", "--replicates", "{reps}"],
+    "band": ["band", "--delta", f"laplace:{LAPLACE_B}", "--nsim", "2000", "--seed", "3"],
 }
+# two threads everywhere, and every CPU where there are more
+THREADS = sorted({2, os.cpu_count() or 1} - {1})
+# the CLI with the OpenBLAS lookup finding nothing, so nothing is pinned
+UNPINNED = ("import sys, coarsereg.inference; coarsereg.inference._openblas = lambda: None; "
+            "from coarsereg.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
 @pytest.fixture(scope="module")
@@ -51,14 +57,14 @@ def inputs(tmp_path_factory):
     return directory, train, reps
 
 
-def run(command, inputs, threads):
+def run(command, inputs, threads, unpinned=False):
     directory, train, reps = inputs
     argv = [a.format(reps=reps) for a in COMMANDS[command]]
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    entry = ["-c", UNPINNED] if unpinned else ["-m", "coarsereg.cli"]
     done = subprocess.run(
-        [sys.executable, "-m", "coarsereg.cli", *argv, "--train", str(train),
-         "--grid", "0:1:201"],
+        [sys.executable, *entry, *argv, "--train", str(train), "--grid", "0:1:201"],
         env=env, cwd=directory, capture_output=True, check=True)
     return done.stdout
 
@@ -67,4 +73,11 @@ def run(command, inputs, threads):
 def test_output_does_not_depend_on_blas_threads(inputs, command):
     one = run(command, inputs, 1)
     assert one.count(b"\n") > 200  # a header and 201 grid rows, at least
-    assert run(command, inputs, 2) == one
+    for threads in THREADS:
+        assert run(command, inputs, threads) == one
+
+
+def test_band_pin_gives_the_one_thread_bytes(inputs):
+    # without the pin, on one thread by the environment, the band writes
+    # what the pinned band writes on two
+    assert run("band", inputs, 1, unpinned=True) == run("band", inputs, 2)

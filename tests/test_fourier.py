@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,25 @@ def make_pairs(rng, n_groups, error_scale, center_scale=1.0):
     u1 = v + rng.laplace(0, error_scale, n_groups)
     u2 = v + rng.laplace(0, error_scale, n_groups)
     return ReplicatedSample(np.stack([u1, u2], axis=1))
+
+
+def near_one_pairs():
+    """10 000 pairs whose error CF stays near 1 up to the cap."""
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=10_000)
+    return ReplicatedSample(
+        np.stack([v + rng.normal(0, 0.01, v.size), v + rng.normal(0, 0.01, v.size)], axis=1))
+
+
+def dipping_pairs():
+    """5 000 pairs whose error CF drops under the noise floor inside the cap."""
+    return make_pairs(np.random.default_rng(6), 5000, 40.0, center_scale=0.1)
+
+
+def examples(count):
+    """``count`` examples under the default profile, scaled by the loaded one
+    as unfixed tests are (``--hypothesis-profile=thorough`` gives 20x)."""
+    return count * settings.default.max_examples // 100
 
 
 class TestErrorCf:
@@ -144,18 +164,13 @@ class TestSelectCutoff:
 
     def test_rate_cap_arithmetic(self):
         # CF stays near 1 on the probed range, so the cap decides
-        rng = np.random.default_rng(5)
-        v = rng.normal(size=10_000)
-        rep = ReplicatedSample(
-            np.stack([v + rng.normal(0, 0.01, v.size), v + rng.normal(0, 0.01, v.size)], axis=1)
-        )
+        rep = near_one_pairs()
         tau = select_cutoff(rep, n=100, error_decay=2.0)
         assert tau == pytest.approx(10_000 ** (1.0 / 6.0) / math.log(10_000), rel=1e-12)
 
     def test_noise_floor_cut_wins_when_cf_dips(self):
         # large error scale drives the CF under the floor inside the cap
-        rng = np.random.default_rng(6)
-        rep = make_pairs(rng, 5000, 40.0, center_scale=0.1)
+        rep = dipping_pairs()
         floor = 5000 ** (-0.25)
         cap = 5000 ** (1.0 / 6.0) / math.log(5000)
         tau = select_cutoff(rep, n=100, error_decay=2.0)
@@ -191,19 +206,36 @@ class TestSelectCutoff:
         with pytest.raises(ValueError, match="uniform"):
             select_cutoff(rep, 50, density=ErrorDensity.uniform(0.5))
 
-    def test_probes_the_error_cf_at_512_positive_frequencies(self, monkeypatch):
-        sizes = []
+    def test_exact_probes_run_from_the_first_open_one_to_the_crossing(self, monkeypatch):
+        cap = 5000 ** (1.0 / 6.0) / math.log(5000)
+        probe = np.linspace(0.0, cap, 513)[1:]
+        dipping = dipping_pairs()
+        d = dipping.pair_differences()
+        floor = 5000 ** (-0.25)
+        crossing = np.flatnonzero(coarsereg.fourier._error_cf(d, probe) <= floor)[0]
+        bound = 1.0 - probe**2 * np.mean(d**2) * (1.0 + 1e-6) / 2.0 - (
+            1e-6 + 64 * 2.0**-53 * (1.0 + probe * np.max(np.abs(d))))
+        first = np.argmin(bound > floor**2)
+        assert 0 < first <= crossing
+
+        rows = []
         mean_exp = coarsereg.fourier._mean_exp
 
         def spy(t, points, weights=None):
-            sizes.append(len(t))
-            assert np.all(t > 0)
+            rows.append(np.array(t))
             return mean_exp(t, points, weights)
 
         monkeypatch.setattr(coarsereg.fourier, "_mean_exp", spy)
-        rep = make_pairs(np.random.default_rng(4), 100, 0.5)
-        select_cutoff(rep, 50, error_decay=2.0)
-        assert sizes == [512]
+        # the CF stays near 1 up to the cap: every probe is certified
+        select_cutoff(near_one_pairs(), n=100, error_decay=2.0)
+        assert rows == []
+        # blocks of 32 exact rows, in t order, from the first probe the
+        # bound leaves open up to the block that holds the crossing
+        select_cutoff(dipping, n=100, error_decay=2.0)
+        computed = np.concatenate(rows)
+        assert np.array_equal(computed, probe[first:first + len(computed)])
+        assert [len(r) for r in rows[:-1]] == [32] * (len(rows) - 1)
+        assert first + len(computed) - len(rows[-1]) <= crossing < first + len(computed)
 
     @pytest.mark.parametrize("decays, named", [
         (dict(error_decay=-1.0), "error_decay"),
@@ -226,6 +258,80 @@ class TestSelectCutoff:
         with pytest.warns(UserWarning, match="guard"):
             tau = select_cutoff(rep, n=10**12, error_decay=2.0, signal_decay=3.5)
         assert tau == pytest.approx(cap)
+
+
+def dense_cutoff(rep, n, error_decay):
+    """select_cutoff's policy with all 512 probes exponentiated, the
+    signal decay at its default and no override."""
+    big_n = rep.n_groups
+    cap = big_n ** (1.0 / (2.0 * (1.0 + error_decay))) / math.log(max(big_n, 3))
+    tau = cap
+    probe_t = np.linspace(0.0, cap, 513)[1:]
+    probe_vals = coarsereg.fourier._error_cf(rep.pair_differences(), probe_t)
+    floor = big_n ** (-0.25)
+    below = np.nonzero(probe_vals <= floor)[0]
+    if len(below):
+        tau = min(tau, float(probe_t[below[0]]))
+    signal_decay = error_decay + 2.0
+    guard = n ** (1.0 / (2.0 * (signal_decay + error_decay - 1.0))) / math.log(max(n, 3))
+    return max(tau, guard) if guard <= cap else cap
+
+
+@st.composite
+def replicate_sets(draw, max_groups):
+    """Replicate groups of 2-4 with Laplace, Gaussian or t2 errors, at
+    scales where the CF dips under the floor inside the cap and at scales
+    from 1e-300 to where the pair differences overflow; a decay and a
+    sample size that put the guard below the cap, above the crossing, or
+    above the cap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(2, max_groups)), draw(st.integers(2, 4)))
+    law = draw(st.sampled_from(["laplace", "gaussian", "t2"]))
+    errors = {"laplace": rng.laplace, "gaussian": rng.normal,
+              "t2": lambda size: rng.standard_t(2.0, size=size)}[law](size=shape)
+    scale = 10.0 ** draw(st.one_of(st.floats(-1.5, 1.5), st.floats(-300.0, 308.2),
+                                   st.sampled_from([154.5, 307.5, 308.2])))
+    center = draw(st.sampled_from([0.0, 1.0, 1e6])) * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.nan_to_num(rng.normal(0.0, 1.0, (shape[0], 1)) * center + errors * scale,
+                          posinf=np.finfo(float).max, neginf=-np.finfo(float).max)
+    return ReplicatedSample(u), draw(st.integers(2, 10**7)), draw(st.floats(0.2, 4.0))
+
+
+def cutoff_outcome(cutoff, case, action):
+    """The cutoff, or the RuntimeWarning raised under ``action="error"``
+    (by differences that overflow, or phases t d that do)."""
+    rep, n, error_decay = case
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        warnings.filterwarnings("ignore", "lower-rate guard", UserWarning)
+        try:
+            return cutoff(rep, n, error_decay=error_decay)
+        except RuntimeWarning as exc:
+            return repr(exc)
+
+
+def assert_cutoff_is_the_dense_one(case):
+    want = cutoff_outcome(dense_cutoff, case, "ignore")
+    assert cutoff_outcome(select_cutoff, case, "ignore") == want
+    # with warnings as errors the bound adds none; the exact rows are the
+    # dense pass's first ones, so they warn where it does or, when it warns
+    # only on later rows, not at all
+    assert cutoff_outcome(select_cutoff, case, "error") in (
+        cutoff_outcome(dense_cutoff, case, "error"), want)
+
+
+class TestCertifiedProbes:
+    @settings(deadline=None)
+    @given(case=replicate_sets(max_groups=200))
+    def test_cutoff_is_the_dense_one(self, case):
+        assert_cutoff_is_the_dense_one(case)
+
+    @pytest.mark.thorough
+    @settings(deadline=None, max_examples=examples(20))
+    @given(case=replicate_sets(max_groups=3000))
+    def test_cutoff_is_the_dense_one_on_large_sets(self, case):
+        assert_cutoff_is_the_dense_one(case)
 
 
 class TestFourierConfig:

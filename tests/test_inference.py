@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from coarsereg import (
     simultaneous_band,
     variance_at,
 )
-from coarsereg import known
+from coarsereg import inference, known
 from coarsereg.cli import main
 from coarsereg.inference import _ndtri, _z
 
@@ -500,6 +502,124 @@ class TestBandKernelPasses:
         cells.clear()
         covariance_matrix(s, ErrorDensity.gaussian(0.2), grid)
         assert sum(cells) == 2 * g * n
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS's (get, set) calls with the count set to 2, restored after."""
+    calls = inference._openblas()
+    if calls is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, set_ = calls
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def blas_sample():
+    rng = np.random.default_rng(59)
+    w = rng.uniform(0, 1, 150)
+    return (TrainingSample(w, np.sin(3 * w) + rng.normal(0, 0.3, 150)), ErrorDensity.laplace(0.1),
+            EvalGrid(np.linspace(0.1, 0.9, 13)))
+
+
+BLAS_CALLS = {"band": lambda s, e, g: simultaneous_band(s, e, g, n_sim=200, seed=1),
+              "covariance": covariance_matrix}
+
+
+class TestOneBlasThread:
+    @pytest.mark.parametrize("call", sorted(BLAS_CALLS))
+    def test_runs_on_one_thread_and_restores_the_count(self, monkeypatch, two_blas_threads,
+                                                        call):
+        inside = []
+        centered = inference._centered_covariance
+
+        def spy(*args):
+            inside.append(two_blas_threads())
+            return centered(*args)
+
+        monkeypatch.setattr(inference, "_centered_covariance", spy)
+        BLAS_CALLS[call](*blas_sample())
+        assert inside == [1]
+        assert two_blas_threads() == 2
+
+    @pytest.mark.parametrize("call", sorted(BLAS_CALLS))
+    def test_restores_the_count_when_it_raises(self, monkeypatch, two_blas_threads, call):
+        def fail(*args):
+            raise RuntimeError("covariance failed")
+
+        monkeypatch.setattr(inference, "_centered_covariance", fail)
+        with pytest.raises(RuntimeError, match="covariance failed"):
+            BLAS_CALLS[call](*blas_sample())
+        assert two_blas_threads() == 2
+
+    def test_overlapping_bands_restore_the_count_once(self, monkeypatch, two_blas_threads):
+        # band a enters the pin first and leaves it while band b is inside:
+        # b keeps one thread, and b, the last out, restores the count
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        inside = {}
+        centered = inference._centered_covariance
+
+        def covariance(*args):
+            name = threading.current_thread().name
+            if name == "a":
+                a_in.set()
+                b_in.wait(30)
+            else:
+                b_in.set()
+                a_out.wait(30)
+            inside[name] = two_blas_threads()
+            return centered(*args)
+
+        monkeypatch.setattr(inference, "_centered_covariance", covariance)
+        sample, err, grid = blas_sample()
+        bands = {}
+
+        def band(wait=None):
+            if wait is not None:
+                wait.wait(30)
+            name = threading.current_thread().name
+            bands[name] = simultaneous_band(sample, err, grid, n_sim=200, seed=1)
+
+        a = threading.Thread(target=band, name="a")
+        b = threading.Thread(target=band, name="b", args=(a_in,))
+        a.start()
+        b.start()
+        a.join(60)
+        a_out.set()
+        b.join(60)
+        assert not a.is_alive() and not b.is_alive()
+        assert inside == {"a": 1, "b": 1}
+        assert two_blas_threads() == 2
+        np.testing.assert_array_equal(bands["a"].band_lower, bands["b"].band_lower)
+
+
+    def test_many_threads_share_one_pin(self, two_blas_threads):
+        # more threads than CPUs enter and leave the pin, some nested, with
+        # a short switch interval; inside it the count is always 1
+        counts = []
+
+        def enter_and_leave():
+            for _ in range(200):
+                with inference._one_blas_thread():
+                    with inference._one_blas_thread():
+                        counts.append(two_blas_threads())
+                    counts.append(two_blas_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert counts == [1] * (8 * 200 * 2)
+        assert two_blas_threads() == 2
 
 
 PROPERTY_DENSITIES = [ErrorDensity.gaussian(0.2), ErrorDensity.laplace(0.1),
