@@ -121,15 +121,24 @@ class ReplicatedSample:
 
     def pair_differences(self) -> np.ndarray:
         """All within-group differences u[k1] - u[k2] with k1 < k2, group by
-        group in order; one gather per distinct group size."""
+        group in order; one gather per distinct group size. Raises a
+        ValueError naming the first group whose differences overflow."""
         sizes, u = self.sizes, self.values
         pairs = sizes * (sizes - 1) // 2
         first, out_first = np.cumsum(sizes) - sizes, np.cumsum(pairs) - pairs
         out = np.empty(int(pairs.sum()))
-        for m in np.unique(sizes):
-            idx1, idx2 = np.triu_indices(m, k=1)
-            at = first[sizes == m, None]
-            out[out_first[sizes == m, None] + np.arange(len(idx1))] = u[at + idx1] - u[at + idx2]
+        with np.errstate(over="ignore"):
+            for m in np.unique(sizes):
+                idx1, idx2 = np.triu_indices(m, k=1)
+                at = first[sizes == m, None]
+                at_out = out_first[sizes == m, None] + np.arange(len(idx1))
+                out[at_out] = u[at + idx1] - u[at + idx2]
+        overflow = np.flatnonzero(~np.isfinite(out))
+        if overflow.size:
+            g = int(np.searchsorted(out_first + pairs, overflow[0], side="right"))
+            group = u[first[g]:first[g] + sizes[g]]
+            raise ValueError(f"group {g}: pair differences overflow (values from "
+                             f"{float(group.min())!r} to {float(group.max())!r})")
         return out
 
 

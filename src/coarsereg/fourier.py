@@ -141,7 +141,8 @@ def error_cf_from_replicates(rep: ReplicatedSample, t) -> CfTable:
 
     The estimate is the square root of the modulus of the average of
     exp(i t (u_jk1 - u_jk2)) over all within-group pairs; the value at
-    t == 0 is exactly 1 and every value lies in [0, 1].
+    t == 0 is exactly 1 and every value lies in [0, 1]. A pair difference
+    or a phase t d that overflows raises a ValueError.
     """
     t = np.asarray(t, dtype=float)
     return CfTable(t=t, values=_error_cf(rep.pair_differences(), t))
@@ -149,7 +150,18 @@ def error_cf_from_replicates(rep: ReplicatedSample, t) -> CfTable:
 
 def _error_cf(d: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sqrt|mean over the pair differences d of exp(i t d)| per t."""
+    _check_phases(d, t)
     return np.sqrt(np.abs(_mean_exp(t, d)[0]))
+
+
+def _check_phases(d: np.ndarray, t: np.ndarray):
+    """Raise a ValueError if a phase t d overflows. The largest is
+    max|t| max|d|, which rounds as that one product does."""
+    if len(d) and len(t):
+        top_t, top_d = float(np.max(np.abs(t))), float(np.max(np.abs(d)))
+        if not math.isfinite(top_t * top_d):
+            raise ValueError(f"phases t*d overflow: |t| up to {top_t!r} times pair "
+                             f"differences up to {top_d!r}")
 
 
 def empirical_cfs(sample: TrainingSample, t) -> tuple:
@@ -202,7 +214,8 @@ def select_cutoff(
         density metadata.
     ValueError
         Unless ``error_decay`` is finite and positive, and ``signal_decay``
-        is finite with ``signal_decay + error_decay > 1``.
+        is finite with ``signal_decay + error_decay > 1``; and when a pair
+        difference, or a phase t d at a probe up to the cap, overflows.
     """
     if override is not None:
         if not override > 0:
@@ -271,8 +284,10 @@ def _first_probe_below(d, probe_t, floor):
     probes are a prefix; squares that overflow certify nothing. The probes
     from the first open one are computed exactly, ``_CUTOFF_BLOCK`` at a
     time in t order, up to the block that holds the first crossing; each
-    row's value depends on its own t alone, so it is the dense pass's.
+    row's value depends on its own t alone, so it is the dense pass's. A
+    phase t d that overflows on any probe raises, as in the dense pass.
     """
+    _check_phases(d, probe_t)  # as the dense pass over every probe would
     with np.errstate(all="ignore"):
         spread = np.mean(np.square(d)) * (1.0 + 1e-6)
         slack = 1e-6 + 64.0 * _U * (1.0 + probe_t * np.max(np.abs(d)))

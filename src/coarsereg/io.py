@@ -12,8 +12,16 @@ All numeric fields must be finite; NaN and infinities are rejected with an
 error naming file, line and column. A well-formed file is parsed in one
 vectorised pass; any other file is re-read row by row, and only that scan
 raises a parse error, so every error record names the same place either
-way. Replicate labels are numbered in order of first appearance on either
-path, and one grouping step then checks that no group has a single member.
+way. The vectorised pass checks the file's bytes, then parses every cell
+with one ``np.fromstring`` call into long double, which runs the C
+library's correctly rounded ``strtold``, and rounds the result to binary64.
+That second rounding is exact except on a binary64 midpoint, so the cells
+whose long double lies on one (about 1 in 2048) are re-read with
+``float()``; where long double is binary64 itself there is one rounding and
+no re-read. Either path gives each cell the double ``float()`` gives, bit
+for bit. Replicate labels are numbered in order of first appearance on
+either path, and one grouping step then checks that no group has a single
+member.
 :func:`csv_text` is the one CSV writer: values carry 17 significant digits
 so a written table re-reads bit-exactly, and undefined points serialize as
 ``nan`` in outputs only. A curve's columns (:func:`curve_columns`) are
@@ -30,7 +38,6 @@ import csv
 import json
 import math
 import os
-import re
 import tempfile
 from typing import Optional
 
@@ -123,58 +130,201 @@ def _parse_columns(path, rows, names, finite=True) -> list:
     return [np.array(v) for v in values]
 
 
-# any character that str.strip() would keep
-_NON_BLANK = re.compile(r"\S")
+# bytes a numeric cell may hold: no letters but the exponent's, so no hex,
+# inf or nan ever reaches the parser
+_CELL_BYTES = b"0123456789+-.eE \t"
+# bytes a replicate label may hold: printable ASCII but the quote and the
+# separator, and tab; str.strip() removes only spaces and tabs among them
+_LABEL_BYTES = bytes(sorted(set(range(0x20, 0x7F)) - {ord('"'), ord(",")})) + b"\t"
+_BLANK = np.zeros(256, bool)
+_BLANK[[ord(" "), ord("\t")]] = True
+# longer labels, once stripped, go to the row-wise path
+_MAX_LABEL = 64
+_NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
+# an IEEE long double (binary64 itself, x87 extended or binary128) holds
+# every binary64 midpoint; IBM double-double takes the row-wise path
+_LONGDOUBLE_IEEE = np.finfo(np.longdouble).nmant in (52, 63, 112)
+# values per block of the rounding check, bytes per block of the comma scan
+_CHECK_BLOCK = 1 << 12
+_SCAN_BLOCK = 1 << 16
 
 
-def _plain(text, header) -> bool:
-    """Whether ``text`` is plain CSV under exactly ``header``: no quotes,
-    NULs or bare carriage returns, and a non-blank line after the header.
-    Checked in place: only the header line is copied."""
-    end = text.find("\n")
-    return (
-        end >= 0
-        and '"' not in text
-        and "\x00" not in text
-        and text.count("\r") == text.count("\r\n")
-        and [h.strip() for h in text[:end].split(",")] == list(header)
-        and _NON_BLANK.search(text, end + 1) is not None
-    )
+def _lines(body: bytes, allowed: bytes, fields: int):
+    """``body`` as LF-terminated lines with no blank one, and their count.
+
+    Raises ValueError unless there is a line and every line holds
+    ``fields`` comma-separated cells of ``allowed`` bytes. Copies only to
+    turn CRLF into LF, end the last line or drop blank lines.
+    """
+    if b"\r" in body:
+        if body.count(b"\r") != body.count(b"\r\n"):
+            raise ValueError("bare carriage return")
+        body = body.replace(b"\r\n", b"\n")
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    row = b"," * (fields - 1) + b"\n"
+    seps = body.translate(None, allowed)
+    if seps != row * (len(seps) // len(row)):  # perhaps blank lines
+        while b"\n\n" in body:
+            body = body.replace(b"\n\n", b"\n")
+        body = body.lstrip(b"\n")
+        seps = body.translate(None, allowed)
+    rows = len(seps) // len(row)
+    if not rows or seps != row * rows:
+        raise ValueError("not plain CSV")
+    return body, rows
+
+
+def _check_blank_cells(body: bytes):
+    """Raise ValueError if a cell of ``body`` holds only spaces and tabs,
+    which numpy's parse would read as 0; an empty cell fails the parse."""
+    if b" " in body or b"\t" in body:
+        packed = body.translate(None, b" \t")
+        if packed.startswith((b",", b"\n")) or any(
+            pair in packed for pair in (b",,", b",\n", b"\n,", b"\n\n")
+        ):
+            raise ValueError("blank cell")
+
+
+def _split_labels(body: bytes):
+    """Labels, label indices and value lines of ``group,u`` lines from
+    :func:`_lines`, each value of :data:`_CELL_BYTES` only.
+
+    The labels, stripped of spaces and tabs, are numbered in order of first
+    appearance by one ``np.unique`` over their bytes, padded with NULs to the
+    longest label's width; the distinct labels come back as a str array.
+    """
+    view = np.frombuffer(body, np.uint8)
+    ends = np.flatnonzero(view == ord("\n"))
+    lo = np.concatenate(([0], ends[:-1] + 1))
+    hi = np.flatnonzero(view == ord(","))
+    # every line's label and separator, then its value and newline
+    spans = np.column_stack([hi + 1 - lo, ends - hi]).ravel()
+    del ends
+    values = view[np.repeat(np.tile([False, True], len(lo)), spans)].tobytes()
+    del spans
+    if values.translate(None, _CELL_BYTES) != b"\n" * len(lo):
+        raise ValueError("not a number")
+    while (step := _BLANK[view[lo]]).any():  # the separator stops it
+        lo += step
+    while (step := _BLANK[view[hi - 1]] & (hi > lo)).any():
+        hi -= step
+    width = int((hi - lo).max())
+    if width > _MAX_LABEL:
+        raise ValueError("long label")
+    chars = np.zeros((len(lo), max(width, 1)), np.uint8)
+    for k in range(width):
+        take = hi - lo > k
+        chars[take, k] = view[lo[take] + k]
+    del lo, hi
+    distinct, first, inverse = np.unique(chars.view(f"S{chars.shape[1]}")[:, 0],
+                                         return_index=True, return_inverse=True)
+    del chars
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return distinct[order].astype(str), rank[inverse], values
+
+
+def _comma_offsets(text: bytes, cells):
+    """Offsets in ``text`` of the commas that end ``cells`` (sorted cell
+    indices), found block by block."""
+    view = np.frombuffer(text, np.uint8)
+    offsets, before = [], 0
+    for start in range(0, len(view), _SCAN_BLOCK):
+        if before > cells[-1]:
+            break
+        commas = start + np.flatnonzero(view[start:start + _SCAN_BLOCK] == ord(","))
+        mine = cells[(cells >= before) & (cells < before + len(commas))]
+        offsets.extend(commas[mine - before])
+        before += len(commas)
+    return offsets
+
+
+def _doubles(text: bytes):
+    """The double ``float()`` gives for each comma-terminated cell of ``text``.
+
+    ``np.fromstring`` parses every cell with the C library's ``strtold``,
+    correctly rounded to long double. Rounding that again to binary64 gives
+    the correctly rounded double unless the long double lies exactly on a
+    binary64 midpoint (Figueroa, "When is double rounding innocuous?",
+    1995): a decimal strictly between two midpoints rounds to a long double
+    between them too. Those cells, about 1 in 2048, and any that overflow
+    are re-read with ``float()``. Where long double is binary64 the first
+    rounding is the only one and no cell is re-read.
+    """
+    extended = np.fromstring(text, dtype=np.longdouble, sep=",")
+    suspects = []
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is re-read
+        values = extended.astype(np.float64)
+        for start in range(0, len(values), _CHECK_BLOCK):
+            x, d = extended[start:start + _CHECK_BLOCK], values[start:start + _CHECK_BLOCK]
+            r = x - d  # exact
+            off = r != 0
+            # on a midpoint r is half a spacing, a power of two that stays
+            # exact in binary64 or, below 2**-1074, rounds to 0; then d + 2r
+            # lands on d's neighbour, or on d, without rounding. Elsewhere
+            # the test can hold too, which costs only a re-read
+            r = r.astype(np.float64)
+            midpoint = (d + 2 * r) - d == 2 * r
+            suspects.append(start + np.flatnonzero(off & (midpoint | ~np.isfinite(d))))
+    del extended
+    suspects = np.concatenate(suspects)
+    if suspects.size:
+        for cell, end in zip(suspects, _comma_offsets(text, suspects)):
+            values[cell] = float(text[text.rfind(b",", 0, end) + 1:end])
+    return values
 
 
 def _read_fast(path, header, *, labelled=False):
     """Parse a well-formed file in one vectorised pass, or return None.
 
-    Only plain CSV gets through: the exact header, no quotes, NULs or bare
-    carriage returns, the header's field count on every non-empty row, at
-    least one row and only finite values. numpy's C parser accepts a subset
-    of what ``float`` accepts and rounds the same way, so every value equals
-    the row-wise one bit for bit. For anything else the caller falls back
+    Only plain CSV gets through: the exact header, no bare carriage returns,
+    the header's field count on every non-empty line, no blank cell, at
+    least one row and only finite values. A numeric cell may hold only
+    digits, ``+-.eE``, spaces and tabs, and ``np.fromstring`` parses the
+    cells of every row at once (:func:`_doubles`), each to the double
+    ``float()`` gives, bit for bit. For anything else the caller falls back
     to the row-wise path, which then locates the fault.
 
-    The text is read once for the checks and dropped; numpy then parses the
-    file from its path, past the header, so the read's peak is about twice
-    the file's size (the bytes and their decoded text), and about four times
-    with labels. numpy reads a path faster than a text handle.
+    The bytes are read once and checked in place; the parse reads a copy
+    with each newline turned into a comma, made after the checks and in
+    place of the bytes, so a read's traced peak is about 2.3 times the
+    file's size (the copy, the long doubles and the doubles), and about 4
+    times with labels.
 
     Returns one array per column. With ``labelled`` the first column holds
     labels, read as indices in order of first appearance, and the result is
     ``[distinct labels, indices, *values]``.
     """
-    labels: dict = {}
-    converters = {0: lambda s: labels.setdefault(s.strip(), len(labels))} if labelled else None
+    if not _LONGDOUBLE_IEEE:
+        return None
     try:
-        with open(path, newline="") as handle:
-            if not _plain(handle.read(), header):
-                return None
-        table = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2,
-                           dtype=float, converters=converters)
-    except (OSError, ValueError):  # ValueError includes UnicodeError
+        with open(path, "rb") as handle:
+            head = handle.readline()
+            body = handle.read()
+        if not (head.endswith(b"\n") and head.count(b"\r") == head.count(b"\r\n")
+                and [h.strip() for h in head.split(b",")] == [h.encode() for h in header]):
+            return None
+        fields = len(header)
+        body, rows = _lines(body, _LABEL_BYTES if labelled else _CELL_BYTES, fields)
+        if labelled:
+            labels, indices, body = _split_labels(body)
+            fields = 1
+        _check_blank_cells(body)
+        text = body.translate(_NEWLINE_TO_COMMA)
+        del body
+        values = _doubles(text)
+    except (OSError, ValueError, DeprecationWarning):
+        # on unmatched data numpy 2 raises ValueError, while numpy 1 warns
+        # (an error under -W error) or returns the cells read before it
         return None
-    if table.shape[1] != len(header) or not np.isfinite(table).all():
+    del text
+    if values.size != rows * fields or not np.isfinite(values).all():
         return None
-    columns = [table[:, j].copy() for j in range(table.shape[1])]
-    return [list(labels), columns[0].astype(np.intp), *columns[1:]] if labelled else columns
+    if labelled:
+        return [labels, indices, values]
+    return [values[j::fields].copy() for j in range(fields)]
 
 
 def _read_numeric(path, columns) -> list:
@@ -203,7 +353,7 @@ def read_replicates_csv(path) -> ReplicatedSample:
     single = np.flatnonzero(counts < 2)
     if single.size:
         raise DataFormatError(
-            f"group {labels[single[0]]!r} has a single measurement; every group needs >= 2",
+            f"group {str(labels[single[0]])!r} has a single measurement; every group needs >= 2",
             file=str(path),
         )
     # a stable sort keeps each group's values in file order

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,24 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err)["error"].startswith(f"{named} must be finite")
+
+    @pytest.mark.parametrize("command", [
+        ["cf", "--tmax", "2", "--tstep", "0.5"],
+        ["fit-fourier", "--grid", "0:1:5", "--lambdadelta", "2"],
+    ], ids=["cf", "fit-fourier"])
+    def test_overflowing_replicates_error_record(self, command, train_csv, tmp_path, capsys):
+        reps, out = tmp_path / "reps.csv", tmp_path / "out.csv"
+        reps.write_text("group,u\na,1e308\na,-1e308\nb,0\nb,1\nc,2\nc,3\n")
+        extra = ["--train", str(train_csv)] if command[0] == "fit-fourier" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*command, *extra, "--replicates", str(reps), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "group 0: pair differences overflow (values from -1e+308 to 1e+308)"}
+        assert not out.exists()
 
     def test_fit_proxy_json(self, tmp_path):
         pairs = tmp_path / "pairs.csv"

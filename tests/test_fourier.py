@@ -89,6 +89,37 @@ class TestErrorCf:
         np.testing.assert_allclose(tab.values, tab.values[::-1], atol=1e-12)
 
 
+class TestOverflowingReplicates:
+    """Differences or phases t d that overflow raise one located ValueError,
+    with no RuntimeWarning on the way."""
+
+    OVERFLOWING = [[1e308, -1e308], [0.0, 1.0], [2.0, 3.0]]
+
+    @pytest.mark.parametrize("call", [
+        lambda rep: error_cf_from_replicates(rep, [-1.0, 0.0, 1.0]),
+        lambda rep: select_cutoff(rep, 50, error_decay=2.0),
+    ], ids=["cf", "cutoff"])
+    def test_overflowing_differences(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^group 0: pair differences overflow "
+                                                 r"\(values from -1e\+308 to 1e\+308\)$"):
+                call(ReplicatedSample(self.OVERFLOWING))
+
+    @pytest.mark.parametrize("call", [
+        lambda rep: error_cf_from_replicates(rep, [-2.0, 0.0, 2.0]),
+        lambda rep: select_cutoff(rep, 50, error_decay=2.0),
+    ], ids=["cf", "cutoff"])
+    def test_overflowing_phases(self, call):
+        # a finite difference of 1.78e308; the cutoff's cap at 2 groups is
+        # 2**(1/6) / log 3 = 1.0218, and 1.0218 * 1.78e308 overflows
+        rep = ReplicatedSample([[1.78e308, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^phases t\*d overflow"):
+                call(rep)
+
+
 class TestEmpiricalCfs:
     def test_at_zero(self):
         s = TrainingSample([0.2, 0.8, 1.5], [1.0, 2.0, 3.0])
@@ -299,15 +330,15 @@ def replicate_sets(draw, max_groups):
 
 
 def cutoff_outcome(cutoff, case, action):
-    """The cutoff, or the RuntimeWarning raised under ``action="error"``
-    (by differences that overflow, or phases t d that do)."""
+    """The cutoff, the ValueError raised where pair differences or phases
+    t d overflow, or a RuntimeWarning raised under ``action="error"``."""
     rep, n, error_decay = case
     with warnings.catch_warnings():
         warnings.simplefilter(action)
         warnings.filterwarnings("ignore", "lower-rate guard", UserWarning)
         try:
             return cutoff(rep, n, error_decay=error_decay)
-        except RuntimeWarning as exc:
+        except (RuntimeWarning, ValueError) as exc:
             return repr(exc)
 
 

@@ -3,11 +3,14 @@
 Every public reader first tries ``io._read_fast`` and falls back to the
 row-wise path. The properties below pin that the two paths agree bit for
 bit on well-formed files and that malformed files raise the row-wise
-path's error record unchanged.
+path's error record unchanged, and that the vectorised pass reads each
+cell as the double ``float()`` gives, midpoint decimals included.
 """
 
+import decimal
 import math
 import runpy
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -308,9 +311,9 @@ def test_single_member_group_is_named_without_a_row_wise_read(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("group,u\na,0.5\nb,1.5\na,2.5\nc,3.5\nc,4.5\n")
     with mock.patch.object(cio, "_read_rows", side_effect=AssertionError("row-wise read")), \
-            mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            mock.patch.object(np, "fromstring", wraps=np.fromstring) as parse:
         got = outcome(read_replicates_csv, path)
-    assert loadtxt.call_count == 1
+    assert parse.call_count == 1
     assert got == ("error", {
         "error": "group 'b' has a single measurement; every group needs >= 2",
         "file": str(path),
@@ -360,6 +363,81 @@ def test_replicate_read_peak_is_the_parse_peak(tmp_path):
     assert peak <= 5 * size, f"peak {peak} B for a {size} B file"
     assert rep.n_groups == 25_000 and rep.values.shape == (50_000,)
     assert np.array_equal(rep.sizes, np.full(25_000, 2))
+
+
+# ---------------------------------------------------------------- (d)
+
+DBL_MAX = sys.float_info.max
+CELL_FORMATS = (repr, lambda v: f"{v:.15g}", lambda v: f"{v:.17g}", lambda v: f"{v:.25g}",
+                lambda v: f"{v:.6e}")
+EDGE_DOUBLES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                2.225073858507201e-308, DBL_MAX, -DBL_MAX,
+                                float.fromhex("0x1.fffffffffffffp+1022")])
+
+
+@st.composite
+def midpoint_cell(draw):
+    """A decimal on, or within a relative 1e-40 of, the midpoint of two
+    adjacent doubles (subnormal ones and the overflow threshold included):
+    where a long double parse rounds a second time, these are the cells it
+    can get wrong."""
+    d = draw(st.one_of(finite, EDGE_DOUBLES))
+    with decimal.localcontext(prec=2000):
+        # past DBL_MAX the next step is 2**1024, where float() overflows
+        up = 2 ** 1024 if d == DBL_MAX else decimal.Decimal(math.nextafter(d, math.inf))
+        mid = (decimal.Decimal(d) + up) / 2
+        sign = draw(st.sampled_from([0, 1, -1]))
+        return str(mid + sign * abs(mid) * decimal.Decimal(10) ** -draw(st.integers(40, 60)))
+
+
+@st.composite
+def float_cell(draw):
+    kind = draw(st.sampled_from(["format", "integer", "midpoint"]))
+    if kind == "integer":
+        return str(draw(st.integers(-(10**20), 10**20)))
+    if kind == "midpoint":
+        return draw(midpoint_cell())
+    return draw(st.sampled_from(CELL_FORMATS))(draw(st.one_of(finite, EDGE_DOUBLES)))
+
+
+def fast_cells(path, cells, labelled):
+    """``cells`` written under ``w,y`` (or ``group,u`` with labels) and read
+    back by the vectorised pass alone: its values in file order, or None."""
+    if labelled:
+        lines = [f"g{i // 2},{c}" for i, c in enumerate(cells)]
+    else:
+        lines = [f"{a},{b}" for a, b in zip(cells[0::2], cells[1::2])]
+    path.write_text("\n".join(["group,u" if labelled else "w,y", *lines]) + "\n")
+    got = cio._read_fast(path, ("group", "u") if labelled else ("w", "y"), labelled=labelled)
+    if got is None:
+        return None
+    return got[2] if labelled else np.column_stack(got).ravel()
+
+
+@pytest.mark.parametrize("labelled", [False, True], ids=["pairs", "labelled"])
+@settings(max_examples=examples(100), deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.tuples(float_cell(), float_cell()), min_size=1, max_size=10))
+def test_fast_read_is_float_per_cell(labelled, rows, tmp_path):
+    cells = [cell for row in rows for cell in row]
+    want = np.array([float(c) for c in cells])
+    got = fast_cells(tmp_path / "t.csv", cells, labelled)
+    if not np.isfinite(want).all():  # a cell past DBL_MAX
+        assert got is None
+        return
+    assert got is not None and got.tobytes() == want.tobytes()
+
+
+def test_midpoint_cell_is_read_as_float(tmp_path):
+    # a decimal 1e-40 above the midpoint of two adjacent doubles: float()
+    # rounds it up, while its long double is the midpoint itself, which
+    # rounds to the even double, below
+    cell = "0.628473750715436596525620416286983527243237359619140625"
+    got = fast_cells(tmp_path / "t.csv", [cell, cell], labelled=False)
+    assert got.tobytes() == np.array([float(cell)] * 2).tobytes()
+    if np.finfo(np.longdouble).nmant > 52:  # the parse rounds twice here
+        twice = np.fromstring(cell, dtype=np.longdouble, sep=",").astype(float)
+        assert twice[0] == math.nextafter(float(cell), 0.0)
 
 
 # ---------------------------------------------------------- heart reader
