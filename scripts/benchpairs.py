@@ -2,13 +2,13 @@
 """Benchmark a git revision against this checkout in alternating pairs.
 
     python scripts/benchpairs.py REV --workload analysis --pairs 10 \
-        [--workload study-known --pairs 3 ...] [--seconds 24] [--out BENCH.json]
+        [--workload study-known --pairs 3 ...] [--out BENCH.json]
 
 Unpacks REV's tree with ``git archive`` into a temporary directory (as
-``scripts/diffcheck.py`` does) and, for each workload and each pair k
-(``--pairs`` once for all workloads, or once per ``--workload``),
-runs ``perfbench/run.py --workload W --seed k --seconds S`` once in REV's
-tree and once in this checkout, one after the other; the tree that goes
+``scripts/diffcheck.py`` does) and, for each workload and each of its
+``--pairs`` pairs k, runs ``perfbench/run.py --workload W --seed k
+--seconds S``, with S the ``run_seconds`` of ``BENCHMARK.json``, once in
+REV's tree and once in this checkout, one after the other; the tree that goes
 first alternates from pair to pair, so a slow drift of the host lands on
 both sides alike. Each run is a fresh ``python`` process in its own tree.
 
@@ -36,14 +36,16 @@ sys.path.insert(0, HERE)
 from diffcheck import unpack  # noqa: E402
 
 with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-    BETTER = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    BENCHMARK = json.load(fh)
+BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+SECONDS = BENCHMARK["run_seconds"]
 
 
-def bench(tree, workload, seed, seconds):
+def bench(tree, workload, seed):
     """``run.py``'s environment block and summary for one run in ``tree``."""
     child = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--seconds", str(SECONDS)],
         cwd=tree, capture_output=True, text=True,
     )
     lines = child.stdout.splitlines()
@@ -82,15 +84,14 @@ def main(argv=None):
     parser.add_argument("--workload", action="append", required=True,
                         help="a perfbench workload; repeat for several")
     parser.add_argument("--pairs", type=int, action="append", required=True,
-                        help="pairs of runs, one for every workload or one per --workload")
-    parser.add_argument("--seconds", type=float, default=24.0)
+                        help="pairs of runs; one per --workload, in the same order")
     parser.add_argument("--out", help="write the JSON here instead of stdout")
     args = parser.parse_args(argv)
-    if len(args.pairs) not in (1, len(args.workload)):
-        parser.error("give --pairs once, or once per --workload")
-    pairs = dict(zip(args.workload, args.pairs * len(args.workload)))
+    if len(args.pairs) != len(args.workload):
+        parser.error("give one --pairs per --workload")
+    pairs = dict(zip(args.workload, args.pairs))
     report = {"command": " ".join(["python", "scripts/benchpairs.py", *sys.argv[1:]]),
-              "seconds": args.seconds, "workloads": {}}
+              "seconds": SECONDS, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="benchpairs-") as scratch:
         rev_tree, sha = unpack(args.rev, scratch)
         head = subprocess.run(["git", "-C", ROOT, "rev-parse", "HEAD"],
@@ -106,7 +107,7 @@ def main(argv=None):
                 order = ["rev", "checkout"] if k % 2 == 0 else ["checkout", "rev"]
                 run = {"seed": seed, "order": order}
                 for side in order:
-                    env, run[side] = bench(trees[side], workload, seed, args.seconds)
+                    env, run[side] = bench(trees[side], workload, seed)
                     environment = environment or env
                     print(f"{workload} seed {seed} {side}: " + " ".join(
                         f"{m}={v['value']:.4g}" for m, v in run[side]["metrics"].items()),

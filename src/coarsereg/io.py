@@ -18,8 +18,9 @@ library's correctly rounded ``strtold``, and rounds the result to binary64.
 That second rounding is exact except on a binary64 midpoint, so the cells
 whose long double lies on one (about 1 in 2048) are re-read with
 ``float()``; where long double is binary64 itself there is one rounding and
-no re-read. Either path gives each cell the double ``float()`` gives, bit
-for bit. Replicate labels are numbered in order of first appearance on
+no re-read, and where it is not an IEEE format (IBM double-double) the
+cells are parsed to binary64 directly. Either path gives each cell the
+double ``float()`` gives, bit for bit. Replicate labels are numbered in order of first appearance on
 either path, and one grouping step then checks that no group has a single
 member.
 :func:`csv_text` is the one CSV writer: values carry 17 significant digits
@@ -138,12 +139,13 @@ _CELL_BYTES = b"0123456789+-.eE \t"
 _LABEL_BYTES = bytes(sorted(set(range(0x20, 0x7F)) - {ord('"'), ord(",")})) + b"\t"
 _BLANK = np.zeros(256, bool)
 _BLANK[[ord(" "), ord("\t")]] = True
-# longer labels, once stripped, go to the row-wise path
+# longer labels, blanks around them included, go to the row-wise path
 _MAX_LABEL = 64
 _NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
 # an IEEE long double (binary64 itself, x87 extended or binary128) holds
-# every binary64 midpoint; IBM double-double takes the row-wise path
-_LONGDOUBLE_IEEE = np.finfo(np.longdouble).nmant in (52, 63, 112)
+# every binary64 midpoint; with IBM double-double the cells are parsed to
+# binary64 directly, one correct rounding and no re-read
+_PARSE_DTYPE = np.longdouble if np.finfo(np.longdouble).nmant in (52, 63, 112) else np.float64
 # values per block of the rounding check, bytes per block of the comma scan
 _CHECK_BLOCK = 1 << 12
 _SCAN_BLOCK = 1 << 16
@@ -193,6 +195,8 @@ def _split_labels(body: bytes):
     The labels, stripped of spaces and tabs, are numbered in order of first
     appearance by one ``np.unique`` over their bytes, padded with NULs to the
     longest label's width; the distinct labels come back as a str array.
+    A label field longer than :data:`_MAX_LABEL` bytes, blanks included,
+    raises ValueError, so stripping takes at most that many steps.
     """
     view = np.frombuffer(body, np.uint8)
     ends = np.flatnonzero(view == ord("\n"))
@@ -205,13 +209,13 @@ def _split_labels(body: bytes):
     del spans
     if values.translate(None, _CELL_BYTES) != b"\n" * len(lo):
         raise ValueError("not a number")
+    if int((hi - lo).max()) > _MAX_LABEL:
+        raise ValueError("long label")
     while (step := _BLANK[view[lo]]).any():  # the separator stops it
         lo += step
     while (step := _BLANK[view[hi - 1]] & (hi > lo)).any():
         hi -= step
     width = int((hi - lo).max())
-    if width > _MAX_LABEL:
-        raise ValueError("long label")
     chars = np.zeros((len(lo), max(width, 1)), np.uint8)
     for k in range(width):
         take = hi - lo > k
@@ -250,10 +254,11 @@ def _doubles(text: bytes):
     binary64 midpoint (Figueroa, "When is double rounding innocuous?",
     1995): a decimal strictly between two midpoints rounds to a long double
     between them too. Those cells, about 1 in 2048, and any that overflow
-    are re-read with ``float()``. Where long double is binary64 the first
-    rounding is the only one and no cell is re-read.
+    are re-read with ``float()``. Where long double is binary64, or the
+    cells are parsed to binary64 directly (:data:`_PARSE_DTYPE`), the first
+    rounding is the only one and only overflowing cells are re-read.
     """
-    extended = np.fromstring(text, dtype=np.longdouble, sep=",")
+    extended = np.fromstring(text, dtype=_PARSE_DTYPE, sep=",")
     suspects = []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is re-read
         values = extended.astype(np.float64)
@@ -297,8 +302,6 @@ def _read_fast(path, header, *, labelled=False):
     labels, read as indices in order of first appearance, and the result is
     ``[distinct labels, indices, *values]``.
     """
-    if not _LONGDOUBLE_IEEE:
-        return None
     try:
         with open(path, "rb") as handle:
             head = handle.readline()

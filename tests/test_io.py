@@ -323,6 +323,18 @@ def test_single_member_group_is_named_without_a_row_wise_read(tmp_path):
     assert_same(got, row_wise(read_replicates_csv, path))
 
 
+def test_padded_labels_past_the_bound_take_the_row_wise_path(tmp_path):
+    # blanks around a label count toward its bound, so stripping them takes
+    # at most that many vectorised steps however long the padding
+    path = tmp_path / "r.csv"
+    for pad, fast in ((cio._MAX_LABEL // 2 - 1, True), (10**4, False)):
+        path.write_text(f"group,u\n{' ' * pad}a{chr(9) * pad},0.5\nb,1.5\na,2.5\nb,3.5\n")
+        assert (cio._read_fast(path, ("group", "u"), labelled=True) is not None) == fast
+        got = outcome(read_replicates_csv, path)
+        assert_same(got, ("ok", list(ReplicatedSample([[0.5, 2.5], [1.5, 3.5]]).groups)))
+        assert_same(got, row_wise(read_replicates_csv, path))
+
+
 def _pairs_file(tmp_path):
     """A 5e4-row replicate file of 25 000 groups of two."""
     rng = np.random.default_rng(41)
@@ -414,30 +426,65 @@ def fast_cells(path, cells, labelled):
     return got[2] if labelled else np.column_stack(got).ravel()
 
 
+# the cells' first rounding: to long double, or straight to binary64, as
+# where long double is IBM double-double
+PARSES = pytest.mark.parametrize("parse", [np.longdouble, np.float64],
+                                 ids=["longdouble", "binary64"])
+
+
+@PARSES
 @pytest.mark.parametrize("labelled", [False, True], ids=["pairs", "labelled"])
 @settings(max_examples=examples(100), deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(rows=st.lists(st.tuples(float_cell(), float_cell()), min_size=1, max_size=10))
-def test_fast_read_is_float_per_cell(labelled, rows, tmp_path):
+def test_fast_read_is_float_per_cell(labelled, parse, rows, tmp_path):
     cells = [cell for row in rows for cell in row]
     want = np.array([float(c) for c in cells])
-    got = fast_cells(tmp_path / "t.csv", cells, labelled)
+    with mock.patch.object(cio, "_PARSE_DTYPE", parse):
+        got = fast_cells(tmp_path / "t.csv", cells, labelled)
     if not np.isfinite(want).all():  # a cell past DBL_MAX
         assert got is None
         return
     assert got is not None and got.tobytes() == want.tobytes()
 
 
+# a decimal 1e-40 above the midpoint of two adjacent doubles: float()
+# rounds it up, while its long double is the midpoint itself, which rounds
+# to the even double, below
+MIDPOINT = "0.628473750715436596525620416286983527243237359619140625"
+
+
 def test_midpoint_cell_is_read_as_float(tmp_path):
-    # a decimal 1e-40 above the midpoint of two adjacent doubles: float()
-    # rounds it up, while its long double is the midpoint itself, which
-    # rounds to the even double, below
-    cell = "0.628473750715436596525620416286983527243237359619140625"
-    got = fast_cells(tmp_path / "t.csv", [cell, cell], labelled=False)
-    assert got.tobytes() == np.array([float(cell)] * 2).tobytes()
+    got = fast_cells(tmp_path / "t.csv", [MIDPOINT, MIDPOINT], labelled=False)
+    assert got.tobytes() == np.array([float(MIDPOINT)] * 2).tobytes()
     if np.finfo(np.longdouble).nmant > 52:  # the parse rounds twice here
-        twice = np.fromstring(cell, dtype=np.longdouble, sep=",").astype(float)
-        assert twice[0] == math.nextafter(float(cell), 0.0)
+        twice = np.fromstring(MIDPOINT, dtype=np.longdouble, sep=",").astype(float)
+        assert twice[0] == math.nextafter(float(MIDPOINT), 0.0)
+
+
+def late_midpoint_cells():
+    """``0.5`` cells with :data:`MIDPOINT` on both sides of the first
+    boundary of the rounding check's blocks (cells) and of the comma scan's
+    blocks (bytes of the comma-separated text), and at the very end."""
+    cells = ["0.5"] * (cio._CHECK_BLOCK - 1) + [MIDPOINT] * 2
+    # fill so that the next cell's comma is the last byte of the first scan
+    # block; every cell takes its length plus one byte
+    gap = cio._SCAN_BLOCK - 1 - len(MIDPOINT) - sum(len(c) + 1 for c in cells)
+    fill, extra = divmod(gap, 4)
+    cells += ["0.5"] * (fill - 1) + ["0.5" + "0" * extra] + [MIDPOINT] * 2
+    assert sum(len(c) + 1 for c in cells[:-1]) == cio._SCAN_BLOCK
+    cells += ["0.5"] * (1000 + (len(cells) + 1) % 2) + [MIDPOINT]
+    return cells
+
+
+@PARSES
+@pytest.mark.parametrize("labelled", [False, True], ids=["pairs", "labelled"])
+def test_midpoint_cells_past_the_first_blocks_are_read_as_float(labelled, parse, tmp_path):
+    cells = late_midpoint_cells()
+    with mock.patch.object(cio, "_PARSE_DTYPE", parse):
+        got = fast_cells(tmp_path / "t.csv", cells, labelled)
+    assert got is not None
+    assert got.tobytes() == np.array([float(c) for c in cells]).tobytes()
 
 
 # ---------------------------------------------------------- heart reader
