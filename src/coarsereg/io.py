@@ -68,6 +68,16 @@ def _parse_float(text: str, *, path, line, column, finite=True) -> float:
     return v
 
 
+def _csv_rows(handle, path):
+    """``csv.reader`` rows of ``handle``; a field past the module's size
+    limit is a located error."""
+    reader = csv.reader(handle)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataFormatError(str(exc), file=str(path), line=reader.line_num) from None
+
+
 def _read_rows(path, columns, *, named=False):
     """Cell names and non-blank rows ``(line number, stripped cells)`` of a CSV.
 
@@ -81,7 +91,7 @@ def _read_rows(path, columns, *, named=False):
     except OSError as exc:
         raise DataFormatError(str(exc), file=str(path)) from None
     with handle:
-        reader = csv.reader(handle)
+        reader = _csv_rows(handle, path)
         try:
             header = next(reader)
         except StopIteration:

@@ -7,6 +7,7 @@ path's error record unchanged, and that the vectorised pass reads each
 cell as the double ``float()`` gives, midpoint decimals included.
 """
 
+import csv
 import decimal
 import math
 import runpy
@@ -245,6 +246,23 @@ def test_curve_reader_locates_faults(tmp_path, text, record):
     assert err.value.record() == {**record, "file": str(path)}
 
 
+@pytest.mark.parametrize("read, text", [
+    (read_training_csv, "w,y\n1,2\n{field},1\n"),
+    (read_replicates_csv, "group,u\na,1\na,2\n {field}b,3\nb,4\n"),
+    (read_curve_csv, "x,m_hat\n{field}1,2\n"),
+], ids=["number", "padded label", "curve"])
+def test_fields_past_the_csv_limit_are_located(tmp_path, read, text):
+    path = tmp_path / "t.csv"
+    # one byte past the limit, of digits or of blanks around a label
+    field = ("1" if read is read_training_csv else " ") * (csv.field_size_limit() + 1)
+    path.write_text(text.format(field=field))
+    with pytest.raises(DataFormatError) as err:
+        read(path)
+    record = err.value.record()
+    assert record["error"].startswith("field larger than field limit")
+    assert (record["file"], record["line"]) == (str(path), text.count("\n", 0, text.index("{")) + 1)
+
+
 def test_curve_reader_takes_any_header_nan_and_no_rows(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("x, d1\n0.5,nan\n\n1,-inf\n")
@@ -454,15 +472,7 @@ def test_fast_read_is_float_per_cell(labelled, parse, rows, tmp_path):
 MIDPOINT = "0.628473750715436596525620416286983527243237359619140625"
 
 
-def test_midpoint_cell_is_read_as_float(tmp_path):
-    got = fast_cells(tmp_path / "t.csv", [MIDPOINT, MIDPOINT], labelled=False)
-    assert got.tobytes() == np.array([float(MIDPOINT)] * 2).tobytes()
-    if np.finfo(np.longdouble).nmant > 52:  # the parse rounds twice here
-        twice = np.fromstring(MIDPOINT, dtype=np.longdouble, sep=",").astype(float)
-        assert twice[0] == math.nextafter(float(MIDPOINT), 0.0)
-
-
-def late_midpoint_cells():
+def late_midpoints():
     """``0.5`` cells with :data:`MIDPOINT` on both sides of the first
     boundary of the rounding check's blocks (cells) and of the comma scan's
     blocks (bytes of the comma-separated text), and at the very end."""
@@ -473,18 +483,20 @@ def late_midpoint_cells():
     fill, extra = divmod(gap, 4)
     cells += ["0.5"] * (fill - 1) + ["0.5" + "0" * extra] + [MIDPOINT] * 2
     assert sum(len(c) + 1 for c in cells[:-1]) == cio._SCAN_BLOCK
-    cells += ["0.5"] * (1000 + (len(cells) + 1) % 2) + [MIDPOINT]
-    return cells
+    return cells + ["0.5"] * (1000 + (len(cells) + 1) % 2) + [MIDPOINT]
 
 
 @PARSES
 @pytest.mark.parametrize("labelled", [False, True], ids=["pairs", "labelled"])
-def test_midpoint_cells_past_the_first_blocks_are_read_as_float(labelled, parse, tmp_path):
-    cells = late_midpoint_cells()
+@pytest.mark.parametrize("cells", [[MIDPOINT] * 2, late_midpoints()], ids=["two", "late"])
+def test_midpoint_cell_is_read_as_float(cells, labelled, parse, tmp_path):
     with mock.patch.object(cio, "_PARSE_DTYPE", parse):
         got = fast_cells(tmp_path / "t.csv", cells, labelled)
     assert got is not None
     assert got.tobytes() == np.array([float(c) for c in cells]).tobytes()
+    if np.finfo(np.longdouble).nmant > 52:  # the parse rounds twice here
+        twice = np.fromstring(MIDPOINT, dtype=np.longdouble, sep=",").astype(float)
+        assert twice[0] == math.nextafter(float(MIDPOINT), 0.0)
 
 
 # ---------------------------------------------------------- heart reader
