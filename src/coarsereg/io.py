@@ -20,9 +20,9 @@ whose long double lies on one (about 1 in 2048) are re-read with
 ``float()``; where long double is binary64 itself there is one rounding and
 no re-read, and where it is not an IEEE format (IBM double-double) the
 cells are parsed to binary64 directly. Either path gives each cell the
-double ``float()`` gives, bit for bit. Replicate labels are numbered in order of first appearance on
-either path, and one grouping step then checks that no group has a single
-member.
+double ``float()`` gives, bit for bit. Replicate labels are numbered in
+order of first appearance on either path, and one grouping step then
+checks that no group has a single member.
 :func:`csv_text` is the one CSV writer: values carry 17 significant digits
 so a written table re-reads bit-exactly, and undefined points serialize as
 ``nan`` in outputs only. A curve's columns (:func:`curve_columns`) are

@@ -260,7 +260,8 @@ def test_fields_past_the_csv_limit_are_located(tmp_path, read, text):
         read(path)
     record = err.value.record()
     assert record["error"].startswith("field larger than field limit")
-    assert (record["file"], record["line"]) == (str(path), text.count("\n", 0, text.index("{")) + 1)
+    line = text.count("\n", 0, text.index("{")) + 1
+    assert (record["file"], record["line"]) == (str(path), line)
 
 
 def test_curve_reader_takes_any_header_nan_and_no_rows(tmp_path):
