@@ -11,11 +11,13 @@ Laplace ones decide from certified sums), one known-error ``simulate``
 cell with coverage points and one NW cell through REV's tree and through
 this checkout's. Each command runs in a fresh ``python -I``
 interpreter, once free and once pinned to one CPU, so its four runs cover
-both trees and both the pooled and the serial block passes. Every child
-runs OpenBLAS on one thread. The band runs its BLAS work on one OpenBLAS
-thread itself, so its bytes do not depend on that; the environment pin is
-needed only for revisions older than that change, whose band bounds move
-with the BLAS thread count (which the one-CPU pinning changes too).
+both trees and both the pooled and the serial block passes. The children
+run BLAS with numpy's default thread count, so a free run may use several
+BLAS threads and a one-CPU run uses one: the band runs its BLAS work on one
+OpenBLAS thread itself, and no other output's bits depend on the BLAS
+thread count (``tests/test_blas_threads.py``). A revision older than the
+band's own pin writes band bounds that move with the BLAS thread count, so
+its free and one-CPU runs may differ.
 
 Every output file is compared with REV's free run. The script prints each
 file's sha256 and, where a run's file differs, the first differing line and
@@ -64,8 +66,6 @@ def dense_scans(paths):
             ("zeros-gaussian", ["zeros", *known, "--interval", "0:1", "--level", "3"])]
 
 
-BLAS_ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-
 RUNS = [("rev", "free"), ("rev", "one-cpu"), ("tree", "free"), ("tree", "one-cpu")]
 
 CHILD = """
@@ -100,7 +100,7 @@ def run(src, mode, argv, cwd):
     """The files one child writes in ``cwd``, or its exit status and error."""
     os.makedirs(cwd)
     child = subprocess.run([sys.executable, "-I", "-c", CHILD, src, mode, *argv],
-                           cwd=cwd, capture_output=True, text=True, env=BLAS_ENV)
+                           cwd=cwd, capture_output=True, text=True)
     if child.returncode:
         return f"exit {child.returncode}: {child.stderr.strip().splitlines()[-1:]}"
     files = {}
@@ -182,7 +182,7 @@ def main(argv=None):
         kinds = analysis_kinds(paths) + dense_scans(paths)
         sources = {"rev": os.path.join(rev_tree, "src"), "tree": os.path.join(ROOT, "src")}
         print(f"diffcheck: {args.rev} ({sha[:12]}) against the working tree, "
-              f"{len(os.sched_getaffinity(0))} CPUs free, 1 pinned, 1 BLAS thread")
+              f"{len(os.sched_getaffinity(0))} CPUs free, 1 pinned")
         same = True
         for i, (kind, command) in enumerate(kinds + STUDIES):
             argv = [*command, "--seed", str(SEED), "--out", "out"]

@@ -9,7 +9,9 @@ bracket.
 
 All integrals use the composite trapezoid rule on a uniform symmetric
 frequency grid; the symmetric grid makes the inversions real up to roundoff,
-which is checked.
+which is checked. The CFs and the inversion run one complex pass,
+:func:`_exp_sums`: per row r (a frequency, or a negated grid point for the
+inversion), weighted sums of exp(i r p) over the points p.
 """
 
 from __future__ import annotations
@@ -108,32 +110,44 @@ def symmetric_tgrid(cutoff: float, step: float) -> np.ndarray:
     return step * np.arange(-k, k + 1, dtype=float)
 
 
+def _exp_sums(rows, points, weights):
+    """Per row r, the sum over ``points`` p of exp(i r p) * v for each v of
+    ``weights`` (None for 1, else an array aligned with ``points``), in
+    blocks of rows; each sum is numpy's pairwise sum over its own row. A
+    block's exponentials fill slot 0 of :func:`_scratch`, the products but
+    the last go to slot 1 and the last overwrites the exponentials, so a
+    one-weight pass holds one block per thread."""
+    step = _block_len(len(points), itemsize=16)
+
+    def block(start):
+        r = rows[start:start + step, None]
+        shape = (len(r), len(points))
+        e = np.multiply(1j * r, points, out=_scratch(0, shape, complex))
+        np.exp(e, out=e)
+        sums = []
+        for i, v in enumerate(weights):
+            product = e if v is None else np.multiply(
+                e, v, out=e if i == len(weights) - 1 else _scratch(1, shape, complex))
+            sums.append(product.sum(axis=1))
+        return tuple(sums)
+
+    return _joined(_row_blocks(block, len(rows), step, len(points)))
+
+
 def _mean_exp(t: np.ndarray, points: np.ndarray, weights=None):
     """Means over points of exp(i t point) and, given ``weights``, of
-    weights * exp(i t point), per t (None without weights); each block of t
-    rows, sized by the kernel block budget, is exponentiated once and summed
-    pairwise, so each value depends on its own t alone. On an odd-length
-    grid with ``t[::-1] == -t`` only t >= 0 is evaluated: the values at -t
-    are the conjugates, bit for bit, of those at t."""
+    weights * exp(i t point), per t (None without weights), from
+    :func:`_exp_sums`. On an odd-length grid with ``t[::-1] == -t`` only
+    t >= 0 is evaluated: the values at -t are the conjugates, bit for bit,
+    of those at t."""
     if len(t) > 1 and len(t) % 2 and np.array_equal(t[::-1], -t):
         mid = len(t) // 2
         halves = _mean_exp(t[mid:], points, weights)
         return tuple(None if v is None else np.concatenate([v[:0:-1].conj(), v])
                      for v in halves)
     scale = 1.0 / len(points)
-    step = _block_len(len(points), itemsize=16)
-
-    def block(start):
-        rows = t[start:start + step, None]
-        e = np.multiply(1j * rows, points, out=_scratch(0, (len(rows), len(points)), complex))
-        np.exp(e, out=e)
-        plain = e.sum(axis=1) * scale
-        if weights is None:
-            return plain, None
-        e *= weights
-        return plain, e.sum(axis=1) * scale
-
-    return _joined(_row_blocks(block, len(t), step, len(points)))
+    sums = _exp_sums(t, points, (None,) if weights is None else (None, weights))
+    return sums[0] * scale, None if weights is None else sums[1] * scale
 
 
 def error_cf_from_replicates(rep: ReplicatedSample, t) -> CfTable:
@@ -412,22 +426,8 @@ def invert_cf(
     h = cfg.t_step
     w = np.full(len(t), h)
     w[0] = w[-1] = h / 2.0
-    plain_w, weighted_w = plain.values * err_vals * w, weighted.values * err_vals * w
-    # grid-row blocks of the G x T phase matrix and of its weighted copy, which
-    # together fit one block budget, bound its memory for any node count
-    step = _block_len(len(t), itemsize=32)
-
-    def block(start):
-        rows = x[start:start + step, None]
-        shape = (len(rows), len(t))
-        e = np.multiply(-1j * rows, t[None, :], out=_scratch(0, shape, complex))
-        np.exp(e, out=e)
-        product = np.multiply(e, plain_w, out=_scratch(1, shape, complex))
-        den = product.sum(axis=1) / (2.0 * math.pi)
-        np.multiply(e, weighted_w, out=product)
-        return den, product.sum(axis=1) / (2.0 * math.pi)
-
-    den, num = _joined(_row_blocks(block, len(x), step, len(t)))
+    sums = _exp_sums(-x, t, (plain.values * err_vals * w, weighted.values * err_vals * w))
+    den, num = (v / (2.0 * math.pi) for v in sums)
 
     for name, arr in (("denominator", den), ("numerator", num)):
         residue = np.abs(arr.imag)

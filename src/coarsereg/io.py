@@ -22,7 +22,7 @@ no re-read, and where it is not an IEEE format (IBM double-double) the
 cells are parsed to binary64 directly. Either path gives each cell the
 double ``float()`` gives, bit for bit. Replicate labels are numbered in
 order of first appearance on either path, and one grouping step then
-checks that no group has a single member.
+checks that no group has a single member or overflowing differences.
 :func:`csv_text` is the one CSV writer: values carry 17 significant digits
 so a written table re-reads bit-exactly, and undefined points serialize as
 ``nan`` in outputs only. A curve's columns (:func:`curve_columns`) are
@@ -370,7 +370,18 @@ def read_replicates_csv(path) -> ReplicatedSample:
             file=str(path),
         )
     # a stable sort keeps each group's values in file order
-    return ReplicatedSample._from_flat(values[np.argsort(indices, kind="stable")], counts)
+    values = values[np.argsort(indices, kind="stable")]
+    # a group's max - min is its largest |difference|; rounding is monotone,
+    # so it is finite exactly when every difference is
+    starts = np.cumsum(counts) - counts
+    lo, hi = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(np.isinf(hi - lo))
+    if wide.size:
+        i = wide[0]
+        raise DataFormatError(f"group {str(labels[i])!r}: pair differences overflow (values "
+                              f"from {float(lo[i])!r} to {float(hi[i])!r})", file=str(path))
+    return ReplicatedSample._from_flat(values, counts)
 
 
 def read_pairs_csv(path, columns=("t", "x")) -> tuple:

@@ -176,12 +176,11 @@ def _scratch(slot, shape, dtype=float):
 
 
 def _joined(blocks):
-    """The per-row arrays (or None) of a pass's :func:`_row_blocks` values,
-    each joined in row order."""
+    """The per-row arrays of a pass's :func:`_row_blocks` values, each
+    joined in row order."""
     if len(blocks) == 1:
         return blocks[0]
-    return tuple(None if arrays[0] is None else np.concatenate(arrays)
-                 for arrays in zip(*blocks))
+    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
 
 
 def _defined(den):
@@ -200,7 +199,7 @@ def _row_mean(a):
 def _kernel_moments(kernel, x, w, y, per_row=None):
     """den ``mean(k, axis=1)`` and num ``mean(k * y, axis=1)`` for
     ``k = kernel(x[:, None] - w[None, :], span)`` built in blocks of grid
-    rows, with ``span`` at least every offset's absolute value in the block;
+    rows, with ``span`` at least every |offset| of the pass, not the block;
     with ``per_row`` (:func:`_centered_variance` or :func:`_flat_support`),
     also its values on each block, given the responses less their median.
 
@@ -227,20 +226,9 @@ def _kernel_moments(kernel, x, w, y, per_row=None):
     if c > 1 or step >= g:  # whole samples per block
         step = max(1, step // g) * g
     yc = None if per_row is None else y - np.median(y, axis=1, keepdims=True)
-    starts = np.arange(0, c * g, step)
-    if len(starts) > 1:
-        # each block's largest |x - w|: the offsets are rounded differences,
-        # and rounding is monotone, so none exceeds the rounded extreme one
-        if c == 1:
-            x_hi, x_lo = np.maximum.reduceat(x, starts), np.minimum.reduceat(x, starts)
-            w_lo, w_hi = w.min(), w.max()
-        else:
-            x_hi, x_lo = x.max(), x.min()
-            w_lo = np.minimum.reduceat(w.min(axis=1), starts // g)
-            w_hi = np.maximum.reduceat(w.max(axis=1), starts // g)
-        spans = np.maximum(x_hi - w_lo, w_hi - x_lo).tolist()
-    else:  # one block, whose own search for far offsets costs about as much
-        spans = [np.inf]
+    # at least every |x - w|, since rounding is monotone; a one-block pass
+    # leaves the search for far offsets to the kernel, which costs as much
+    span = max(x.max() - w.min(), w.max() - x.min()) if step < c * g else np.inf
 
     def block(start):
         stop = min(start + step, c * g)
@@ -250,7 +238,7 @@ def _kernel_moments(kernel, x, w, y, per_row=None):
         shape = (s1 - s0, r1 - r0, n)
         offsets = _scratch(0, (stop - start, n))
         np.subtract(x[None, r0:r1, None], w[s0:s1, None, :], out=offsets.reshape(shape))
-        k = kernel(offsets, spans[start // step])
+        k = kernel(offsets, span)
         # numpy reductions over the sample axis accumulate pairwise,
         # keeping long replication studies deterministic and
         # well-conditioned
@@ -261,16 +249,14 @@ def _kernel_moments(kernel, x, w, y, per_row=None):
         np.multiply(k.reshape(shape), y[s0:s1, None, :], out=scratch.reshape(shape))
         num = _row_mean(scratch)
         if per_row is None:
-            return den, num, None
+            return den, num
         # each row's own sample's responses
         rows_yc = yc[s0] if s1 - s0 == 1 else np.repeat(yc[s0:s1], r1 - r0, axis=0)
         return den, num, per_row(k, rows_yc, den, scratch)
 
     # a custom density's pdf is the user's code, which need not be thread-safe
     custom = getattr(getattr(kernel, "__self__", None), "kind", None) == "custom"
-    moments = _joined(_row_blocks(block, c * g, step, n,
-                                  serial=custom or g * n < _POOL_MIN_CELLS))
-    return moments[:2] if per_row is None else moments
+    return _joined(_row_blocks(block, c * g, step, n, serial=custom or g * n < _POOL_MIN_CELLS))
 
 
 def _centered_variance(k, yc, den, scratch=None):

@@ -227,7 +227,8 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err) == {
-            "error": "group 0: pair differences overflow (values from -1e+308 to 1e+308)"}
+            "error": "group 'a': pair differences overflow (values from -1e+308 to 1e+308)",
+            "file": str(reps), "line": None, "column": None}
         assert not out.exists()
 
     def test_fit_proxy_json(self, tmp_path):

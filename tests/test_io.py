@@ -283,9 +283,11 @@ def test_missing_file_record(tmp_path):
 
 
 def test_fast_read_peak_is_about_twice_the_file(tmp_path):
-    # the checks run on the text in place and numpy parses the handle, so the
-    # peak is the bytes and their decoded text; copies of the body, its
-    # strip() and a StringIO of it took the peak to 6.4 times the file
+    # the checks run on the bytes in place, and the parse reads a copy with
+    # each newline turned into a comma, made in place of the bytes, so the
+    # peak is that comma copy, its long doubles and the doubles; copies of
+    # the body, its strip() and a StringIO of it took the peak to 6.4 times
+    # the file
     rng = np.random.default_rng(37)
     path = tmp_path / "t.csv"
     np.savetxt(path, rng.normal(size=(50_000, 2)), fmt="%.17g", delimiter=",",
@@ -375,8 +377,11 @@ def _traced_peak(call):
 
 
 def test_labelled_fast_read_peak_is_a_few_times_the_file(tmp_path):
-    # labels become indices inside the one loadtxt pass; split rows and
-    # per-group lists took the peak to 11.8 times the file
+    # labels become indices in one np.unique over their bytes, and the
+    # values' comma copy is parsed to long doubles, then doubles, so the
+    # peak is that copy, the long doubles and the doubles beside the label
+    # indices; split rows and per-group lists took the peak to 11.8 times
+    # the file
     path = _pairs_file(tmp_path)
     size = path.stat().st_size
     parsed, peak = _traced_peak(lambda: cio._read_fast(path, ("group", "u"), labelled=True))

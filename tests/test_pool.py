@@ -21,8 +21,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coarsereg import (
-    DegenerateDenominatorError, ErrorDensity, EstimatorSpec, ScenarioConfig, fourier, known,
-    run_replications, simulation,
+    DegenerateDenominatorError, ErrorDensity, EstimatorSpec, EvalGrid, ScenarioConfig,
+    TrainingSample, fourier, known, run_replications, simulation,
 )
 from coarsereg.known import _centered_variance, _flat_support, _kernel_moments, _moments_at
 from coarsereg.nw import _gauss
@@ -68,7 +68,8 @@ def passes(draw):
     w = rng.uniform(0.0, 1.0, n)
     y = np.round(rng.normal(size=n), draw(st.sampled_from([0, 3])))  # ties for _flat_support
     x = np.linspace(-0.2, draw(st.sampled_from([1.0, 1.5, 3.0])), g)
-    kind = draw(st.sampled_from(["density", "nw", "cf", "weighted cf"]))
+    kind = draw(st.sampled_from(["density", "nw", "cf", "weighted cf", "inversion"]))
+    row_bytes = 8 * n
     if kind == "density":
         kernel = draw(st.sampled_from(DENSITIES))._pdf_into
     elif kind == "nw":
@@ -79,13 +80,21 @@ def passes(draw):
         t = np.linspace(-20.0, 20.0, 2 * g + 1)
         weights = y if kind == "weighted cf" else None
         call = lambda: fourier._mean_exp(t, w, weights)  # noqa: E731
+    elif kind == "inversion":
+        # x's rows against 2 * nodes + 1 frequencies, each 16 bytes
+        nodes = draw(st.integers(fourier.MIN_NODES, 40))
+        cfg = fourier.FourierConfig(20.0, 20.0 / nodes)
+        err = draw(st.sampled_from(DENSITIES))
+        sample, grid = TrainingSample(w, y), EvalGrid(np.append(x, x[-1] + 1.0))
+        call = lambda: fourier.invert_cf(sample, err, cfg, grid)  # noqa: E731
+        row_bytes = 16 * (2 * nodes + 1)
     else:
         moments = draw(st.sampled_from([_kernel_moments, _moments_at]))
         per_row = draw(st.sampled_from(PER_ROW))
         call = lambda: moments(kernel, x, w, y, per_row)  # noqa: E731
     # from one row of floats per block, often, to the whole pass in one block
     rows = draw(st.integers(1, 3) | st.integers(1, 2 * g + 1))
-    budget = 8 * n * rows + draw(st.integers(0, 8 * n))
+    budget = row_bytes * rows + draw(st.integers(0, row_bytes))
     return call, budget
 
 
