@@ -7,7 +7,8 @@ Unpacks REV's tree with ``git archive`` into a temporary directory, makes
 the ``analysis`` benchmark's inputs once (n = 5e4, from
 ``perfbench/workloads.py``) and runs its 10 commands, ``extrema`` and
 ``zeros`` under a Gaussian density (whose scans stay dense, while the
-Laplace ones decide from certified sums), one known-error ``simulate``
+Laplace ones decide from certified sums), ``band`` under a uniform density
+(whose kernel has zeros, unlike the Laplace one), one known-error ``simulate``
 cell with coverage points and one NW cell through REV's tree and through
 this checkout's. Each command runs in a fresh ``python -I``
 interpreter, once free and once pinned to one CPU, so its four runs cover
@@ -58,12 +59,17 @@ STUDIES = [
 ]
 
 
-def dense_scans(paths):
+def other_densities(paths):
     """The analysis ``extrema`` and ``zeros`` commands under a Gaussian
-    density, whose 512 x n scans run the dense kernel pass."""
+    density, whose 512 x n scans run the dense kernel pass, and ``band``
+    under a uniform density, whose kernel has zeros: every Laplace kernel
+    value is positive, so the analysis band never takes the branch of
+    ``known._flat_support`` that finds each point's kernel support."""
     known = ["--train", paths["train"], "--delta", "gaussian:0.1"]
     return [("extrema-gaussian", ["extrema", *known, "--interval", "0.3:0.7"]),
-            ("zeros-gaussian", ["zeros", *known, "--interval", "0:1", "--level", "3"])]
+            ("zeros-gaussian", ["zeros", *known, "--interval", "0:1", "--level", "3"]),
+            ("band-uniform", ["band", "--train", paths["train"], "--delta", "uniform:0.1",
+                              "--grid", "0:1:201"])]
 
 
 RUNS = [("rev", "free"), ("rev", "one-cpu"), ("tree", "free"), ("tree", "one-cpu")]
@@ -179,7 +185,7 @@ def main(argv=None):
         inputs = os.path.join(scratch, "inputs")
         os.makedirs(inputs)
         paths = make_analysis_inputs(np.random.default_rng(SEED), inputs)
-        kinds = analysis_kinds(paths) + dense_scans(paths)
+        kinds = analysis_kinds(paths) + other_densities(paths)
         sources = {"rev": os.path.join(rev_tree, "src"), "tree": os.path.join(ROOT, "src")}
         print(f"diffcheck: {args.rev} ({sha[:12]}) against the working tree, "
               f"{len(os.sched_getaffinity(0))} CPUs free, 1 pinned")

@@ -12,8 +12,9 @@ Subcommands cover every workflow: ``fit-known``, ``fit-fourier``,
   picks the rendering (JSON outputs carry a provenance block with the
   command line, seed and package version).
 
-Exit status is 0 on success; data problems print a machine-readable JSON
-error record to stderr and exit 1; usage problems exit 2 via argparse.
+Exit status is 0 on success; data problems, and sizes too large to
+allocate, print a machine-readable JSON error record to stderr and exit 1;
+usage problems exit 2 via argparse.
 """
 
 from __future__ import annotations
@@ -341,6 +342,10 @@ def main(argv=None) -> int:
         # CoarseRegError subclasses ValueError; constructor validation
         # errors land here too
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # a size the machine cannot hold, such as a huge --nsim, --grid or --n
+        print(json.dumps({"error": str(exc) or "out of memory"}), file=sys.stderr)
         return 1
     return 0
 

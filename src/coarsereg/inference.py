@@ -25,7 +25,7 @@ from .densities import ErrorDensity
 from .errors import DegenerateDenominatorError
 from .known import (
     _block_len, _centered_variance, _defined, _flat_support, _kernel_moments, _known_curve,
-    _moments_at, _scratch,
+    _moments_at, _row_blocks, _scratch,
 )
 
 # Covariance eigenvalues below this fraction of the largest are zeroed
@@ -278,20 +278,30 @@ def _centered_covariance(sample, err, x, den, num, zero):
     # A block also pays a G x G product and sum, so it holds at least 2G
     # columns, where that costs at most about half its kernel: a 512 KiB
     # block was 1.8x slower at G = 512. Two G x 2G blocks are O(G^2)
-    # memory, like the covariance itself.
+    # memory, like the covariance itself. The blocks are shared with the
+    # pool thread of known._row_blocks, each thread building a block's
+    # kernel and product, and the products are added into cov in block
+    # order, from zeros, so the sum is the serial one, bit for bit; a
+    # thread holds at most one G x G product waiting for its turn.
     m_hat = num / den
     span = max(x.max() - w.min(), w.max() - x.min())  # at least every |x - w|
     cov = np.zeros((len(x), len(x)))
     step = max(_block_len(len(x)), 2 * len(x))
-    for start in range(0, n, step):
+
+    def product(start):
         cols = slice(start, start + step)
         shape = (len(x), len(w[cols]))
         # the kernel may be a custom pdf's own array, so b is built beside it
         k = err._pdf_into(np.subtract(x[:, None], w[None, cols], out=_scratch(0, shape)), span)
         b = np.subtract(y[None, cols], m_hat[:, None], out=_scratch(1, shape))
         b *= k
+        del k  # a block over the budget is freed before the product
         b /= den[:, None]
-        cov += b @ b.T
+        return b @ b.T
+
+    # a custom density's pdf is the user's code, which need not be thread-safe
+    _row_blocks(product, n, step, len(x), serial=err.kind == "custom",
+                fold=lambda p: np.add(cov, p, out=cov))
     cov /= n
     cov[zero] = cov[:, zero] = 0.0
     return cov

@@ -89,20 +89,24 @@ def _forget_pool():
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _row_blocks(body, rows, step, width, serial=False):
+def _row_blocks(body, rows, step, width, serial=False, fold=None):
     """``[body(start) for start in range(0, rows, step)]``: a pass over
     ``rows`` rows of ``width`` cells in blocks of ``step`` rows, each
-    block's value ``body(start)``.
+    block's value ``body(start)``. With ``fold``, the pass instead calls
+    ``fold(value)`` on each block's value in block order and returns None.
 
     The calling thread and the persistent pool thread share the blocks: each
     takes the next block when done with its last, so a thread late to start
     (an idle CPU can take milliseconds to wake) takes fewer, and the caller
     never waits for one that has not started. The pool thread runs in a copy
     of the caller's context, so its ``np.errstate`` holds there too; numpy
-    drops the interpreter lock in the ufuncs and reductions the passes call.
-    As each block's value depends on that block alone, the values are the
-    serial ones, bit for bit, and the error of the first failing block is
-    raised, as in one serial pass.
+    drops the interpreter lock in the ufuncs, reductions and BLAS products
+    the passes call. As each block's value depends on that block alone, the
+    values are the serial ones, bit for bit. A thread done with block i
+    folds its value once block i - 1 is folded, so the folds run in the
+    serial order, and each thread holds at most one value waiting for its
+    turn. The error of the first failing block or fold is raised, as in one
+    serial pass; a failure wakes every thread waiting behind it.
 
     The pass runs serially when ``serial`` is set (it runs user code, which
     need not be thread-safe, or its blocks are too small to pay), below
@@ -117,19 +121,44 @@ def _row_blocks(body, rows, step, width, serial=False):
     if (serial or _busy or rows * width < _POOL_MIN_CELLS
             or threading.current_thread() is not threading.main_thread()
             or len(os.sched_getaffinity(0)) < 2 or len(starts) < 4):
-        return [body(start) for start in starts]
+        if fold is None:
+            return [body(start) for start in starts]
+        for start in starts:
+            fold(body(start))
+        return None
     values = [None] * len(starts)
-    failures = []  # (index, error) of each thread's failing block
+    failures = []  # (index, error) of each thread's failing block or fold
     blocks = iter(range(len(starts)))  # its next() is atomic under the interpreter lock
+    turn = threading.Condition()  # guards folded and wakes the threads waiting to fold
+    folded = 0  # blocks 0 to folded - 1 are folded
+
+    def settle(i, value):
+        """Fold block i's value in its turn; False, folding nothing, once an
+        earlier block has failed."""
+        nonlocal folded
+        with turn:
+            turn.wait_for(lambda: folded == i or any(f < i for f, _ in failures))
+            if folded < i:
+                return False
+            fold(value)
+            folded += 1
+            turn.notify_all()
+        return True
 
     def run():
         for i in blocks:
             if failures:
                 return  # every block before a failing one is taken
             try:
-                values[i] = body(starts[i])
+                # the value is held no longer than its fold
+                if fold is None:
+                    values[i] = body(starts[i])
+                elif not settle(i, body(starts[i])):
+                    return
             except Exception as exc:
-                failures.append((i, exc))
+                with turn:
+                    failures.append((i, exc))
+                    turn.notify_all()
                 return
 
     if _pool is None:
@@ -138,16 +167,20 @@ def _row_blocks(body, rows, step, width, serial=False):
     _busy = True
     try:
         run()
+        future.result()
+    except BaseException:
+        # the caller was interrupted, in its blocks or waiting for the pool
+        # thread: that thread, waiting for its turn or not, stops after its block
+        with turn:
+            failures.append((-1, None))
+            turn.notify_all()
+        raise
     finally:
-        failures.append((len(starts), None))  # stops the pool thread if the caller failed
-        try:
-            future.result()
-        finally:
-            _busy = False
-    _, error = min(failures, key=lambda failure: failure[0])
+        _busy = False
+    _, error = min(failures, key=lambda failure: failure[0], default=(0, None))
     if error is not None:
         raise error
-    return values
+    return values if fold is None else None
 
 
 # Each thread's two slots of _scratch, kept from pass to pass.

@@ -314,6 +314,31 @@ def test_band_draws_take_a_few_blocks():
     assert peak <= 64 << 20
 
 
+def test_covariance_products_do_not_pile_up():
+    # G = 1001 against n = 12 000: six column blocks of 2G samples, shared
+    # with the pool thread. A thread holds its block's kernel and centered
+    # factor, 4 G^2 floats, then the factor and its G x G product (the
+    # kernel is freed first), or only a product waiting for its turn; with
+    # the covariance that is at most 9 G^2 floats on two threads. Each
+    # product more held, or a block's buffers kept past its product, would
+    # add G^2 or more.
+    n, g = 12_000, 1_001
+    rng = np.random.default_rng(61)
+    w = rng.uniform(0.0, 1.0, n)
+    s = TrainingSample(w, np.sin(3.0 * w) + rng.normal(0.0, 0.3, n))
+    err = ErrorDensity.laplace(0.1)
+    grid = EvalGrid.linspace(0.0, 1.0, g)
+    bound = 9 * 8 * g * g + 8 * known._BLOCK_BYTES + 48 * n
+    calls = {
+        "covariance_matrix": lambda: covariance_matrix(s, err, grid),
+        "simultaneous_band": lambda: simultaneous_band(s, err, grid, n_sim=1_000, seed=1),
+    }
+    with mock.patch.object(known.os, "sched_getaffinity", lambda pid: {0, 1}):
+        for name, call in calls.items():
+            peak = traced_peak(call)
+            assert peak <= bound, f"{name}: peak {peak} B above {bound} B"
+
+
 def test_band_draw_blocks_move_only_the_product_roundoff():
     # 64-row draw blocks against one block of 1 000. The budget also sizes
     # the kernel passes, but with n <= 64 the covariance stays one column

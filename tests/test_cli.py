@@ -344,6 +344,33 @@ class TestCliCommands:
         record = json.loads(capsys.readouterr().err)
         assert "error" in record
 
+    @pytest.mark.parametrize("callee, argv", [
+        ("simultaneous_band", ["band", "--delta", "gaussian:0.1", "--grid", "0:1:3",
+                               "--nsim", "1000000000000"]),
+        ("fit_known", ["fit-known", "--delta", "gaussian:0.1", "--grid", "0:1:3"]),
+        ("run_replications", ["simulate", "--model", "m1", "--n", "1000000000000",
+                              "--nsdelta", "0.2", "--nseps", "0.1", "--reps", "1"]),
+    ])
+    def test_allocation_failure_error_record(self, callee, argv, train_csv, tmp_path, capsys,
+                                             monkeypatch):
+        # the callee raises as numpy does for a size the machine cannot
+        # hold; nothing is allocated for real, since under overcommit a huge
+        # request may be granted and its pages then killed when touched
+        message = ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+                   "and data type float64")
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(f"coarsereg.cli.{callee}", refuse)
+        out = tmp_path / "out.csv"
+        if argv[0] != "simulate":
+            argv = argv + ["--train", str(train_csv)]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err) == {"error": message}
+        assert not out.exists()
+
     def test_data_error_record_names_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("w,y\n0.1,nan\n")

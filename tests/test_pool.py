@@ -7,12 +7,13 @@ import gc
 import json
 import logging
 import os
+import signal
 import subprocess
 import sys
 import threading
 import time
 import weakref
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from coarsereg import (
     DegenerateDenominatorError, ErrorDensity, EstimatorSpec, EvalGrid, ScenarioConfig,
-    TrainingSample, fourier, known, run_replications, simulation,
+    TrainingSample, covariance_matrix, fourier, known, run_replications, simulation,
 )
 from coarsereg.known import _centered_variance, _flat_support, _kernel_moments, _moments_at
 from coarsereg.nw import _gauss
@@ -67,8 +68,10 @@ def passes(draw):
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.0, 1.0, n)
     y = np.round(rng.normal(size=n), draw(st.sampled_from([0, 3])))  # ties for _flat_support
-    x = np.linspace(-0.2, draw(st.sampled_from([1.0, 1.5, 3.0])), g)
-    kind = draw(st.sampled_from(["density", "nw", "cf", "weighted cf", "inversion"]))
+    hi = draw(st.sampled_from([1.0, 1.5, 3.0]))
+    x = np.linspace(-0.2, hi, g)
+    kind = draw(st.sampled_from(["density", "nw", "cf", "weighted cf", "inversion",
+                                 "covariance"]))
     row_bytes = 8 * n
     if kind == "density":
         kernel = draw(st.sampled_from(DENSITIES))._pdf_into
@@ -88,6 +91,13 @@ def passes(draw):
         sample, grid = TrainingSample(w, y), EvalGrid(np.append(x, x[-1] + 1.0))
         call = lambda: fourier.invert_cf(sample, err, cfg, grid)  # noqa: E731
         row_bytes = 16 * (2 * nodes + 1)
+    elif kind == "covariance":
+        # column blocks of at least 2G sample columns, each column G floats:
+        # a few grid points make up to 30 blocks of the 60 samples
+        err = draw(st.sampled_from(DENSITIES))
+        grid = EvalGrid.linspace(-0.2, hi, draw(st.integers(2, 8)))
+        call = lambda: [covariance_matrix(TrainingSample(w, y), err, grid).entries]  # noqa: E731
+        row_bytes = 8 * len(grid)
     else:
         moments = draw(st.sampled_from([_kernel_moments, _moments_at]))
         per_row = draw(st.sampled_from(PER_ROW))
@@ -196,6 +206,95 @@ def test_the_first_failing_block_raises():
     with pool_of(2, 8 * 50):
         delay[:] = [0.2]
         assert outcome(call, raising=False) == serial
+
+
+COV_N, COV_G = 80, 5
+# a budget of 2G columns of G floats: eight covariance column blocks of 2G
+COV_BUDGET = 8 * COV_G * 2 * COV_G
+
+
+def covariance_with(hook):
+    """The entries of ``covariance_matrix`` on a 5-point grid over eight
+    column blocks, with ``hook(i)`` called as column block i's kernel is
+    built, before it (the first pass's kernel rows call nothing)."""
+    rng = np.random.default_rng(97)
+    w = np.sort(rng.uniform(0.0, 1.0, COV_N))
+    y = rng.normal(size=COV_N)
+    grid = EvalGrid.linspace(0.0, 1.0, COV_G)
+    # each column block's first offset, x_0 less its first w, tells it apart
+    firsts = [grid.points[0] - w[start] for start in range(0, COV_N, 2 * COV_G)]
+    pdf_into = ErrorDensity._pdf_into
+
+    def kernel(self, u, span=np.inf):
+        if u.shape == (COV_G, 2 * COV_G):
+            hook(firsts.index(u[0, 0]))
+        return pdf_into(self, u, span)
+
+    with mock.patch.object(ErrorDensity, "_pdf_into", kernel):
+        return [covariance_matrix(TrainingSample(w, y), ErrorDensity.gaussian(0.2),
+                                  grid).entries]
+
+
+class Hang(BaseException):
+    """A pass that took too long; a BaseException, so no block takes it for
+    its own error."""
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise Hang in the main thread, which must run the block, once
+    ``seconds`` have passed, even while it waits on a lock."""
+    def expire(signum, frame):
+        raise Hang(f"no result after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_the_covariance_folds_in_block_order_when_later_blocks_finish_first():
+    # the caller's first column block sleeps, so the pool thread builds a
+    # later block first; its product waits for its turn, and the products
+    # are summed in block order, giving the serial bytes
+    built, delay = [], [0.0]
+
+    def hook(i):
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(delay.pop() if delay else 0.0)
+        built.append(i)
+
+    with pool_of(1, COV_BUDGET):
+        want = outcome(lambda: covariance_with(hook), raising=True)
+    assert built == list(range(8))
+    built.clear()
+    delay[:] = [0.2]
+    with pool_of(2, COV_BUDGET), deadline(30):
+        assert outcome(lambda: covariance_with(hook), raising=True) == want
+    assert sorted(built) == list(range(8)) and built != sorted(built)
+
+
+def test_a_failing_middle_block_wakes_the_fold_waiting_behind_it():
+    # column block 3 fails after a delay, while the other thread, done with
+    # block 4, waits for block 3 to be folded: the failure must wake it, and
+    # the pass raise block 3's error, as the serial pass does
+    delay = [0.0]
+
+    def hook(i):
+        if i == 3:
+            time.sleep(delay.pop() if delay else 0.0)
+            raise ValueError("column block 3")
+
+    with pool_of(1, COV_BUDGET):
+        want = outcome(lambda: covariance_with(hook), raising=False)
+    assert want == (ValueError, "column block 3")
+    delay[:] = [0.2]
+    with pool_of(2, COV_BUDGET), deadline(30):
+        assert outcome(lambda: covariance_with(hook), raising=False) == want
+    assert not known._busy
 
 
 def test_a_pass_queued_behind_the_busy_pool_thread_holds_nothing_after():
@@ -486,6 +585,8 @@ def test_cli_outputs_do_not_depend_on_the_cpu_count(tmp_path):
         f"cf --replicates {tmp_path}/reps.csv --tmax 20 --tstep 0.05",
         f"fit-proxy --pairs {tmp_path}/pairs.csv --train {tmp_path}/train_t.csv "
         "--delta laplace:0.1 --grid 0:1:201",
+        # 20 covariance column blocks of 2G = 402 samples
+        f"band {known_args} --grid 0:1:201 --nsim 2000 --seed 3",
     ]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     outputs, pools = {}, {}
