@@ -8,9 +8,11 @@ the ``analysis`` benchmark's inputs once (n = 5e4, from
 ``perfbench/workloads.py``) and runs its 10 commands, ``extrema`` and
 ``zeros`` under a Gaussian density (whose scans stay dense, while the
 Laplace ones decide from certified sums), ``band`` under a uniform density
-(whose kernel has zeros, unlike the Laplace one), one known-error ``simulate``
-cell with coverage points and one NW cell through REV's tree and through
-this checkout's. Each command runs in a fresh ``python -I``
+(whose kernel has zeros, unlike the Laplace one), ``nw --bandwidth cv`` on
+the first 2 000 rows of the ``noisy`` inputs (whose leave-one-out pass is
+pooled free and serial on one CPU), one known-error ``simulate`` cell with
+coverage points and one NW cell through REV's tree and through this
+checkout's. Each command runs in a fresh ``python -I``
 interpreter, once free and once pinned to one CPU, so its four runs cover
 both trees and both the pooled and the serial block passes. The children
 run BLAS with numpy's default thread count, so a free run may use several
@@ -28,6 +30,7 @@ place. It exits 1 on any difference or failed run.
 
 import argparse
 import hashlib
+import itertools
 import os
 import re
 import subprocess
@@ -70,6 +73,21 @@ def other_densities(paths):
             ("zeros-gaussian", ["zeros", *known, "--interval", "0:1", "--level", "3"]),
             ("band-uniform", ["band", "--train", paths["train"], "--delta", "uniform:0.1",
                               "--grid", "0:1:201"])]
+
+
+# rows of the leave-one-out CV input: 2 000^2 cells for each of the 32
+# bandwidths, in 63 blocks of held-out rows
+CV_ROWS = 2_000
+
+
+def cross_validated(paths, directory):
+    """``nw --bandwidth cv`` on the first ``CV_ROWS`` rows of the ``noisy``
+    inputs, written under ``directory``, as the n^2 pass of leave-one-out
+    CV would take minutes on the whole file."""
+    path = os.path.join(directory, "noisy_cv.csv")
+    with open(paths["noisy"]) as src, open(path, "w") as dst:
+        dst.writelines(itertools.islice(src, 1 + CV_ROWS))  # the header, then the rows
+    return [("nw-cv", ["nw", "--train", path, "--grid", "0:1:201", "--bandwidth", "cv"])]
 
 
 RUNS = [("rev", "free"), ("rev", "one-cpu"), ("tree", "free"), ("tree", "one-cpu")]
@@ -185,7 +203,7 @@ def main(argv=None):
         inputs = os.path.join(scratch, "inputs")
         os.makedirs(inputs)
         paths = make_analysis_inputs(np.random.default_rng(SEED), inputs)
-        kinds = analysis_kinds(paths) + other_densities(paths)
+        kinds = analysis_kinds(paths) + other_densities(paths) + cross_validated(paths, inputs)
         sources = {"rev": os.path.join(rev_tree, "src"), "tree": os.path.join(ROOT, "src")}
         print(f"diffcheck: {args.rev} ({sha[:12]}) against the working tree, "
               f"{len(os.sched_getaffinity(0))} CPUs free, 1 pinned")

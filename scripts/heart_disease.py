@@ -23,7 +23,8 @@ import sys
 import numpy as np
 
 from coarsereg import ErrorDensity, EvalGrid, error_variance, fit_known_proxy
-from coarsereg.heart import heart_disease_calibration
+from coarsereg.cli import exit_status, parse_grid
+from coarsereg.heart import calibrate_columns
 from coarsereg.io import curve_csv_text, read_columns, write_output
 
 
@@ -36,9 +37,14 @@ def main(argv=None):
     parser.add_argument("--grid", default=None, help="lo:hi:count for the fitted curve")
     parser.add_argument("--out", default=None, help="curve CSV path (stdout if omitted)")
     args = parser.parse_args(argv)
+    # errors are reported as the coarsereg command reports them
+    return exit_status(lambda: run(args))
 
-    result = heart_disease_calibration(args.data, chol_col=args.chol_col,
-                                       ldl_col=args.ldl_col)
+
+def run(args):
+    grid = parse_grid(args.grid) if args.grid else None
+    cols = read_columns(args.data, (args.chol_col, args.ldl_col, args.chd_col))
+    result = calibrate_columns(cols[args.chol_col], cols[args.ldl_col], args.data)
     fit = result["fit"]
     print(json.dumps({
         "intercept": fit.intercept,
@@ -48,7 +54,6 @@ def main(argv=None):
         "residual_variance": fit.residual_variance,
     }, indent=2), file=sys.stderr)
 
-    cols = read_columns(args.data, (args.chol_col, args.ldl_col, args.chd_col))
     log_chol = np.log(cols[args.chol_col])
     log_ldl = np.log(cols[args.ldl_col])
     chd = cols[args.chd_col]
@@ -57,14 +62,10 @@ def main(argv=None):
     # calibrated imputation, then the ratio fit on (log LDL, CHD)
     var = error_variance(fit, log_ldl, log_chol)
     density = ErrorDensity.gaussian(float(np.sqrt(var)))
-    if args.grid:
-        lo, hi, count = args.grid.split(":")
-        grid = EvalGrid.linspace(float(lo), float(hi), int(count))
-    else:
+    if grid is None:
         grid = EvalGrid.linspace(float(log_chol.min()), float(log_chol.max()), 101)
     curve = fit_known_proxy(fit, log_ldl, chd, density, grid)
     write_output(args.out, curve_csv_text(curve))
-    return 0
 
 
 if __name__ == "__main__":

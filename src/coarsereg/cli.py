@@ -47,36 +47,33 @@ from .proxy import fit_known_proxy, fit_linear_proxy
 from .simulation import EstimatorSpec, ScenarioConfig, run_replications
 
 
+def _fields(flag, text, syntax="comma-separated numbers", types=float, sep=","):
+    """``flag``'s ``sep``-separated fields in ``text``, converted by ``types`` (all by
+    one type, none if empty), else a CoarseRegError naming ``flag`` and ``syntax``."""
+    parts = text.split(sep) if text else []
+    if isinstance(types, type):
+        types = (types,) * len(parts)
+    if len(parts) == len(types):
+        try:
+            return tuple(convert(part) for convert, part in zip(types, parts))
+        except ValueError:
+            pass
+    raise CoarseRegError(f"{flag} expects {syntax}, got {text!r}")
+
+
 def parse_grid(text: str) -> EvalGrid:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise CoarseRegError(f"--grid expects lo:hi:count, got {text!r}")
-    try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise CoarseRegError(f"--grid expects numeric lo:hi:count, got {text!r}") from None
-    return EvalGrid.linspace(lo, hi, count)
+    return EvalGrid.linspace(*_fields("--grid", text, "numeric lo:hi:count", (float, float, int), ":"))
 
 
 def parse_delta(text: str) -> ErrorDensity:
-    kind, _, param = text.partition(":")
-    try:
-        value = float(param)
-    except ValueError:
-        raise CoarseRegError(f"--delta expects kind:scale, got {text!r}") from None
+    kind, value = _fields("--delta", text, "kind:scale", (str, float), ":")
     if kind not in ("gaussian", "laplace", "uniform"):
         raise CoarseRegError(f"--delta kind must be gaussian, laplace or uniform, got {kind!r}")
     return getattr(ErrorDensity, kind)(value)
 
 
 def parse_interval(text: str) -> tuple:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise CoarseRegError(f"--interval expects lo:hi, got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise CoarseRegError(f"--interval expects numeric lo:hi, got {text!r}") from None
+    lo, hi = _fields("--interval", text, "numeric lo:hi", (float, float), ":")
     if not lo < hi:
         raise CoarseRegError(f"--interval needs lo < hi, got {text!r}")
     return lo, hi
@@ -116,10 +113,14 @@ def _emit_curve(args, curve: RegressionCurve, **body):
     _emit(args, {**body, "curve": {**columns, "meta": curve.meta}}, columns, columns.values())
 
 
-def _cmd_fit_known(args):
+def _emit_known(args, fit, **options):
+    """Emit ``fit``'s curve on ``--train``, ``--delta`` and ``--grid``, read in turn."""
     sample = read_training_csv(args.train)
-    curve = fit_known(sample, parse_delta(args.delta), parse_grid(args.grid))
-    _emit_curve(args, curve)
+    _emit_curve(args, fit(sample, parse_delta(args.delta), parse_grid(args.grid), **options))
+
+
+def _cmd_fit_known(args):
+    _emit_known(args, fit_known)
 
 
 def _cmd_fit_fourier(args):
@@ -170,22 +171,11 @@ def _cmd_nw(args):
 
 
 def _cmd_ci(args):
-    sample = read_training_csv(args.train)
-    curve = pointwise_band(sample, parse_delta(args.delta), parse_grid(args.grid), args.alpha)
-    _emit_curve(args, curve)
+    _emit_known(args, pointwise_band, alpha=args.alpha)
 
 
 def _cmd_band(args):
-    sample = read_training_csv(args.train)
-    curve = simultaneous_band(
-        sample,
-        parse_delta(args.delta),
-        parse_grid(args.grid),
-        alpha=args.alpha,
-        n_sim=args.nsim,
-        seed=args.seed,
-    )
-    _emit_curve(args, curve)
+    _emit_known(args, simultaneous_band, alpha=args.alpha, n_sim=args.nsim, seed=args.seed)
 
 
 def _cmd_cf(args):
@@ -211,12 +201,6 @@ def _cmd_zeros(args):
           ("location",), (roots,))
 
 
-def _parse_points(text):
-    if not text:
-        return ()
-    return tuple(float(p) for p in text.split(","))
-
-
 def _cmd_simulate(args):
     scn = ScenarioConfig(
         model=args.model,
@@ -233,9 +217,9 @@ def _cmd_simulate(args):
         reps=args.reps,
         grid=grid,
         master_seed=args.seed,
-        coverage_points=_parse_points(args.coverage_at),
+        coverage_points=_fields("--coverage-at", args.coverage_at),
         alpha=args.alpha,
-        rmse_points=_parse_points(args.rmse_at),
+        rmse_points=_fields("--rmse-at", args.rmse_at),
     )
     if args.out is not None:
         deciles = [report.decile_curves[k]["values"] for k in ("d1", "d5", "d9")]
@@ -333,8 +317,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args._argv = argv
+    return exit_status(lambda: args.func(args))
+
+
+def exit_status(run) -> int:
+    """0 after ``run()``, or 1 after printing its error as one JSON record on stderr."""
     try:
-        args.func(args)
+        run()
     except DataFormatError as exc:
         print(json.dumps(exc.record()), file=sys.stderr)
         return 1

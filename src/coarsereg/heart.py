@@ -39,8 +39,11 @@ def heart_disease_calibration(path, *, chol_col="chol", ldl_col="ldl") -> dict:
     log-ldl), the retained sample size, and the deletion tally.
     """
     cols = read_columns(path, (chol_col, ldl_col))
-    chol = cols[chol_col]
-    ldl = cols[ldl_col]
+    return calibrate_columns(cols[chol_col], cols[ldl_col], path)
+
+
+def calibrate_columns(chol, ldl, path) -> dict:
+    """:func:`heart_disease_calibration` on the columns read from ``path``."""
     if np.any(chol <= 0) or np.any(ldl <= 0):
         raise DataFormatError("cholesterol values must be positive for the log transform",
                               file=str(path))

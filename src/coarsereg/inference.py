@@ -149,9 +149,14 @@ def product_moments(
     )
 
 
-def _check_alpha(alpha):
+def _check_alpha(alpha, n, n_sim=1):
+    """Every interval's preconditions, in order: alpha, the band's n_sim, n."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if n_sim < 1:
+        raise ValueError("n_sim must be positive")
+    if n < 2:
+        raise ValueError("confidence interval needs n >= 2")
 
 
 # Cephes ndtri (S. L. Moshier, "Methods and Programs for Mathematical
@@ -316,9 +321,7 @@ def pointwise_ci(
     the root-n factor undoes the root-n scaling of the limit variance.
     alpha == 1 is accepted and gives the degenerate zero-width interval.
     """
-    _check_alpha(alpha)
-    if sample.n < 2:
-        raise ValueError("confidence interval needs n >= 2")
+    _check_alpha(alpha, sample.n)
     den, num, var = _moments_at(err._pdf_into, x, sample.w, sample.y, _centered_variance)
     return _interval(float(num[0]), float(den[0]), var[0], sample.n, alpha)
 
@@ -338,9 +341,7 @@ def pointwise_band(
     DegenerateDenominatorError
         If every grid point is undefined.
     """
-    _check_alpha(alpha)
-    if sample.n < 2:
-        raise ValueError("confidence interval needs n >= 2")
+    _check_alpha(alpha, sample.n)
     den, num, var = _kernel_moments(err._pdf_into, grid.points, sample.w, sample.y,
                                     _centered_variance)
     ok = _defined(den)
@@ -391,11 +392,7 @@ def simultaneous_band(
     DegenerateDenominatorError
         Naming the first grid point where the ratio is undefined.
     """
-    _check_alpha(alpha)
-    if n_sim < 1:
-        raise ValueError("n_sim must be positive")
-    if sample.n < 2:
-        raise ValueError("confidence interval needs n >= 2")
+    _check_alpha(alpha, sample.n, n_sim)
     # one pass gives the fit and the pointwise variance; the covariance,
     # built in a second, only shapes the draws
     den, num, var = _moments_at(err._pdf_into, grid.points, sample.w, sample.y,

@@ -5,17 +5,18 @@ predictors is the baseline the ratio estimator is measured against. The
 kernel is fixed to Gaussian; the bandwidth either comes from the caller or
 from leave-one-out CV over a geometric grid.
 
-Leave-one-out CV scores the whole bandwidth grid from one squared-distance
-block per group of held-out rows, so it needs O(n * block + n * B) memory
-for B bandwidths. Each row's exponents are shifted by its nearest-neighbour
-distance, which leaves num/den unchanged and gives the nearest neighbour the
-weight exp(0) = 1, so every denominator is at least 1. The exponents are
-clamped at ``_EXP_FAST_MIN`` only where some fall below it: a clamped cell
-weighs at most e^-700 against that 1, below half an ulp of the denominator,
-so no kernel value is subnormal and ``np.exp`` stays on its vector fast path.
-A bandwidth still scores infinity exactly when the unshifted Gaussian
-weights of some held-out row all underflow to zero. The constants and the
-curve's kernel exponential, ``_gauss_exp_into``, live in ``densities``.
+Leave-one-out CV scores the whole bandwidth grid from squared-distance
+blocks of held-out rows in one ``known._row_blocks`` pass, so it needs
+O(n * B) memory for B bandwidths. Each row's exponents are shifted by its
+nearest-neighbour distance, which leaves num/den unchanged and gives the
+nearest neighbour the weight exp(0) = 1, so every denominator is at least 1.
+The exponents are clamped at ``_EXP_FAST_MIN`` only where some fall below
+it: a clamped cell weighs at most e^-700 against that 1, below half an ulp
+of the denominator, so no kernel value is subnormal and ``np.exp`` stays on
+its vector fast path. A bandwidth still scores infinity exactly when the
+unshifted Gaussian weights of some held-out row all underflow to zero. The
+constants and the curve's kernel exponential, ``_gauss_exp_into``, live in
+``densities``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .data import EvalGrid, RegressionCurve, TrainingSample
 from .densities import _EXP_FAST_MIN, _SQRT_2PI, _gauss_exp_into
 from .errors import DegenerateDenominatorError
-from .known import _block_len, _kernel_moments, _moments_at, _ratio_curve, _scratch
+from .known import _block_len, _kernel_moments, _moments_at, _ratio_curve, _row_blocks, _scratch
 
 # The CV grid: _CV_POINTS geometric points spanning [_CV_MIN_FACTOR,
 # _CV_MAX_FACTOR] times the reference scale std(x) * n**(-1/5).
@@ -40,19 +41,22 @@ def _gauss(u, h, span):
     return np.divide(_gauss_exp_into(u, h, span), _SQRT_2PI, out=u)
 
 
+def _kernel(h):
+    """The kernel of every NW fit and estimate at bandwidth ``h``."""
+    if not 0 < h < np.inf:  # an infinite h would give the flat curve mean(y)
+        raise ValueError(f"bandwidth must be positive and finite, got {h}")
+    return lambda u, span: _gauss(u, h, span)
+
+
 def nw_estimate(sample: TrainingSample, h: float, x: float) -> float:
     """Kernel-weighted response average at ``x`` with bandwidth ``h``."""
-    if not 0 < h < np.inf:
-        raise ValueError(f"bandwidth must be positive and finite, got {h}")
-    den, num = _moments_at(lambda u, span: _gauss(u, h, span), x, sample.w, sample.y)
+    den, num = _moments_at(_kernel(h), x, sample.w, sample.y)
     return float(num[0]) / float(den[0])
 
 
 def fit_nw(sample: TrainingSample, h: float, grid: EvalGrid) -> RegressionCurve:
     """Kernel regression curve on a grid; degenerate points carry NaN."""
-    if not 0 < h < np.inf:  # an infinite h would give the flat curve mean(y)
-        raise ValueError(f"bandwidth must be positive and finite, got {h}")
-    den, num = _kernel_moments(lambda u, span: _gauss(u, h, span), grid.points, sample.w, sample.y)
+    den, num = _kernel_moments(_kernel(h), grid.points, sample.w, sample.y)
     return _ratio_curve(grid, den, num, {"estimator": "nadaraya-watson", "bandwidth": h})
 
 
@@ -75,9 +79,9 @@ def _loo_scores(sample: TrainingSample, bandwidths) -> np.ndarray:
     rounded value is the row's largest unshifted weight (the rounded kernel
     is monotone in d2), so the row underflows exactly when it is 0. Rows
     are built in blocks of :func:`known._block_len`, in the buffers of
-    :func:`known._scratch`, and the squared errors are averaged once at the
-    end, so the summation order of the scores does not depend on the
-    blocking.
+    :func:`known._scratch`, by one :func:`known._row_blocks` pass, and the
+    squared errors are averaged once at the end, so the scores depend on
+    neither the blocking nor the thread that builds a block.
     """
     w, y = sample.w, sample.y
     n = len(w)
@@ -88,7 +92,8 @@ def _loo_scores(sample: TrainingSample, bandwidths) -> np.ndarray:
     nn2 = np.empty(n)
     sq_err = np.empty((len(scales), n))
     step = _block_len(n)
-    for start in range(0, n, step):
+
+    def block(start):  # it writes its own rows of nn2 and sq_err
         rows = np.arange(start, min(start + step, n))
         own = (np.arange(len(rows)), rows)
         d2 = np.subtract.outer(w[rows], w, out=_scratch(0, (len(rows), n)))
@@ -107,6 +112,8 @@ def _loo_scores(sample: TrainingSample, bandwidths) -> np.ndarray:
             k[own] = 0.0
             num, den = (k @ y1).T
             sq_err[j, rows] = np.square(y[rows] - num / den)
+
+    _row_blocks(block, n, step, n * len(scales))
     scores = np.mean(sq_err, axis=1)
     scores[np.any(np.exp(np.multiply.outer(scales, nn2)) / _SQRT_2PI == 0.0, axis=1)] = np.inf
     return scores

@@ -37,7 +37,7 @@ from .io import json_text
 from .known import (
     _block_len, _centered_variance, _defined, _golden_section, _moments_at,
 )
-from .nw import _CV_POINTS, _gauss, cv_bandwidth, fit_nw
+from .nw import _CV_POINTS, _kernel, cv_bandwidth, fit_nw
 
 logger = logging.getLogger(__name__)
 
@@ -135,13 +135,18 @@ def calibrate(scn: ScenarioConfig) -> tuple:
     """Noise variances implied by the scenario's ratios.
 
     Returns (contamination variance, response-error variance or None).
-    The predictor variance is the analytic 1/12 of the uniform laws; for a
-    uniform contamination the half-width is sqrt(3 * variance).
+    The predictor variance is the analytic 1/12 of the uniform laws.
     """
     delta_var = scn.predictor_noise * _PREDICTOR_VAR
     if scn.model in _BERNOULLI:
         return delta_var, None
     return delta_var, scn.response_noise * regression_bound(scn.model)
+
+
+def _spread(scn: ScenarioConfig) -> float:
+    """The contamination's scale: its sd if Gaussian, its half-width if uniform."""
+    delta_var, _ = calibrate(scn)
+    return math.sqrt(delta_var) if scn.error_kind == "gaussian" else math.sqrt(3.0 * delta_var)
 
 
 def make_density(scn: ScenarioConfig) -> ErrorDensity:
@@ -153,12 +158,9 @@ def make_density(scn: ScenarioConfig) -> ErrorDensity:
         For a degenerate (zero-variance) contamination, which has no
         density representation.
     """
-    delta_var, _ = calibrate(scn)
-    if delta_var <= 0:
+    if calibrate(scn)[0] <= 0:
         raise ValueError("degenerate contamination has no density representation")
-    if scn.error_kind == "gaussian":
-        return ErrorDensity.gaussian(math.sqrt(delta_var))
-    return ErrorDensity.uniform(math.sqrt(3.0 * delta_var))
+    return getattr(ErrorDensity, scn.error_kind)(_spread(scn))
 
 
 @dataclass(frozen=True)
@@ -191,11 +193,11 @@ def generate(scn: ScenarioConfig, rng: Optional[np.random.Generator] = None) -> 
     delta_var, eps_var = calibrate(scn)
     lo, hi = scn.support
     w = rng.uniform(lo, hi, scn.n)
+    spread = _spread(scn)
     if scn.error_kind == "gaussian":
-        delta = rng.normal(0.0, math.sqrt(delta_var), scn.n) if delta_var > 0 else np.zeros(scn.n)
+        delta = rng.normal(0.0, spread, scn.n) if delta_var > 0 else np.zeros(scn.n)
     else:
-        half = math.sqrt(3.0 * delta_var)
-        delta = rng.uniform(-half, half, scn.n) if delta_var > 0 else np.zeros(scn.n)
+        delta = rng.uniform(-spread, spread, scn.n) if delta_var > 0 else np.zeros(scn.n)
     gw = regression_function(scn.model, w)
     if scn.model in _BERNOULLI:
         y = (rng.random(scn.n) < gw).astype(float)
@@ -263,7 +265,7 @@ def _truth(scn: ScenarioConfig, x) -> np.ndarray:
         return out
 
     if scn.error_kind == "uniform":
-        half = math.sqrt(3.0 * delta_var)
+        half = _spread(scn)
         a, b = np.maximum(lo, x - half), np.minimum(hi, x + half)
         ok = np.flatnonzero(b > a)
         a, b = a[ok], b[ok]
@@ -317,11 +319,17 @@ def true_regression(scn: ScenarioConfig, x: float) -> float:
         Where the smeared predictor density vanishes (x outside the
         reachable range).
     """
-    value = float(_truth(scn, [x])[0])
-    if math.isnan(value):
+    return float(_oracle(scn, [], [x])[1][0])
+
+
+def _oracle(scn: ScenarioConfig, grid, points) -> tuple:
+    """:func:`_truth` on ``grid`` and on ``points``, which must be defined."""
+    truth = _truth(scn, np.concatenate([grid, points]))
+    undefined = np.flatnonzero(np.isnan(truth[len(grid):]))
+    if undefined.size:
         kind = scn.error_kind if calibrate(scn)[0] > 0.0 else None
-        raise DegenerateDenominatorError(_UNDEFINED[kind].format(x=x))
-    return value
+        raise DegenerateDenominatorError(_UNDEFINED[kind].format(x=points[undefined[0]]))
+    return truth[:len(grid)], truth[len(grid):]
 
 
 def default_grid(scn: ScenarioConfig, count: int = 101) -> EvalGrid:
@@ -329,12 +337,8 @@ def default_grid(scn: ScenarioConfig, count: int = 101) -> EvalGrid:
     the predictor support expanded by twice the contamination sd (Gaussian)
     or by the half-width (uniform), trimmed one spacing inside so the
     endpoints stay clear of the exact support boundary."""
-    delta_var, _ = calibrate(scn)
     lo, hi = scn.support
-    if scn.error_kind == "gaussian":
-        e = 2.0 * math.sqrt(delta_var)
-    else:
-        e = math.sqrt(3.0 * delta_var)
+    e = 2.0 * _spread(scn) if scn.error_kind == "gaussian" else _spread(scn)
     pts = np.linspace(lo - e, hi + e, count + 2)[1:-1]
     return EvalGrid(pts)
 
@@ -488,7 +492,7 @@ def _nw_replicate(scn, spec, grid, points, rng):
         return values, no_ci, no_ci, no_ci
     # one kernel for every query point; each row's moments are the bits
     # :func:`nw_estimate` gives the point alone
-    den, num = _moments_at(lambda u, span: _gauss(u, h, span), points, sample.w, sample.y)
+    den, num = _moments_at(_kernel(h), points, sample.w, sample.y)
     return values, num / den, no_ci, no_ci
 
 
@@ -527,13 +531,13 @@ def run_replications(
     if coverage_points and spec.method != "known":
         raise ValueError("coverage is only defined for the known-error estimator")
     if coverage_points:
-        _check_alpha(alpha)
+        _check_alpha(alpha, scn.n)
     grid = grid or default_grid(scn)
     coverage_points = tuple(float(p) for p in coverage_points)
     rmse_points = tuple(float(p) for p in rmse_points)
     points = tuple(sorted(set(coverage_points) | set(rmse_points)))
-    truth_at = {p: true_regression(scn, p) for p in points}
-    truth = _truth(scn, grid.points)
+    truth, at_points = _oracle(scn, grid.points, points)  # each value the one it gets alone
+    truth_at = dict(zip(points, at_points.tolist()))
 
     cv = spec.method == "nw" and spec.bandwidth == "cv"
     cells = scn.n * (len(grid.points) + cv * _CV_POINTS * scn.n)

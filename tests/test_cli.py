@@ -312,17 +312,27 @@ class TestCliCommands:
         assert code == 0
         assert out.read_text().splitlines()[0] == "location"
 
+    KNOWN = ["--train", "{train}", "--delta", "gaussian:0.144"]
+    STUDY = ["simulate", "--model", "logistic", "--n", "20", "--nsdelta", "0.25",
+             "--reps", "2"]
+
     @pytest.mark.parametrize("args, named", [
-        (["zeros", "--interval", "0:1", "--level", "nan"], "level must be finite"),
-        (["zeros", "--interval", "0:inf"], "need finite lo < hi"),
-        (["extrema", "--interval=-inf:1"], "need finite lo < hi"),
+        (["zeros", "--interval", "0:1", "--level", "nan", *KNOWN], "level must be finite"),
+        (["zeros", "--interval", "0:inf", *KNOWN], "need finite lo < hi"),
+        (["extrema", "--interval=-inf:1", *KNOWN], "need finite lo < hi"),
+        # a point list's error names its flag
+        ([*STUDY, "--coverage-at", "0.5,"],
+         "--coverage-at expects comma-separated numbers, got '0.5,'"),
+        ([*STUDY, "--rmse-at", "0.25;0.5"],
+         "--rmse-at expects comma-separated numbers, got '0.25;0.5'"),
     ])
     def test_non_finite_search_error_record(self, args, named, train_csv, tmp_path, capsys):
         out = tmp_path / "s.csv"
-        code = main(args + ["--train", str(train_csv), "--delta", "gaussian:0.144",
-                            "--out", str(out)])
+        code = main([arg.format(train=train_csv) for arg in args] + ["--out", str(out)])
         assert code == 1
-        assert json.loads(capsys.readouterr().err)["error"].startswith(named)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"].startswith(named)
         assert not out.exists()
 
     def test_json_output_carries_provenance(self, train_csv, tmp_path):

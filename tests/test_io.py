@@ -9,6 +9,7 @@ cell as the double ``float()`` gives, midpoint decimals included.
 
 import csv
 import decimal
+import json
 import math
 import runpy
 import sys
@@ -572,9 +573,39 @@ class TestHeartReader:
         assert (record["line"], record["column"]) == (12, "ldl")
 
     def test_script_reads_through_io(self, tmp_path):
-        script = Path(__file__).parents[1] / "scripts" / "heart_disease.py"
-        main = runpy.run_path(str(script), run_name="heart_script")["main"]
         out = tmp_path / "curve.csv"
         data = saheart_csv(tmp_path / "h.csv")
-        assert main([str(data), "--grid", "4.9:5.7:5", "--out", str(out)]) == 0
+        assert heart_script()([str(data), "--grid", "4.9:5.7:5", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "x,m_hat"
+
+    def test_script_fits_its_default_grid_reading_the_file_once(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        data = saheart_csv(tmp_path / "h.csv")
+        main = heart_script()
+        with mock.patch.object(cio, "_read_rows", wraps=cio._read_rows) as reads:
+            assert main([str(data), "--out", str(out)]) == 0
+        assert reads.call_count == 1
+        lines = out.read_text().splitlines()
+        assert lines[0] == "x,m_hat" and len(lines) == 1 + 101
+        result = heart_disease_calibration(data)
+        report = json.loads(capsys.readouterr().err)
+        assert (report["n_used"], report["slope"]) == (result["n_used"], result["fit"].slope)
+
+    @pytest.mark.parametrize("grid, message", [
+        ("0:1", "--grid expects numeric lo:hi:count, got '0:1'"),
+        ("a:b:c", "--grid expects numeric lo:hi:count, got 'a:b:c'"),
+        ("2:1:5", "need lo < hi, got [2.0, 1.0]"),
+    ])
+    def test_script_reports_a_malformed_grid(self, grid, message, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        data = saheart_csv(tmp_path / "h.csv")
+        assert heart_script()([str(data), "--grid", grid, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err) == {"error": message}
+        assert not out.exists()
+
+
+def heart_script():
+    """The ``main`` of ``scripts/heart_disease.py``, loaded afresh."""
+    script = Path(__file__).parents[1] / "scripts" / "heart_disease.py"
+    return runpy.run_path(str(script), run_name="heart_script")["main"]

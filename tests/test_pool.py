@@ -1,7 +1,8 @@
 """The worker pool of the blocked passes (``known._row_blocks``): a pass split
 over worker threads gives the serial pass's bits, raises the serial pass's
 errors and honours the caller's ``np.errstate``. A replication study's
-chunks of replicates are the blocks of one such pass."""
+chunks of replicates, and leave-one-out CV's blocks of held-out rows, are
+the blocks of one such pass."""
 
 import gc
 import json
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from coarsereg import (
     DegenerateDenominatorError, ErrorDensity, EstimatorSpec, EvalGrid, ScenarioConfig,
-    TrainingSample, covariance_matrix, fourier, known, run_replications, simulation,
+    TrainingSample, covariance_matrix, fourier, known, nw, run_replications, simulation,
 )
 from coarsereg.known import _centered_variance, _flat_support, _kernel_moments, _moments_at
 from coarsereg.nw import _gauss
@@ -71,7 +72,7 @@ def passes(draw):
     hi = draw(st.sampled_from([1.0, 1.5, 3.0]))
     x = np.linspace(-0.2, hi, g)
     kind = draw(st.sampled_from(["density", "nw", "cf", "weighted cf", "inversion",
-                                 "covariance"]))
+                                 "covariance", "loo"]))
     row_bytes = 8 * n
     if kind == "density":
         kernel = draw(st.sampled_from(DENSITIES))._pdf_into
@@ -98,6 +99,12 @@ def passes(draw):
         grid = EvalGrid.linspace(-0.2, hi, draw(st.integers(2, 8)))
         call = lambda: [covariance_matrix(TrainingSample(w, y), err, grid).entries]  # noqa: E731
         row_bytes = 8 * len(grid)
+    elif kind == "loo":
+        # blocks of held-out rows of n distances each; at the smallest
+        # bandwidths some held-out point's weights all underflow, so those
+        # score inf
+        bandwidths = np.geomspace(draw(st.sampled_from([1e-4, 1e-3, 0.01])), 0.5, g)
+        call = lambda: [nw._loo_scores(TrainingSample(w, y), bandwidths)]  # noqa: E731
     else:
         moments = draw(st.sampled_from([_kernel_moments, _moments_at]))
         per_row = draw(st.sampled_from(PER_ROW))
@@ -431,6 +438,60 @@ def test_serial_off_the_main_thread_and_for_custom_densities():
         assert threads == {side.name}
 
 
+def spy_on_loo_blocks(passes, delay=()):
+    """Patch LOO-CV's block pass to record, per pass, its calling thread and
+    the threads of its blocks in ``passes``; the caller's first block sleeps
+    the first of ``delay`` seconds, if any, so that the pool thread, if the
+    pass shares its blocks, takes the next ones."""
+    row_blocks, delays = nw._row_blocks, list(delay)
+
+    def spy(body, *args, **kwargs):
+        caller, seen = threading.current_thread().name, set()
+
+        def recording(start):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(delays.pop() if delays else 0.0)
+            seen.add(threading.current_thread().name)
+            return body(start)
+
+        values = row_blocks(recording, *args, **kwargs)
+        passes.append((caller, seen))
+        return values
+
+    return mock.patch.object(nw, "_row_blocks", spy)
+
+
+LOO_N = 60
+
+
+@pytest.mark.parametrize("blocks", [1, 5, LOO_N])
+def test_a_pooled_loo_pass_gives_the_serial_bytes(blocks):
+    # one block, a few and one held-out row per block, over a bandwidth
+    # grid whose smallest entries score inf: from four blocks on, the pool
+    # thread takes the blocks the caller's slow first one leaves, and the
+    # two threads, switching as often as the interpreter lets them, write
+    # their own rows of the shared arrays
+    rng = np.random.default_rng(41)
+    sample = TrainingSample(rng.uniform(0.0, 1.0, LOO_N), rng.normal(size=LOO_N))
+    bandwidths = np.geomspace(1e-4, 0.5, 12)
+    budget = 8 * LOO_N * -(-LOO_N // blocks)
+    with pool_of(1, budget):
+        want = nw._loo_scores(sample, bandwidths)
+    assert np.isinf(want[0]) and np.all(np.isfinite(want[-6:]))
+    passes = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for delay in ([0.2], []):
+            with pool_of(2, budget), spy_on_loo_blocks(passes, delay):
+                assert nw._loo_scores(sample, bandwidths).tobytes() == want.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    (caller, seen), _ = passes
+    assert caller == "MainThread"
+    assert any(name.startswith("coarsereg-rows") for name in seen) == (blocks >= 4)
+
+
 M1 = ScenarioConfig(model="m1", n=60, predictor_noise=0.25, response_noise=0.1, seed=5)
 
 
@@ -525,6 +586,21 @@ def test_shared_nw_failures_are_logged_in_index_order(caplog):
     assert any(name.startswith("coarsereg-rows") for name in threads)
     failed = [int(message.split()[1]) for message in want[1]]
     assert 1 < len(failed) < 12 and failed == sorted(failed)
+
+
+def test_an_nw_study_runs_each_loo_pass_on_its_replicate_thread():
+    # the replicates are shared with the pool thread; each one's LOO-CV
+    # pass, 15 blocks of 4 held-out rows, runs serially on the thread that
+    # runs the replicate, as the pool thread is busy with the study
+    passes = []
+    threads, recording = replicate_threads(delay=0.2)
+    with pool_of(2, 8 * M1.n * 4), recording, spy_on_loo_blocks(passes):
+        report = run_replications(M1, EstimatorSpec(method="nw"), reps=8, master_seed=9)
+    assert report.failures == 0 and len(passes) == 8
+    callers = {caller for caller, _ in passes}
+    assert "MainThread" in callers
+    assert any(name.startswith("coarsereg-rows") for name in callers)
+    assert all(seen == {caller} for caller, seen in passes)
 
 
 @pytest.mark.parametrize("method, scn, pooled", [

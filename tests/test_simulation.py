@@ -318,14 +318,20 @@ class TestRunReplications:
         assert sum(v is None for v in rep.ise) == rep.failures
 
     def test_oracle_asked_only_at_query_points(self):
-        # the truth on the grid is computed once per study, not looked up
-        # per replicate
+        # the truth is computed once per study, in one oracle pass over the
+        # grid and then the sorted query points, not looked up per replicate
+        # nor point by point
         scn = ScenarioConfig(model="sine2", n=60, predictor_noise=0.2, seed=424242)
+        grid = default_grid(scn)
         before = true_regression.cache_info()
-        run_replications(scn, EstimatorSpec(), reps=5, master_seed=1,
-                         coverage_points=(0.5,), rmse_points=(0.25, 0.5))
+        with mock.patch.object(simulation, "_truth", wraps=_truth) as oracle:
+            run_replications(scn, EstimatorSpec(), reps=5, master_seed=1,
+                             coverage_points=(0.5,), rmse_points=(0.25, 0.5))
         after = true_regression.cache_info()
-        assert after.hits + after.misses - before.hits - before.misses == 2
+        assert after.hits + after.misses - before.hits - before.misses == 0
+        (args, _), = oracle.call_args_list
+        assert args[0] == scn
+        assert args[1].tolist() == [*grid.points.tolist(), 0.25, 0.5]
 
     def test_known_study_stacks_its_replicates(self, monkeypatch):
         # two kernel passes per chunk of replicates: one whose rows, for each
