@@ -10,9 +10,11 @@ the ``analysis`` benchmark's inputs once (n = 5e4, from
 Laplace ones decide from certified sums), ``band`` under a uniform density
 (whose kernel has zeros, unlike the Laplace one), ``nw --bandwidth cv`` on
 the first 2 000 rows of the ``noisy`` inputs (whose leave-one-out pass is
-pooled free and serial on one CPU), one known-error ``simulate`` cell with
-coverage points and one NW cell through REV's tree and through this
-checkout's. Each command runs in a fresh ``python -I``
+pooled free and serial on one CPU), two known-error ``simulate`` cells with
+coverage points (one whose replicates are shared with the pool thread, and
+the ``study-known`` benchmark's m1 cell, whose 200 replicates form one
+stacked kernel pass that pools itself) and one NW cell through REV's tree
+and through this checkout's. Each command runs in a fresh ``python -I``
 interpreter, once free and once pinned to one CPU, so its four runs cover
 both trees and both the pooled and the serial block passes. The children
 run BLAS with numpy's default thread count, so a free run may use several
@@ -44,18 +46,26 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.dont_write_bytecode = True  # leave the benchmark's directory as it is
 
-from workloads import analysis_kinds, make_analysis_inputs  # noqa: E402
+from workloads import (  # noqa: E402
+    STUDY_KNOWN_CELLS, STUDY_KNOWN_REPS, analysis_kinds, cell_args, make_analysis_inputs,
+)
 
 SEED = 1
 
 # 101 x 2e4 cells per replicate, so its replicates are shared with the pool
 # thread, each holding a grid pass and a coverage-point variance pass; the
-# NW cell is the study-nw benchmark's m1 cell (2.03e6 cells per replicate)
+# stacked cell is the study-known benchmark's m1 cell, whose replicates run
+# on the calling thread while their one stacked pass, 200 x 104 x 250 =
+# 5.2e6 cells in 100 blocks of two samples, shares its blocks with the pool
+# thread; the NW cell is the study-nw benchmark's m1 cell (2.03e6 cells per
+# replicate)
 STUDIES = [
     ("simulate-known", ["simulate", "--model", "m1", "--deltakind", "gaussian",
                         "--nsdelta", "0.25", "--nseps", "0.1", "--n", "20000",
                         "--coverage-at", "0.25,0.5,0.75", "--rmse-at", "0.5",
                         "--estimator", "known", "--reps", "40"]),
+    ("simulate-known-stacked", ["simulate", *cell_args(STUDY_KNOWN_CELLS[0]),
+                                "--estimator", "known", "--reps", str(STUDY_KNOWN_REPS)]),
     ("simulate-nw", ["simulate", "--model", "m1", "--deltakind", "gaussian",
                      "--nsdelta", "0.25", "--nseps", "0.1", "--n", "250",
                      "--rmse-at", "0.5", "--estimator", "nw", "--reps", "20"]),
@@ -163,7 +173,7 @@ def compare(kind, results):
     """Print one line per output file of ``kind``; True if all runs agree."""
     failed = {label: error for label, error in results.items() if isinstance(error, str)}
     for label, error in failed.items():
-        print(f"{kind:<20} {'/'.join(label)} failed: {error}")
+        print(f"{kind:<22} {'/'.join(label)} failed: {error}")
     if failed:
         return False
     reference = results[RUNS[0]]
@@ -183,7 +193,7 @@ def compare(kind, results):
                          f"line {line} column {column}: {x!r} became {y!r}; largest distance "
                          + ("n/a (other numbers)" if ulps is None else f"{ulps} ulp"))
         digest = "-" * 16 if want is None else hashlib.sha256(want).hexdigest()[:16]
-        print(f"{kind:<20} {name:<16} {digest}  " + ("DIFFERS" if notes else "same in all 4 runs"))
+        print(f"{kind:<22} {name:<16} {digest}  " + ("DIFFERS" if notes else "same in all 4 runs"))
         for note in notes:
             print(f"    {note}")
         same = same and not notes

@@ -165,9 +165,9 @@ def _cmd_fit_proxy(args):
 
 def _cmd_nw(args):
     sample = read_training_csv(args.train)
-    h = cv_bandwidth(sample) if args.bandwidth == "cv" else float(args.bandwidth)
-    curve = fit_nw(sample, h, parse_grid(args.grid))
-    _emit_curve(args, curve)
+    h = (cv_bandwidth(sample) if args.bandwidth == "cv"
+         else _fields("--bandwidth", args.bandwidth, "'cv' or a positive number", (float,))[0])
+    _emit_curve(args, fit_nw(sample, h, parse_grid(args.grid)))
 
 
 def _cmd_ci(args):

@@ -239,8 +239,7 @@ def _kernel_moments(kernel, x, w, y, per_row=None):
     ``w`` and ``y`` may also be (c, n) stacks of c samples. The rows are then
     x's rows on each sample in turn, so every result has c * len(x) entries,
     sample by sample. A block of a stack holds whole samples (one at least),
-    and the pass shares its blocks with the pool thread only when one
-    sample's len(x) * n cells would.
+    and the pass pools by :func:`_row_blocks`' rule on its c * len(x) * n cells.
 
     ``kernel`` may overwrite its argument, the offsets in slot 0 of
     :func:`_scratch`, and return it. ``k * y``, and ``per_row``'s work after
@@ -289,7 +288,7 @@ def _kernel_moments(kernel, x, w, y, per_row=None):
 
     # a custom density's pdf is the user's code, which need not be thread-safe
     custom = getattr(getattr(kernel, "__self__", None), "kind", None) == "custom"
-    return _joined(_row_blocks(block, c * g, step, n, serial=custom or g * n < _POOL_MIN_CELLS))
+    return _joined(_row_blocks(block, c * g, step, n, serial=custom))
 
 
 def _centered_variance(k, yc, den, scratch=None):

@@ -402,9 +402,11 @@ class EstimatorSpec:
             if not (self.density == "true" or isinstance(self.density, ErrorDensity)):
                 raise ValueError("density must be 'true' or an ErrorDensity")
         elif self.bandwidth != "cv":
-            if not (isinstance(self.bandwidth, (int, float)) and 0 < self.bandwidth < math.inf):
+            try:  # nw's rule; a non-number is checked as NaN, which fails it
+                _kernel(self.bandwidth if isinstance(self.bandwidth, (int, float)) else math.nan)
+            except ValueError:
                 raise ValueError(f"bandwidth must be 'cv' or positive and finite, "
-                                 f"got {self.bandwidth}")
+                                 f"got {self.bandwidth}") from None
 
     def as_dict(self) -> dict:
         density = self.density if isinstance(self.density, str) else self.density.describe()
@@ -518,13 +520,12 @@ def run_replications(
     n, plus n^2 per LOO-CV bandwidth of an NW study) reaches
     ``known._POOL_MIN_CELLS`` and the density is not a custom one, the
     replicates are shared, one at a time, by the calling thread and the
-    pool thread of :func:`known._row_blocks`; otherwise they run serially.
-    ``threads`` is accepted and ignored. Estimator failures are tallied, not
-    fatal, and logged after the replicates, in index order; any other error
-    of the first replicate raising one is raised.
-
-    Confidence-interval coverage is only defined for the known-error
-    estimator.
+    pool thread of :func:`known._row_blocks`; otherwise they run serially,
+    and a chunk's stacked pass pools its blocks by the engine's rule on its
+    own cells. ``threads`` is accepted and ignored. Estimator failures are
+    tallied, not fatal, and logged after the replicates, in index order;
+    any other error of the first replicate raising one is raised.
+    Confidence-interval coverage is only defined for the known-error estimator.
     """
     if reps < 1:
         raise ValueError("need at least one replicate")

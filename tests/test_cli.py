@@ -298,6 +298,16 @@ class TestCliCommands:
         assert json.loads(err) == {"error": message}
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["abc", "", "0.1,0.2"])
+    def test_nw_unparsable_bandwidth_names_the_flag(self, value, train_csv, tmp_path, capsys):
+        out = tmp_path / "nw.csv"
+        code = main(["nw", "--train", str(train_csv), "--grid", "0:1:9",
+                     "--bandwidth", value, "--out", str(out)])
+        assert code == 1
+        message = f"--bandwidth expects 'cv' or a positive number, got {value!r}"
+        assert json.loads(capsys.readouterr().err) == {"error": message}
+        assert not out.exists()
+
     def test_extrema_and_zeros(self, train_csv, tmp_path):
         out = tmp_path / "e.csv"
         code = main(["extrema", "--train", str(train_csv),

@@ -618,6 +618,71 @@ def test_a_study_pools_its_replicates_by_their_work(method, scn, pooled):
     assert len(threads) == 5
 
 
+def spy_on_passes(passes):
+    """Patch the block engine to record each pass's rows, width and block
+    threads in ``passes``; the caller's first block of a pass that may pool
+    sleeps 0.2 s, so that the pool thread, if it shares the pass, takes the
+    next blocks."""
+    row_blocks = known._row_blocks
+
+    def spy(body, rows, step, width, serial=False, **kwargs):
+        seen = set()
+        delay = [] if serial or rows * width < known._POOL_MIN_CELLS else [0.2]
+
+        def recording(start):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(delay.pop() if delay else 0.0)
+            seen.add(threading.current_thread().name)
+            return body(start)
+
+        values = row_blocks(recording, rows, step, width, serial, **kwargs)
+        passes.append((rows, width, seen))
+        return values
+
+    return mock.patch.object(known, "_row_blocks", spy)
+
+
+# the study-known benchmark's m1 cell: 101 grid points and three coverage
+# points (0.5 also the rmse point) on samples of 250
+BENCH_M1 = ScenarioConfig(model="m1", n=250, predictor_noise=0.25, response_noise=0.1, seed=7)
+BENCH_M1_POINTS = dict(coverage_points=(0.25, 0.5, 0.75), rmse_points=(0.5,))
+
+
+def known_study(reps, cpus):
+    """The report of the m1 cell's known-error study on ``cpus`` CPUs, with
+    the threads of its replicates and its block passes."""
+    passes = []
+    threads, recording = replicate_threads()
+    with mock.patch.object(known.os, "sched_getaffinity", lambda pid: set(range(cpus))), \
+            recording, spy_on_passes(passes):
+        report = run_replications(BENCH_M1, EstimatorSpec(), reps=reps, master_seed=7,
+                                  **BENCH_M1_POINTS)
+    assert report.failures == 0 and len(threads) == reps
+    return report.to_json(), threads, passes
+
+
+def test_a_known_study_shares_its_stacked_pass_with_the_pool_thread():
+    # the 200 replicates form one chunk on the calling thread; its stacked
+    # grid pass, 200 x 104 rows of 250 cells in blocks of two samples, is
+    # 5.2e6 cells and pools, and its variance pass, 200 x 3 rows, does not
+    report, threads, passes = known_study(200, cpus=2)
+    assert set(threads) == {"MainThread"}
+    (stack, stack_seen), (variance, variance_seen), (study, study_seen) = [
+        ((rows, width), seen) for rows, width, seen in passes]
+    assert stack == (200 * 104, 250)
+    assert {name.split("_")[0] for name in stack_seen} == {"MainThread", "coarsereg-rows"}
+    assert variance == (200 * 3, 250) and variance_seen == {"MainThread"}
+    assert study == (200, 250 * 101) and study_seen == {"MainThread"}
+    assert known_study(200, cpus=1)[0] == report
+
+
+def test_a_known_study_below_the_crossover_stays_on_one_thread():
+    # three replicates stack to 3 x 104 x 250 = 7.8e4 cells
+    _, threads, passes = known_study(3, cpus=2)
+    assert len(passes) == 3 and set(threads) == {"MainThread"}
+    assert all(seen == {"MainThread"} for _, _, seen in passes)
+
+
 CHILD = """
 import os, sys, threading
 if sys.argv[1] == "pinned":
