@@ -13,8 +13,9 @@ the first 2 000 rows of the ``noisy`` inputs (whose leave-one-out pass is
 pooled free and serial on one CPU), two known-error ``simulate`` cells with
 coverage points (one whose replicates are shared with the pool thread, and
 the ``study-known`` benchmark's m1 cell, whose 200 replicates form one
-stacked kernel pass that pools itself) and one NW cell through REV's tree
-and through this checkout's. Each command runs in a fresh ``python -I``
+stacked kernel pass that pools itself) and the ``study-nw`` benchmark's two
+NW cells (m1 with an RMSE point, sine2 with none) through REV's tree and
+through this checkout's. Each command runs in a fresh ``python -I``
 interpreter, once free and once pinned to one CPU, so its four runs cover
 both trees and both the pooled and the serial block passes. The children
 run BLAS with numpy's default thread count, so a free run may use several
@@ -47,7 +48,8 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.dont_write_bytecode = True  # leave the benchmark's directory as it is
 
 from workloads import (  # noqa: E402
-    STUDY_KNOWN_CELLS, STUDY_KNOWN_REPS, analysis_kinds, cell_args, make_analysis_inputs,
+    STUDY_KNOWN_CELLS, STUDY_KNOWN_REPS, STUDY_NW_CELLS, STUDY_NW_REPS, analysis_kinds,
+    cell_args, make_analysis_inputs,
 )
 
 SEED = 1
@@ -57,8 +59,10 @@ SEED = 1
 # stacked cell is the study-known benchmark's m1 cell, whose replicates run
 # on the calling thread while their one stacked pass, 200 x 104 x 250 =
 # 5.2e6 cells in 100 blocks of two samples, shares its blocks with the pool
-# thread; the NW cell is the study-nw benchmark's m1 cell (2.03e6 cells per
-# replicate)
+# thread; the NW cells are the study-nw benchmark's two, whose replicates
+# (2.03e6 cells each) are shared free and serial pinned: m1 with an RMSE
+# point, so each replicate's one kernel pass holds its grid and query rows,
+# and sine2 without one
 STUDIES = [
     ("simulate-known", ["simulate", "--model", "m1", "--deltakind", "gaussian",
                         "--nsdelta", "0.25", "--nseps", "0.1", "--n", "20000",
@@ -66,9 +70,8 @@ STUDIES = [
                         "--estimator", "known", "--reps", "40"]),
     ("simulate-known-stacked", ["simulate", *cell_args(STUDY_KNOWN_CELLS[0]),
                                 "--estimator", "known", "--reps", str(STUDY_KNOWN_REPS)]),
-    ("simulate-nw", ["simulate", "--model", "m1", "--deltakind", "gaussian",
-                     "--nsdelta", "0.25", "--nseps", "0.1", "--n", "250",
-                     "--rmse-at", "0.5", "--estimator", "nw", "--reps", "20"]),
+    *((f"simulate-nw-{cell[0]}", ["simulate", *cell_args(cell), "--estimator", "nw",
+                                   "--reps", str(STUDY_NW_REPS)]) for cell in STUDY_NW_CELLS),
 ]
 
 

@@ -160,6 +160,8 @@ class EvalGrid:
     def linspace(cls, lo: float, hi: float, count: int) -> "EvalGrid":
         if not lo < hi:
             raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+        if count < 2:  # before numpy's own message for a negative count
+            raise ValueError("grid needs at least 2 points")
         return cls(np.linspace(lo, hi, count))
 
     def __len__(self) -> int:

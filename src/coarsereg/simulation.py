@@ -34,10 +34,8 @@ from .densities import ErrorDensity
 from .errors import CoarseRegError, DegenerateDenominatorError
 from .inference import _check_alpha, _interval
 from .io import json_text
-from .known import (
-    _block_len, _centered_variance, _defined, _golden_section, _moments_at,
-)
-from .nw import _CV_POINTS, _kernel, cv_bandwidth, fit_nw
+from .known import _block_len, _centered_variance, _defined, _golden_section
+from .nw import _CV_POINTS, _kernel, cv_bandwidth
 
 logger = logging.getLogger(__name__)
 
@@ -447,26 +445,38 @@ class StudyReport:
         return json_text(self.to_dict())[:-1]
 
 
-def _known_replicates(scn, density, xs, g, cover, alpha, master_seed, idxs):
-    """The results of the known-error replicates ``idxs``, from one kernel
-    pass over their samples, drawn one by one and stacked. Each sample's
-    rows are the points ``xs``: the ``g`` grid points, then the query
-    points; a second pass computes the variance on the coverage rows
-    ``cover`` of ``xs`` alone. Each row's values are the bits
-    :func:`fit_known`, :func:`regression_at` or
-    :func:`inference.pointwise_ci` give that sample and point alone. A
-    replicate that fails gets its error in place of its result, as
-    :func:`fit_known` and :func:`known._moments_at` would raise it: first a
-    curve undefined on the whole grid, then the first undefined query point.
+def _replicates(scn, spec, density, xs, g, cover, alpha, master_seed, idxs):
+    """The results of the replicates ``idxs`` of a study of ``spec``, from
+    one kernel pass over their samples, drawn one by one and stacked: the
+    precise predictors under ``density``'s pdf for the known-error
+    estimator, the contaminated ones under the NW kernel for the baseline,
+    whose bandwidth is the fixed one or, for a chunk of one replicate, its
+    own :func:`cv_bandwidth`. Each sample's rows are the points ``xs``: the
+    ``g`` grid points, then the query points; a second pass computes the
+    variance on the coverage rows ``cover`` of ``xs`` alone. Each row's
+    values are the bits :func:`fit_known`, :func:`regression_at`,
+    :func:`inference.pointwise_ci`, :func:`fit_nw` or :func:`nw_estimate`
+    give that sample and point alone. A replicate that fails gets its error
+    in place of its result, as those would raise it: first a failed CV, then
+    a curve undefined on the whole grid, then the first undefined query
+    point. Intervals are NaN off the coverage rows.
     """
     reps = len(idxs)
     w, y = np.empty((reps, scn.n)), np.empty((reps, scn.n))
     for row, idx in enumerate(idxs):
         data = generate(scn, np.random.default_rng((master_seed, idx)))
-        w[row], y[row] = data.w, data.y
-    den, num = (m.reshape(reps, -1) for m in known._kernel_moments(density._pdf_into, xs, w, y))
+        w[row], y[row] = data.w if spec.method == "known" else data.x, data.y
+    if spec.method == "known":
+        kernel = density._pdf_into
+    else:
+        try:
+            kernel = _kernel(cv_bandwidth(data.noisy_training()) if spec.bandwidth == "cv"
+                             else float(spec.bandwidth))
+        except CoarseRegError as exc:
+            return [exc]
+    den, num = (m.reshape(reps, -1) for m in known._kernel_moments(kernel, xs, w, y))
     if len(cover):
-        var = known._kernel_moments(density._pdf_into, xs[cover], w, y, _centered_variance)[2]
+        var = known._kernel_moments(kernel, xs[cover], w, y, _centered_variance)[2]
     defined = _defined(den)
     lo, hi = np.full((2, reps, len(xs)), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):  # at the failing replicates' points
@@ -483,21 +493,6 @@ def _known_replicates(scn, density, xs, g, cover, alpha, master_seed, idxs):
             for row in range(reps)]
 
 
-def _nw_replicate(scn, spec, grid, points, rng):
-    """One NW replicate's result in the form :func:`_known_replicates` gives:
-    its curve's values, its estimates at ``points`` and NaN intervals, as
-    coverage is only defined for the known-error estimator."""
-    sample = generate(scn, rng).noisy_training()
-    h = cv_bandwidth(sample) if spec.bandwidth == "cv" else float(spec.bandwidth)
-    values, no_ci = fit_nw(sample, h, grid).values, np.full(len(points), np.nan)
-    if not points:
-        return values, no_ci, no_ci, no_ci
-    # one kernel for every query point; each row's moments are the bits
-    # :func:`nw_estimate` gives the point alone
-    den, num = _moments_at(_kernel(h), points, sample.w, sample.y)
-    return values, num / den, no_ci, no_ci
-
-
 def run_replications(
     scn: ScenarioConfig,
     spec: EstimatorSpec,
@@ -508,24 +503,24 @@ def run_replications(
     coverage_points: tuple = (),
     alpha: float = 0.05,
     rmse_points: tuple = (),
-    threads: int = 1,
 ) -> StudyReport:
     """Run ``reps`` independent replicates and summarize.
 
     Per-replicate generators derive from (master_seed, replicate index), so
     the report is byte-identical for a given seed however the replicates
-    run. A known-error study evaluates its replicates in chunks, one
-    stacked kernel pass per chunk (:func:`_known_replicates`); an NW study
-    one replicate at a time. When one replicate's dense work (grid points x
-    n, plus n^2 per LOO-CV bandwidth of an NW study) reaches
-    ``known._POOL_MIN_CELLS`` and the density is not a custom one, the
-    replicates are shared, one at a time, by the calling thread and the
-    pool thread of :func:`known._row_blocks`; otherwise they run serially,
-    and a chunk's stacked pass pools its blocks by the engine's rule on its
-    own cells. ``threads`` is accepted and ignored. Estimator failures are
-    tallied, not fatal, and logged after the replicates, in index order;
-    any other error of the first replicate raising one is raised.
-    Confidence-interval coverage is only defined for the known-error estimator.
+    run. The replicates are evaluated in chunks, one stacked kernel pass
+    per chunk (:func:`_replicates`), for both estimators; an NW replicate
+    that picks its bandwidth by CV is a chunk of its own. When one
+    replicate's dense work (grid points x n, plus n^2 per LOO-CV bandwidth)
+    reaches ``known._POOL_MIN_CELLS`` and the density is not a custom one,
+    the replicates are shared, one at a time, by the calling thread and the
+    pool thread of :func:`known._row_blocks`; otherwise the chunks run
+    serially, and a chunk's stacked pass pools its blocks by the engine's
+    rule on its own cells. Estimator failures are tallied, not fatal, and
+    logged after the replicates, in index order; any other error of the
+    first replicate raising one is raised. Coverage and RMSE points must be
+    finite. Confidence-interval coverage is only defined for the known-error
+    estimator.
     """
     if reps < 1:
         raise ValueError("need at least one replicate")
@@ -536,6 +531,10 @@ def run_replications(
     grid = grid or default_grid(scn)
     coverage_points = tuple(float(p) for p in coverage_points)
     rmse_points = tuple(float(p) for p in rmse_points)
+    unfit = [p for p in coverage_points + rmse_points if not math.isfinite(p)]
+    if unfit:
+        raise ValueError("coverage and RMSE points must be finite, got "
+                         + ", ".join(map(repr, unfit)))
     points = tuple(sorted(set(coverage_points) | set(rmse_points)))
     truth, at_points = _oracle(scn, grid.points, points)  # each value the one it gets alone
     truth_at = dict(zip(points, at_points.tolist()))
@@ -544,28 +543,18 @@ def run_replications(
     cells = scn.n * (len(grid.points) + cv * _CV_POINTS * scn.n)
     custom = getattr(spec.density, "kind", None) == "custom"  # its pdf need not be thread-safe
     shared = not custom and cells >= known._POOL_MIN_CELLS
-    if spec.method == "known":
-        density = make_density(scn) if spec.density == "true" else spec.density
-        xs, g = np.concatenate([grid.points, points]), len(grid.points)
-        cover = g + np.flatnonzero(np.isin(points, coverage_points))
-        # a chunk's stacks (its samples, and its rows of moments) fill at
-        # most one block each, and its kernel blocks hold whole replicates
-        chunk = 1 if shared or _block_len(scn.n) < len(xs) else _block_len(max(scn.n, len(xs)))
-
-        def fit(idxs):
-            return _known_replicates(scn, density, xs, g, cover, alpha, master_seed, idxs)
-    else:
-        chunk = 1
-
-        def fit(idxs):  # one replicate
-            try:
-                return [_nw_replicate(scn, spec, grid, points,
-                                      np.random.default_rng((master_seed, idxs[0])))]
-            except CoarseRegError as exc:
-                return [exc]
-
-    blocks = known._row_blocks(lambda start: fit(range(start, min(start + chunk, reps))),
-                               reps, chunk, cells, serial=not shared)
+    known_true = spec.method == "known" and spec.density == "true"
+    density = make_density(scn) if known_true else spec.density  # NW uses no density
+    xs, g = np.concatenate([grid.points, points]), len(grid.points)
+    cover = g + np.flatnonzero(np.isin(points, coverage_points))
+    # a chunk's stacks (its samples, and its rows of moments) fill at most
+    # one block each, and its kernel blocks hold whole replicates
+    chunk = (1 if cv or shared or _block_len(scn.n) < len(xs)
+             else _block_len(max(scn.n, len(xs))))
+    blocks = known._row_blocks(
+        lambda start: _replicates(scn, spec, density, xs, g, cover, alpha, master_seed,
+                                  range(start, min(start + chunk, reps))),
+        reps, chunk, cells, serial=not shared)
     results = [r for block in blocks for r in block]
 
     ok = [r for r in results if not isinstance(r, CoarseRegError)]

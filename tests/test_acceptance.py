@@ -14,6 +14,7 @@ import pytest
 from scipy.special import expit
 
 import coarsereg as cr
+from pooling import cpus, pool_of, replicate_threads
 
 DATA = Path(__file__).parent / "data"
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -33,7 +34,7 @@ RATE_GRID = cr.EvalGrid([-0.2, 0.0, 0.2])
 RATE_SEED = 20
 
 
-def run_rate_study(n, threads=1):
+def run_rate_study(n):
     return cr.run_replications(
         RATE_SCENARIOS[n],
         cr.EstimatorSpec(method="known"),
@@ -41,7 +42,6 @@ def run_rate_study(n, threads=1):
         grid=RATE_GRID,
         master_seed=RATE_SEED,
         rmse_points=(0.0,),
-        threads=threads,
     )
 
 
@@ -463,9 +463,17 @@ def test_criterion_9_heart_disease_recipe():
 
 
 def test_criterion_10_determinism(rate_reports):
+    # the rerun sees one CPU; the threaded run sees two, every pass pooling,
+    # so the replicates are shared one at a time by the calling thread and
+    # the pool thread, instead of stacked in chunks on the calling thread
     base = rate_reports[400].to_json()
-    rerun = run_rate_study(400, threads=1).to_json()
-    threaded = run_rate_study(400, threads=2).to_json()
+    with cpus(1):
+        rerun = run_rate_study(400).to_json()
+    threads, recording = replicate_threads(delay=0.1)
+    with pool_of(2), recording:
+        threaded = run_rate_study(400).to_json()
+    assert any(name.startswith("coarsereg-rows") for name in threads), \
+        "no replicate reached the pool thread"
     assert base == rerun, "report differs between two identical runs"
     assert base == threaded, "report differs across thread counts"
     print("\n[criterion 10] PASS - study report byte-identical across runs "

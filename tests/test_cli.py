@@ -50,7 +50,7 @@ class TestParsers:
         assert len(g) == 5 and g.points[0] == 0.0 and g.points[-1] == 1.0
 
     def test_grid_errors(self):
-        for bad in ("0:1", "a:b:3", "0:1:2:3"):
+        for bad in ("0:1", "a:b:3", "0:1:2:3", "0:1:-5"):
             with pytest.raises(Exception):
                 parse_grid(bad)
 
@@ -177,6 +177,14 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err) == {"error": "confidence interval needs n >= 2"}
+        assert not out.exists()
+
+    def test_negative_grid_count_error_record(self, train_csv, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        code = main(["fit-known", "--train", str(train_csv), "--delta", "gaussian:0.144",
+                     "--grid", "0:1:-5", "--out", str(out)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "grid needs at least 2 points"}
         assert not out.exists()
 
     def test_cf_table(self, replicates_csv, tmp_path):
@@ -477,6 +485,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "must be finite and nonnegative" in json.loads(err)["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--rmse-at", "--coverage-at"])
+    def test_non_finite_query_point_error_record(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["simulate", "--model", "m1", "--n", "20", "--nsdelta", "0.2",
+                     "--nseps", "0.5", "--reps", "2", flag, f"0.5,{value}", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert json.loads(err) == {
+            "error": f"coverage and RMSE points must be finite, got {float(value)!r}"}
         assert not out.exists()
 
     def test_writes_decile_csv(self, tmp_path):

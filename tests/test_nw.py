@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from coarsereg import (
     run_replications,
     true_regression,
 )
-from coarsereg import known
+from coarsereg import known, simulation
 from coarsereg.nw import _loo_scores, cv_grid, loo_score
-from coarsereg.simulation import _nw_replicate
+from coarsereg.simulation import _replicates
 
 # the two cells of the NW replication benchmark (simulate --estimator nw)
 STUDY_NW_CELLS = {
@@ -61,24 +62,49 @@ class TestNwEstimate:
         h = 1e6 * (s.w.max() - s.w.min())
         assert nw_estimate(s, h, 0.5) == pytest.approx(float(s.y.mean()), abs=1e-6)
 
-    def test_study_estimates_are_nw_estimate(self):
-        # a replicate takes all its rmse points from one kernel; each row
-        # gives the bits nw_estimate gives its point alone
-        scn, points, spec = STUDY_NW_CELLS["m1"], (0.25, 0.5, 0.75), EstimatorSpec(method="nw")
+    @pytest.mark.parametrize("bandwidth", ["cv", 0.05])
+    def test_study_estimates_are_nw_estimate(self, bandwidth):
+        # a replicate takes its curve and all its rmse points from one kernel
+        # pass, stacked with the other replicates of its chunk at a fixed
+        # bandwidth; each row gives the bits fit_nw and nw_estimate give its
+        # point alone
+        scn, points = STUDY_NW_CELLS["m1"], (0.25, 0.5, 0.75)
+        spec = EstimatorSpec(method="nw", bandwidth=bandwidth)
         report = run_replications(scn, spec, reps=3, master_seed=scn.seed, rmse_points=points)
         assert report.failures == 0
+        grid = default_grid(scn)
+        xs = np.concatenate([grid.points, points])
+        chunks = [[0], [1], [2]] if bandwidth == "cv" else [[0, 1, 2]]
+        results = [r for idxs in chunks
+                   for r in _replicates(scn, spec, None, xs, len(grid), (), 0.05, scn.seed, idxs)]
         errs = {p: [] for p in points}
-        for idx in range(3):
-            rng = np.random.default_rng((scn.seed, idx))
-            _, at, lo, hi = _nw_replicate(scn, spec, default_grid(scn), points, rng)
+        for idx, (values, at, lo, hi) in enumerate(results):
             sample = generate(scn, np.random.default_rng((scn.seed, idx))).noisy_training()
-            h = cv_bandwidth(sample)
+            h = cv_bandwidth(sample) if bandwidth == "cv" else bandwidth
+            assert values.tobytes() == fit_nw(sample, h, grid).values.tobytes()
             assert at.tolist() == [nw_estimate(sample, h, p) for p in points]
             assert np.isnan(lo).all() and np.isnan(hi).all()
             for p, estimate in zip(points, at):
                 errs[p].append(estimate - true_regression(scn, p))
         for p in points:
             assert report.rmse[repr(p)] == float(np.sqrt(np.mean(np.array(errs[p]) ** 2)))
+
+    @pytest.mark.parametrize("bandwidth", ["cv", 0.05])
+    def test_only_cv_studies_fit_one_replicate_per_chunk(self, bandwidth):
+        # at the real pooling threshold a fixed bandwidth's replicates stack
+        # like known-error ones; a CV replicate picks its own bandwidth
+        chunks, replicates = [], simulation._replicates
+
+        def recording(*args):
+            chunks.append(len(args[-1]))
+            return replicates(*args)
+
+        spec = EstimatorSpec(method="nw", bandwidth=bandwidth)
+        with mock.patch.object(simulation, "_replicates", recording):
+            report = run_replications(STUDY_NW_CELLS["m1"], spec, reps=6, master_seed=3,
+                                      rmse_points=(0.5,))
+        assert report.failures == 0 and sum(chunks) == 6
+        assert (max(chunks) > 1) == (bandwidth != "cv")
 
     def test_bandwidth_validation(self):
         s = TrainingSample([0.0, 1.0], [0.0, 1.0])

@@ -14,7 +14,7 @@ import sys
 import threading
 import time
 import weakref
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -28,6 +28,7 @@ from coarsereg import (
 )
 from coarsereg.known import _centered_variance, _flat_support, _kernel_moments, _moments_at
 from coarsereg.nw import _gauss
+from pooling import pool_of, replicate_threads
 
 pytestmark = pytest.mark.thorough
 
@@ -37,18 +38,6 @@ DENSITIES = [ErrorDensity.gaussian(0.1), ErrorDensity.gaussian(0.02),
              ErrorDensity.laplace(0.05), ErrorDensity.uniform(0.1)]
 PER_ROW = [None, _centered_variance, _flat_support]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
-
-def pool_of(workers, budget=None):
-    """Let every pass split over ``workers`` CPUs, however small, under a
-    block budget of ``budget`` bytes (the default when None)."""
-    stack = ExitStack()
-    stack.enter_context(mock.patch.object(known.os, "sched_getaffinity",
-                                          lambda pid: set(range(workers))))
-    stack.enter_context(mock.patch.object(known, "_POOL_MIN_CELLS", 0))
-    if budget is not None:
-        stack.enter_context(mock.patch.object(known, "_BLOCK_BYTES", budget))
-    return stack
 
 
 def outcome(f, raising):
@@ -495,21 +484,6 @@ def test_a_pooled_loo_pass_gives_the_serial_bytes(blocks):
 M1 = ScenarioConfig(model="m1", n=60, predictor_noise=0.25, response_noise=0.1, seed=5)
 
 
-def replicate_threads(delay=0.0):
-    """Patch the study's data draw to record the thread of each replicate,
-    the caller's first draw sleeping ``delay`` seconds so that the pool
-    thread, if the study starts one, takes the next replicates."""
-    threads, generate, delays = [], simulation.generate, [delay]
-
-    def recording(scn, rng):
-        if threading.current_thread() is threading.main_thread():
-            time.sleep(delays.pop() if delays else 0.0)
-        threads.append(threading.current_thread().name)
-        return generate(scn, rng)
-
-    return threads, mock.patch.object(simulation, "generate", recording)
-
-
 def test_custom_density_studies_call_the_pdf_on_one_thread():
     threads = set()
 
@@ -519,8 +493,7 @@ def test_custom_density_studies_call_the_pdf_on_one_thread():
 
     spec = EstimatorSpec(density=ErrorDensity.custom(pdf, scale=0.1))
     with pool_of(2):
-        report = run_replications(M1, spec, reps=8, master_seed=3, rmse_points=(0.5,),
-                                  threads=2)
+        report = run_replications(M1, spec, reps=8, master_seed=3, rmse_points=(0.5,))
     assert report.failures == 0
     assert threads == {"MainThread"}
 
@@ -528,6 +501,7 @@ def test_custom_density_studies_call_the_pdf_on_one_thread():
 @pytest.mark.parametrize("spec, points", [
     (EstimatorSpec(), dict(coverage_points=(0.25, 0.5), rmse_points=(0.5, 0.75))),
     (EstimatorSpec(method="nw"), dict(rmse_points=(0.5,))),
+    (EstimatorSpec(method="nw", bandwidth=0.05), dict(rmse_points=(0.5,))),
 ])
 def test_pooled_studies_give_the_serial_bytes(spec, points):
     with pool_of(1):

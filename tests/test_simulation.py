@@ -30,6 +30,7 @@ from coarsereg import (
 from coarsereg import known, simulation
 from coarsereg.inference import _interval
 from coarsereg.simulation import StudyReport, _truth
+from pooling import cpus, pool_of, replicate_threads
 
 M1 = ScenarioConfig(model="m1", n=100, predictor_noise=0.25, response_noise=0.1,
                     error_kind="uniform", seed=5)
@@ -389,6 +390,18 @@ class TestRunReplications:
             run_replications(LOGISTIC, EstimatorSpec(method="nw"), reps=2,
                              coverage_points=(0.0,))
 
+    @pytest.mark.parametrize("points, named", [
+        (dict(rmse_points=(0.0, math.nan)), "nan"),
+        (dict(coverage_points=(math.inf,)), "inf"),
+        (dict(coverage_points=(-math.inf,), rmse_points=(0.0, math.nan)), "-inf, nan"),
+    ])
+    def test_non_finite_query_points_are_named(self, points, named):
+        # refused before the oracle, which would report a density failure
+        with mock.patch.object(simulation, "_oracle", side_effect=AssertionError), \
+                pytest.raises(ValueError) as exc:
+            run_replications(LOGISTIC, EstimatorSpec(), reps=2, **points)
+        assert str(exc.value) == f"coverage and RMSE points must be finite, got {named}"
+
     def test_report_roundtrips_as_json(self):
         rep = run_replications(LOGISTIC, EstimatorSpec(), reps=4,
                                grid=EvalGrid([-0.2, 0.0, 0.2]), master_seed=7)
@@ -397,19 +410,32 @@ class TestRunReplications:
         assert len(parsed["ise"]) == 4
 
     def test_byte_determinism_across_runs_and_threads(self):
+        # one CPU: the replicates stack in chunks on the calling thread; two,
+        # with every pass pooling: they are shared, one at a time, by the
+        # calling thread and the pool thread
         kwargs = dict(reps=24, grid=EvalGrid([-0.2, 0.0, 0.2]), master_seed=8,
                       coverage_points=(0.0,), rmse_points=(0.0,))
-        a = run_replications(LOGISTIC, EstimatorSpec(), threads=1, **kwargs)
-        b = run_replications(LOGISTIC, EstimatorSpec(), threads=3, **kwargs)
-        c = run_replications(LOGISTIC, EstimatorSpec(), threads=1, **kwargs)
+        with cpus(1):
+            a = run_replications(LOGISTIC, EstimatorSpec(), **kwargs)
+        threads, recording = replicate_threads(delay=0.2)
+        with pool_of(2), recording:
+            b = run_replications(LOGISTIC, EstimatorSpec(), **kwargs)
+        c = run_replications(LOGISTIC, EstimatorSpec(), **kwargs)
+        assert any(name.startswith("coarsereg-rows") for name in threads)
         assert a.to_json() == b.to_json() == c.to_json()
 
     def test_nw_byte_determinism_across_threads(self):
+        # 2.03e6 cells per replicate: on two CPUs the replicates are shared
+        # with the pool thread at the real threshold
         scn = ScenarioConfig(model="m1", n=250, predictor_noise=0.25, response_noise=0.1,
                              seed=9)
         kwargs = dict(reps=4, master_seed=9, rmse_points=(0.5,))
-        a = run_replications(scn, EstimatorSpec(method="nw"), threads=1, **kwargs)
-        b = run_replications(scn, EstimatorSpec(method="nw"), threads=2, **kwargs)
+        with cpus(1):
+            a = run_replications(scn, EstimatorSpec(method="nw"), **kwargs)
+        threads, recording = replicate_threads(delay=0.2)
+        with cpus(2), recording:
+            b = run_replications(scn, EstimatorSpec(method="nw"), **kwargs)
+        assert any(name.startswith("coarsereg-rows") for name in threads)
         assert a.failures == 0
         assert a.to_json() == b.to_json()
 
