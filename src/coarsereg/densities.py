@@ -50,6 +50,24 @@ _VALIDATION_ROWS = 1024
 # the mass tolerance.
 _VALIDATION_ROW_TOL = _VALIDATION_TOL / (10 * _VALIDATION_ROWS)
 
+# Largest imaginary part an error CF may carry, relative to its largest
+# modulus; the Fourier inversion holds an error CF's odd part to it too.
+CF_TOL = 1e-8
+
+
+def _real_cf(values, source: str, *, even: bool = False) -> np.ndarray:
+    """CF ``values`` as floats. A ValueError naming ``source`` refuses them
+    if their imaginary part, or with ``even`` their odd part on a symmetric
+    grid, exceeds ``CF_TOL`` times their largest modulus."""
+    v = np.asarray(values)
+    top = float(np.max(np.abs(v), initial=0.0))
+    for name, part in (("an imaginary", v.imag), ("an odd", (v - v[::-1]) / 2.0 if even else 0.0)):
+        worst = float(np.max(np.abs(part), initial=0.0))
+        if worst > CF_TOL * top:
+            raise ValueError(f"{source} has {name} part of {worst:.3e}, beyond {CF_TOL:g} "
+                             f"times its largest modulus {top:.3e}: an error CF is real and even")
+    return np.asarray(v.real, dtype=float)
+
 
 def _exp_into(arg: np.ndarray, lower: float = -math.inf) -> np.ndarray:
     """``np.exp(arg)``, bit for bit, in place in the float array ``arg``;
@@ -163,7 +181,8 @@ class ErrorDensity:
         deriv : callable, optional
             Derivative evaluator ``deriv(u, order)`` for order >= 1.
         cf : callable, optional
-            Characteristic function ``cf(t)`` (real-valued).
+            Characteristic function ``cf(t)``, real-valued (:meth:`cf`
+            refuses an imaginary part).
         cf_decay : float, optional
             Polynomial CF decay exponent; required for the density to
             participate in Fourier-cutoff selection.
@@ -292,6 +311,8 @@ class ErrorDensity:
         ------
         MissingCFError
             For a custom density built without a CF.
+        ValueError
+            If a custom CF's imaginary part exceeds ``CF_TOL`` of its modulus.
         """
         t = np.asarray(t, dtype=float)
         if self.kind == "gaussian":
@@ -304,7 +325,7 @@ class ErrorDensity:
         else:
             if self._cf is None:
                 raise MissingCFError("custom density was built without a CF")
-            out = np.asarray(self._cf(t), dtype=float)
+            out = _real_cf(self._cf(t), "custom density's CF")
         return out if out.ndim else float(out)
 
     @property

@@ -8,10 +8,12 @@ vanish faster than root-n, given a cutoff inside the admissible rate
 bracket.
 
 All integrals use the composite trapezoid rule on a uniform symmetric
-frequency grid; the symmetric grid makes the inversions real up to roundoff,
-which is checked. The CFs and the inversion run one complex pass,
-:func:`_exp_sums`: per row r (a frequency, or a negated grid point for the
-inversion), weighted sums of exp(i r p) over the points p.
+frequency grid. The empirical CFs are conjugate-symmetric on it and the
+error CF is even, so each inversion is a real sum over the nodes t >= 0; an
+error CF with an imaginary or odd part is refused. The CFs and the
+inversion run one complex pass, :func:`_exp_sums`: per row r (a frequency,
+or a negated grid point for the inversion), weighted sums of exp(i r p)
+over the points p.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .data import EvalGrid, RegressionCurve, ReplicatedSample, TrainingSample
-from .densities import ErrorDensity
+from .densities import ErrorDensity, _real_cf
 from .errors import MissingDecayError, ResolutionError
 from .known import _U, _block_len, _joined, _ratio_curve, _row_blocks, _scratch
 
@@ -41,9 +43,6 @@ MAX_T_NODES = 1_000_001
 # evaluation grid, with an absolute floor.
 _SPACING_OSCILLATION_FACTOR = 8.0
 _SPACING_FLOOR = 1e-3
-
-# Allowed imaginary residue of the inversions, relative to 1 + |real part|.
-_IMAG_TOL = 1e-8
 
 # Cutoff selection probes the estimated error CF at this many points below
 # the cap, against the noise floor N**(-_CUTOFF_FLOOR_EXPONENT).
@@ -237,15 +236,12 @@ def select_cutoff(
         return float(override)
     if error_decay is None and density is not None:
         if density.kind == "uniform":
-            raise ValueError(
-                "uniform error CF oscillates through zero; it cannot drive cutoff selection"
-            )
+            raise ValueError("uniform error CF oscillates through zero; it cannot drive "
+                             "cutoff selection")
         error_decay = density.cf_decay
     if error_decay is None:
-        raise MissingDecayError(
-            "cutoff selection needs an error-CF decay exponent (none supplied and "
-            "none in the density metadata)"
-        )
+        raise MissingDecayError("cutoff selection needs an error-CF decay exponent (none "
+                                "supplied and none in the density metadata)")
     if signal_decay is None:
         signal_decay = error_decay + 2.0
     # a density's CF tends to 0, so its decay exponent is positive; the
@@ -253,35 +249,22 @@ def select_cutoff(
     if not (math.isfinite(error_decay) and error_decay > 0):
         raise ValueError(f"error_decay must be finite and positive, got {error_decay}")
     if not (math.isfinite(signal_decay) and signal_decay + error_decay > 1):
-        raise ValueError(
-            f"signal_decay must be finite with signal_decay + error_decay > 1, "
-            f"got signal_decay={signal_decay}, error_decay={error_decay}"
-        )
+        raise ValueError(f"signal_decay must be finite with signal_decay + error_decay > 1, "
+                         f"got signal_decay={signal_decay}, error_decay={error_decay}")
     big_n = rep.n_groups
     if big_n < 2:
         raise ValueError("cutoff selection needs at least 2 replicate groups")
 
     cap = big_n ** (1.0 / (2.0 * (1.0 + error_decay))) / math.log(max(big_n, 3))
-    tau = cap
     probe_t = np.linspace(0.0, cap, _CUTOFF_PROBES + 1)[1:]
     crossing = _first_probe_below(rep.pair_differences(), probe_t,
                                   big_n ** (-_CUTOFF_FLOOR_EXPONENT))
-    if crossing is not None:
-        tau = min(tau, crossing)
-
-    guard = n ** (1.0 / (2.0 * (signal_decay + error_decay - 1.0))) / math.log(
-        max(n, 3)
-    )
-    if guard <= cap:
-        tau = max(tau, guard)
-    else:
-        warnings.warn(
-            f"lower-rate guard {guard:.4g} exceeds the cap {cap:.4g}; "
-            "the rate bracket is empty at these sample sizes, using the cap",
-            stacklevel=2,
-        )
-        tau = cap
-    return float(tau)
+    guard = n ** (1.0 / (2.0 * (signal_decay + error_decay - 1.0))) / math.log(max(n, 3))
+    if guard > cap:
+        warnings.warn(f"lower-rate guard {guard:.4g} exceeds the cap {cap:.4g}; the rate "
+                      "bracket is empty at these sample sizes, using the cap", stacklevel=2)
+        return float(cap)
+    return float(max(cap if crossing is None else min(cap, crossing), guard))
 
 
 def _first_probe_below(d, probe_t, floor):
@@ -361,25 +344,28 @@ CfSource = Union[ReplicatedSample, CfTable, ErrorDensity, Callable]
 
 
 def _error_cf_values(cf_source: CfSource, t: np.ndarray) -> np.ndarray:
-    """Error-CF values on the inversion grid ``t`` from any CF source."""
+    """The even part (e(t) + e(-t)) / 2 at t >= 0 of the error CF e on the
+    symmetric grid ``t``, from any CF source; a ValueError naming the source
+    refuses an imaginary or odd part of e beyond ``CF_TOL`` times max|e|."""
     if isinstance(cf_source, ReplicatedSample):
-        return error_cf_from_replicates(cf_source, t).values
-    if isinstance(cf_source, CfTable):
+        e, source = error_cf_from_replicates(cf_source, t).values, "replicates"
+    elif isinstance(cf_source, CfTable):
         step = t[1] - t[0]
         if not math.isclose(cf_source.step, step, rel_tol=1e-9):
-            raise ValueError(
-                f"CF table spacing {cf_source.step:.6g} does not match the "
-                f"requested spacing {step:.6g}"
-            )
+            raise ValueError(f"CF table spacing {cf_source.step:.6g} does not match the "
+                             f"requested spacing {step:.6g}")
         offset = int(round((t[0] - cf_source.t[0]) / step))
         if offset < 0 or offset + len(t) > len(cf_source.t):
             raise ValueError("CF table does not cover the requested frequency range")
         if not np.allclose(cf_source.t[offset : offset + len(t)], t, rtol=0, atol=1e-9 * max(step, 1.0)):
             raise ValueError("CF table grid is not aligned with the requested grid")
-        return np.asarray(cf_source.values[offset : offset + len(t)], dtype=float)
-    if isinstance(cf_source, ErrorDensity):
-        return np.asarray(cf_source.cf(t), dtype=float)
-    return np.asarray(cf_source(t), dtype=float)
+        e, source = cf_source.values[offset : offset + len(t)], "a CF table"
+    elif isinstance(cf_source, ErrorDensity):
+        e, source = cf_source.cf(t), f"the density {cf_source.describe()}"
+    else:
+        e, source = cf_source(t), "a callable"
+    e = _real_cf(np.broadcast_to(e, t.shape), f"error CF from {source}", even=True)
+    return (e + e[::-1])[len(t) // 2:] / 2.0
 
 
 def invert_cf(
@@ -390,14 +376,15 @@ def invert_cf(
 ) -> tuple:
     """Truncated Fourier inversions of the two empirical CFs.
 
-    Returns the real parts of
+    Returns the real integrals
 
         (2 pi)^-1  integral over |t| <= cutoff of  cf_hat(t) * err_cf(t) * exp(-i t x) dt
 
     for the plain empirical CF (denominator path) and its response-weighted
-    companion (numerator path), as two arrays aligned with the grid. The
-    imaginary residue must stay below 1e-8 * (1 + |real part|), which a
-    symmetric grid and an even error CF guarantee up to roundoff.
+    companion (numerator path), as two arrays aligned with the grid: the
+    trapezoid sums over t = 0, h, ..., cutoff of w_t even(t) Re(cf_hat(t)
+    exp(-i t x)) / pi, with w_t = h/2 at both ends and even(t) err_cf's even
+    part (err_cf(t) + err_cf(-t)) / 2.
 
     ``cf_source`` gives err_cf on the grid ``symmetric_tgrid(cutoff,
     t_step)``: a replicated sample (estimated from pair differences by
@@ -411,34 +398,21 @@ def invert_cf(
         If ``cfg`` has no ``t_step`` and the spacing derived from the grid
         leaves fewer than ``MIN_NODES`` positive-frequency nodes.
     ValueError
-        If a CF table does not match the frequency grid, or an inversion's
-        imaginary residue exceeds the tolerance.
+        If a CF table does not match the frequency grid, or err_cf's
+        imaginary or odd part exceeds ``CF_TOL`` times max|err_cf|.
     """
     cfg = cfg.resolved(grid)
     x = grid.points
     if cfg.cutoff == 0.0:
-        zero = np.zeros(len(x))
-        return zero, zero.copy()
+        return np.zeros(len(x)), np.zeros(len(x))
     t = symmetric_tgrid(cfg.cutoff, cfg.t_step)
-    err_vals = _error_cf_values(cf_source, t)
-    plain, weighted = empirical_cfs(sample, t)
-
-    h = cfg.t_step
-    w = np.full(len(t), h)
-    w[0] = w[-1] = h / 2.0
-    sums = _exp_sums(-x, t, (plain.values * err_vals * w, weighted.values * err_vals * w))
-    den, num = (v / (2.0 * math.pi) for v in sums)
-
-    for name, arr in (("denominator", den), ("numerator", num)):
-        residue = np.abs(arr.imag)
-        limit = _IMAG_TOL * (1.0 + np.abs(arr.real))
-        if np.any(residue > limit):
-            raise ValueError(
-                f"{name} inversion has imaginary residue {residue.max():.3e} "
-                "beyond tolerance; the frequency grid is not symmetric enough "
-                "or the error CF is not even"
-            )
-    return den.real, num.real
+    even = _error_cf_values(cf_source, t)
+    k = len(t) // 2
+    plain, weighted = (tab.values[k:] for tab in empirical_cfs(sample, t))
+    w = np.full(k + 1, cfg.t_step)
+    w[0] = w[-1] = cfg.t_step / 2.0
+    sums = _exp_sums(-x, t[k:], (plain * even * w, weighted * even * w))
+    return tuple(v.real / math.pi for v in sums)
 
 
 def fit_fourier(

@@ -9,6 +9,7 @@ is the extension point for other parametric forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from .data import EvalGrid, RegressionCurve, TrainingSample
 from .densities import ErrorDensity
 from .errors import DegenerateDesignError
 from .fourier import CfSource, FourierConfig, fit_fourier
-from .known import fit_known
+from .known import _U, fit_known
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,10 @@ def fit_linear_proxy(t, x) -> LinearProxyFit:
     t_mean = t.mean()
     x_mean = x.mean()
     s_tt = float(np.sum((t - t_mean) ** 2))
-    scale = max(1.0, float(np.mean(t**2)))
-    if s_tt < 1e-14 * r * scale:
+    # r terms summed in any order err by at most (r - 1) u sum|t|, and the
+    # division by r adds u |mean|: the mean, and so each centred value of a
+    # constant t, is off by at most r u max|t|. An RMS within twice that is no spread.
+    if math.sqrt(s_tt / r) <= 2.0 * r * _U * float(np.max(np.abs(t))):
         raise DegenerateDesignError("all t values are (numerically) equal")
     slope = float(np.sum((t - t_mean) * (x - x_mean))) / s_tt
     intercept = x_mean - slope * t_mean

@@ -470,7 +470,8 @@ class TestInvert:
         np.testing.assert_allclose(num_a, num_b, atol=1e-14)
 
     def test_odd_error_cf_names_both_residue_causes(self):
-        # the grid is symmetric; the skewed error CF alone leaves the residue
+        # the grid is symmetric; the skewed error CF's odd part is refused,
+        # named by its source
         rng = np.random.default_rng(15)
         s = TrainingSample(rng.normal(size=30), rng.normal(size=30))
         grid = EvalGrid(np.linspace(-1.0, 1.0, 5))
@@ -478,9 +479,54 @@ class TestInvert:
         t = symmetric_tgrid(cfg.cutoff, cfg.t_step)
         assert np.array_equal(t[::-1], -t)
         skewed = lambda t: np.exp(-t**2 / 2) * (1 + 0.5 * np.tanh(t))
-        for source in (skewed, CfTable(t=t, values=skewed(t))):
-            with pytest.raises(ValueError, match="not symmetric enough or the error CF is not even"):
+        for source, name in ((skewed, "a callable"), (CfTable(t=t, values=skewed(t)), "a CF table")):
+            with pytest.raises(ValueError, match=(
+                    f"^error CF from {name} has an odd part of 2.411e-01, beyond 1e-08 times "
+                    r"its largest modulus 1.099e\+00: an error CF is real and even$")):
                 invert_cf(s, source, cfg, grid)
+
+    @pytest.mark.parametrize("table", [False, True], ids=["callable", "table"])
+    def test_odd_part_within_the_tolerance_gives_the_even_bits(self, table):
+        # the even part on multiples of 2**-20 in [0, 1] and an odd part on
+        # multiples of 2**-32 keep e(t) = even + odd and e(-t) = even - odd
+        # exact, so (e(t) + e(-t)) / 2 is the even part, bit for bit. An odd
+        # part of 2**-30 is within 1e-8 of max|e| = 1; one of 2**-26 is not
+        rng = np.random.default_rng(18)
+        s = TrainingSample(rng.normal(size=30), rng.normal(size=30))
+        grid = EvalGrid(np.linspace(-1.0, 1.0, 5))
+        cfg = FourierConfig(cutoff=8.0, t_step=0.05)
+        t = symmetric_tgrid(cfg.cutoff, cfg.t_step)
+        even = lambda t: np.round(np.exp(-t**2 / 2) * 2.0**20) / 2.0**20
+        odd = lambda t: np.round(np.tanh(t) * 4.0) / 4.0
+        source = (lambda f: CfTable(t=t, values=f(t))) if table else (lambda f: f)
+        want = invert_cf(s, source(even), cfg, grid)
+        got = invert_cf(s, source(lambda t: even(t) + 2.0**-30 * odd(t)), cfg, grid)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        with pytest.raises(ValueError, match="has an odd part of 1.490e-08"):
+            invert_cf(s, source(lambda t: even(t) + 2.0**-26 * odd(t)), cfg, grid)
+
+    def test_inversion_runs_over_the_nodes_from_zero(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        s = TrainingSample(rng.normal(size=30), rng.normal(size=30))
+        grid = EvalGrid(np.linspace(-1.0, 1.0, 5))
+        cfg = FourierConfig(cutoff=8.0, t_step=0.05)
+        t = symmetric_tgrid(cfg.cutoff, cfg.t_step)
+        calls = []
+        exp_sums = coarsereg.fourier._exp_sums
+
+        def spy(rows, points, weights):
+            calls.append((np.array(rows), np.array(points)))
+            return exp_sums(rows, points, weights)
+
+        monkeypatch.setattr(coarsereg.fourier, "_exp_sums", spy)
+        invert_cf(s, ErrorDensity.laplace(0.5), cfg, grid)
+        # the empirical CFs' pass runs its rows over the sample, the
+        # inversion's over the grid
+        inversions = [points for rows, points in calls if np.array_equal(rows, -grid.points)]
+        assert len(inversions) == 1
+        np.testing.assert_array_equal(inversions[0], t[len(t) // 2:])
+        assert len(inversions[0]) == 161 and inversions[0][0] == 0.0
 
     def test_table_spacing_mismatch_rejected(self):
         s = TrainingSample([0.0], [1.0])
@@ -544,6 +590,51 @@ class TestFitFourier:
         direct = fit_known(s, d, grid)
         np.testing.assert_allclose(fourier.values, direct.values, atol=5e-3)
 
+    @pytest.mark.parametrize("cutoff", [300.0, 3000.0])
+    def test_within_the_derived_bound_of_the_known_estimator(self, cutoff):
+        # the setting of test_agreement_with_known_estimator. The Fourier
+        # den is (1/n) sum_j g(x - w_j), g the trapezoid rule, step h over
+        # |t| <= cutoff, of (2 pi)^-1 phi(t) exp(-i t u) with the Laplace CF
+        # phi(t) = 1 / (1 + b^2 t^2); by Poisson summation the rule over all
+        # of h Z is sum_m f(u + 2 pi m / h), f the Laplace pdf. So
+        # |g(u) - f(u)| is at most the alias term sum_{m != 0} f(u + 2 pi m / h)
+        # plus the rule's part beyond the cutoff, which for the decreasing
+        # phi is at most the truncation tail
+        # (1/pi) int_cutoff^inf phi = (pi/2 - arctan(b cutoff)) / (pi b)
+        # plus h phi(cutoff) / (2 pi) for the half-weighted end nodes
+        rng = np.random.default_rng(17)
+        b, h = 0.4, 0.05
+        d = ErrorDensity.laplace(b)
+        w = rng.normal(size=60)
+        y = np.sin(w) + rng.normal(0, 0.1, 60)
+        s = TrainingSample(w, y)
+        grid = EvalGrid(np.linspace(-1.1, 1.1, 12))
+        fourier = fit_fourier(s, d, FourierConfig(cutoff=cutoff, t_step=h), grid)
+        direct = fit_known(s, d, grid)
+
+        u = grid.points[:, None] - w
+        tail = (math.pi / 2 - math.atan(b * cutoff)) / (math.pi * b)
+        trapezoid_tail = h / (1.0 + (b * cutoff) ** 2) / (2.0 * math.pi)
+        # sum over m >= 1 of f(u + mP) + f(u - mP), P = 2 pi / h > |u|
+        q = math.exp(-2.0 * math.pi / h / b)
+        alias = np.cosh(u / b) / b * q / (1.0 - q)
+        kernel = tail + trapezoid_tail + alias
+        # the Fourier sums' roundoff: phases t w and t x off by u |t| (|w| + |x|),
+        # n + K roundings of the moduli's sum, which is below 1 / (pi b); and
+        # n + 8 roundings of the direct sums, whose terms are at most f(0)
+        k = round(cutoff / h)
+        rounding = 2.0**-53 * ((cutoff * (np.max(np.abs(w)) + 1.1) + 60 + k + 32) / (math.pi * b)
+                               + (60 + 8) / (2.0 * b))
+        e_den = kernel.mean(axis=1) + rounding
+        e_num = (np.abs(y) * kernel).mean(axis=1) + rounding * np.max(np.abs(y))
+        den = predictor_density(s, d, grid.points)
+        assert np.all(den > e_den)
+        # m_F - m_K = ((num_F - num_K) - m_K (den_F - den_K)) / den_F, and a
+        # few roundings of each ratio
+        bound = (e_num + np.abs(direct.values) * e_den) / (den - e_den) + 8 * 2.0**-53
+        assert np.all(np.abs(fourier.values - direct.values) <= bound)
+        assert np.max(bound) < {300.0: 0.05, 3000.0: 0.005}[cutoff]
+
 
 coords = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -587,3 +678,101 @@ class TestOneResolver:
             want = _bits(lambda: fit(rep))
             assert _bits(lambda: fit(table)) == want
             assert _bits(lambda: fit(bare)) == want
+
+
+def triangular(u):
+    return np.maximum(1.0 - np.abs(np.asarray(u, dtype=float)), 0.0)
+
+
+class TestComplexErrorCf:
+    """An error CF with complex values is refused by a ValueError that names
+    its source, not cast to its real part with a ComplexWarning."""
+
+    SAMPLE = TrainingSample(np.linspace(0.0, 2.0, 20), np.linspace(-1.0, 1.0, 20))
+    GRID = EvalGrid(np.linspace(-1.0, 1.0, 5))
+    CFG = FourierConfig(cutoff=4.0, t_step=0.05)
+    T = symmetric_tgrid(4.0, 0.05)
+
+    def fit(self, source):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return fit_fourier(self.SAMPLE, source, self.CFG, self.GRID)
+
+    def test_empirical_cf_table(self):
+        table = empirical_cfs(self.SAMPLE, self.T)[0]
+        with pytest.raises(ValueError, match="^error CF from a CF table has an imaginary part"):
+            self.fit(table)
+
+    def test_callable(self):
+        shifted = lambda t: np.exp(-t**2 / 2 + 0.3j * t)
+        with pytest.raises(ValueError, match="^error CF from a callable has an imaginary part"):
+            self.fit(shifted)
+        # an imaginary part of zero is dropped
+        real = lambda t: np.exp(-t**2 / 2)
+        assert self.fit(lambda t: real(t) + 0j).values.tobytes() == self.fit(real).values.tobytes()
+
+    def test_custom_density(self):
+        d = ErrorDensity.custom(triangular, cf=lambda t: np.sinc(t / (2 * np.pi))**2 * np.exp(0.1j * t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^custom density's CF has an imaginary part"):
+                d.cf(self.T)
+        with pytest.raises(ValueError, match="^custom density's CF has an imaginary part"):
+            self.fit(d)
+
+
+@st.composite
+def small_inversions(draw):
+    """A sample of 1-12 points, a Gaussian or Laplace error density, 17-48
+    positive nodes and 2-4 grid points, at a length scale from 0.1 to 10."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, scale = draw(st.integers(1, 12)), 10.0 ** draw(st.floats(-1.0, 1.0))
+    sample = TrainingSample(rng.normal(0.0, scale, n), rng.normal(size=n))
+    kind = draw(st.sampled_from([ErrorDensity.gaussian, ErrorDensity.laplace]))
+    density = kind(draw(st.floats(0.05, 2.0)) * scale)
+    t_step = draw(st.floats(0.05, 2.0)) / scale
+    cfg = FourierConfig(draw(st.integers(17, 48)) * t_step, t_step)
+    grid = EvalGrid(np.linspace(-2.0, 2.0, draw(st.integers(2, 4))) * scale)
+    return sample, density, cfg, grid
+
+
+def full_grid_inversion(sample, density, cfg, grid):
+    """den and num as exact sums over every node |k| <= K of
+    w_k e(t_k) cf_hat(t_k) exp(-i t_k x) / (2 pi), the real part taken
+    term by term from explicit cosines and sines; and the sums of the
+    terms' moduli."""
+    t = symmetric_tgrid(cfg.cutoff, cfg.t_step)
+    w = np.full(len(t), cfg.t_step)
+    w[0] = w[-1] = cfg.t_step / 2.0
+    c = w * density.cf(t) / (2.0 * math.pi * sample.n)
+    scale = float(np.sum(np.abs(c))) * sample.n
+    out = []
+    for x in grid.points:
+        den, num = [], []
+        for tk, ck in zip(t, c):
+            cx, sx = math.cos(tk * x), math.sin(tk * x)
+            for wj, yj in zip(sample.w, sample.y):
+                # Re(exp(i t w) exp(-i t x)) = cos(t w) cos(t x) + sin(t w) sin(t x)
+                re = (ck * math.cos(tk * wj) * cx, ck * math.sin(tk * wj) * sx)
+                den += re
+                num += (yj * re[0], yj * re[1])
+        out.append((math.fsum(den), math.fsum(num)))
+    den, num = np.array(out).T
+    return den, num, scale, scale * float(np.mean(np.abs(sample.y)))
+
+
+@pytest.mark.thorough
+class TestFullGridReference:
+    @settings(deadline=None)
+    @given(case=small_inversions())
+    def test_half_grid_matches_the_full_grid_sum(self, case):
+        # each computed term's modulus carries a few roundings (its cos and
+        # sin, its products); the n-term CF sums and the (K + 1)-term
+        # inversion add at most n - 1 and K roundings of the moduli' sum
+        sample, density, cfg, grid = case
+        den, num = invert_cf(sample, density, cfg, grid)
+        ref_den, ref_num, scale_den, scale_num = full_grid_inversion(sample, density, cfg, grid)
+        k = len(symmetric_tgrid(cfg.cutoff, cfg.t_step)) // 2
+        slack = (sample.n + k + 32) * 2.0**-53
+        assert np.all(np.abs(den - ref_den) <= slack * scale_den)
+        assert np.all(np.abs(num - ref_num) <= slack * scale_num)

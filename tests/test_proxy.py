@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsereg import (
     DegenerateDesignError,
@@ -41,6 +43,45 @@ class TestFitLinearProxy:
     def test_degenerate_design(self):
         with pytest.raises(DegenerateDesignError):
             fit_linear_proxy([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("unit", [lambda t: t * 1e-7, lambda t: t + 1e8], ids=["1e-7", "1e8"])
+    def test_units_do_not_decide(self, unit):
+        rng = np.random.default_rng(42)
+        t = rng.uniform(0.0, 1.0, 100)
+        x = 0.5 + 0.8 * t + rng.normal(0.0, 0.1, 100)
+        assert len(np.unique(unit(t))) == 100
+        fit_linear_proxy(unit(t), x)
+
+
+@st.composite
+def affine_designs(draw):
+    """A design of 3-100 spread points, responses near a line through it,
+    and a map t -> a + b t with |b| from 1e-100 to 1e100 and |a| up to 1e8
+    times the spread of b t."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = draw(st.integers(3, 100))
+    t = np.linspace(0.0, 1.0, r) + rng.uniform(-0.25, 0.25, r) / r
+    x = 0.5 + 0.8 * t + rng.normal(0.0, 0.1, r)
+    b = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-100.0, 100.0))
+    a = draw(st.one_of(st.just(0.0), st.floats(-1e8, 1e8))) * abs(b) * np.ptp(t)
+    return t, x, a, b
+
+
+class TestUnitFreeDesign:
+    @settings(deadline=None)
+    @given(case=affine_designs())
+    def test_affine_map_keeps_the_decision_and_the_slope(self, case):
+        t, x, a, b = case
+        r = len(t)
+        base = fit_linear_proxy(t, x)
+        mapped = fit_linear_proxy(a + b * t, x)
+        # a + b t carries roundings of u (|a| + |b t|) each, and the centred
+        # values the mean's r u max|a + b t|; relative to the spread |b| ptp(t)
+        # that moves the slope by a factor below 64 r u (1 + |a| / (|b| ptp t))
+        rel = 64 * r * 2.0**-53 * (1.0 + abs(a) / (abs(b) * np.ptp(t)))
+        assert mapped.slope * b == pytest.approx(base.slope, rel=rel)
+        with pytest.raises(DegenerateDesignError, match=r"^all t values are \(numerically\) equal$"):
+            fit_linear_proxy(np.full(r, a + b * t[r // 2]), x)
 
     def test_too_few_pairs(self):
         with pytest.raises(ValueError):
