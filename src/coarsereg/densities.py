@@ -181,8 +181,7 @@ class ErrorDensity:
         deriv : callable, optional
             Derivative evaluator ``deriv(u, order)`` for order >= 1.
         cf : callable, optional
-            Characteristic function ``cf(t)``, real-valued (:meth:`cf`
-            refuses an imaginary part).
+            Characteristic function ``cf(t)`` (real-valued).
         cf_decay : float, optional
             Polynomial CF decay exponent; required for the density to
             participate in Fourier-cutoff selection.

@@ -236,12 +236,15 @@ def select_cutoff(
         return float(override)
     if error_decay is None and density is not None:
         if density.kind == "uniform":
-            raise ValueError("uniform error CF oscillates through zero; it cannot drive "
-                             "cutoff selection")
+            raise ValueError(
+                "uniform error CF oscillates through zero; it cannot drive cutoff selection"
+            )
         error_decay = density.cf_decay
     if error_decay is None:
-        raise MissingDecayError("cutoff selection needs an error-CF decay exponent (none "
-                                "supplied and none in the density metadata)")
+        raise MissingDecayError(
+            "cutoff selection needs an error-CF decay exponent (none supplied and "
+            "none in the density metadata)"
+        )
     if signal_decay is None:
         signal_decay = error_decay + 2.0
     # a density's CF tends to 0, so its decay exponent is positive; the
@@ -249,22 +252,35 @@ def select_cutoff(
     if not (math.isfinite(error_decay) and error_decay > 0):
         raise ValueError(f"error_decay must be finite and positive, got {error_decay}")
     if not (math.isfinite(signal_decay) and signal_decay + error_decay > 1):
-        raise ValueError(f"signal_decay must be finite with signal_decay + error_decay > 1, "
-                         f"got signal_decay={signal_decay}, error_decay={error_decay}")
+        raise ValueError(
+            f"signal_decay must be finite with signal_decay + error_decay > 1, "
+            f"got signal_decay={signal_decay}, error_decay={error_decay}"
+        )
     big_n = rep.n_groups
     if big_n < 2:
         raise ValueError("cutoff selection needs at least 2 replicate groups")
 
     cap = big_n ** (1.0 / (2.0 * (1.0 + error_decay))) / math.log(max(big_n, 3))
+    tau = cap
     probe_t = np.linspace(0.0, cap, _CUTOFF_PROBES + 1)[1:]
     crossing = _first_probe_below(rep.pair_differences(), probe_t,
                                   big_n ** (-_CUTOFF_FLOOR_EXPONENT))
-    guard = n ** (1.0 / (2.0 * (signal_decay + error_decay - 1.0))) / math.log(max(n, 3))
-    if guard > cap:
-        warnings.warn(f"lower-rate guard {guard:.4g} exceeds the cap {cap:.4g}; the rate "
-                      "bracket is empty at these sample sizes, using the cap", stacklevel=2)
-        return float(cap)
-    return float(max(cap if crossing is None else min(cap, crossing), guard))
+    if crossing is not None:
+        tau = min(tau, crossing)
+
+    guard = n ** (1.0 / (2.0 * (signal_decay + error_decay - 1.0))) / math.log(
+        max(n, 3)
+    )
+    if guard <= cap:
+        tau = max(tau, guard)
+    else:
+        warnings.warn(
+            f"lower-rate guard {guard:.4g} exceeds the cap {cap:.4g}; "
+            "the rate bracket is empty at these sample sizes, using the cap",
+            stacklevel=2,
+        )
+        tau = cap
+    return float(tau)
 
 
 def _first_probe_below(d, probe_t, floor):
@@ -352,8 +368,10 @@ def _error_cf_values(cf_source: CfSource, t: np.ndarray) -> np.ndarray:
     elif isinstance(cf_source, CfTable):
         step = t[1] - t[0]
         if not math.isclose(cf_source.step, step, rel_tol=1e-9):
-            raise ValueError(f"CF table spacing {cf_source.step:.6g} does not match the "
-                             f"requested spacing {step:.6g}")
+            raise ValueError(
+                f"CF table spacing {cf_source.step:.6g} does not match the "
+                f"requested spacing {step:.6g}"
+            )
         offset = int(round((t[0] - cf_source.t[0]) / step))
         if offset < 0 or offset + len(t) > len(cf_source.t):
             raise ValueError("CF table does not cover the requested frequency range")

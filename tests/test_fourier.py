@@ -680,10 +680,6 @@ class TestOneResolver:
             assert _bits(lambda: fit(bare)) == want
 
 
-def triangular(u):
-    return np.maximum(1.0 - np.abs(np.asarray(u, dtype=float)), 0.0)
-
-
 class TestComplexErrorCf:
     """An error CF with complex values is refused by a ValueError that names
     its source, not cast to its real part with a ComplexWarning."""
@@ -712,7 +708,9 @@ class TestComplexErrorCf:
         assert self.fit(lambda t: real(t) + 0j).values.tobytes() == self.fit(real).values.tobytes()
 
     def test_custom_density(self):
-        d = ErrorDensity.custom(triangular, cf=lambda t: np.sinc(t / (2 * np.pi))**2 * np.exp(0.1j * t))
+        # the triangular density, its CF shifted by 0.1
+        d = ErrorDensity.custom(lambda u: np.maximum(1.0 - np.abs(u), 0.0),
+                                cf=lambda t: np.sinc(t / (2 * np.pi))**2 * np.exp(0.1j * t))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^custom density's CF has an imaginary part"):

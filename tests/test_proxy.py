@@ -67,6 +67,7 @@ def affine_designs(draw):
     return t, x, a, b
 
 
+@pytest.mark.thorough
 class TestUnitFreeDesign:
     @settings(deadline=None)
     @given(case=affine_designs())
