@@ -52,6 +52,26 @@ class TestFitLinearProxy:
         assert len(np.unique(unit(t))) == 100
         fit_linear_proxy(unit(t), x)
 
+    def test_too_few_pairs(self):
+        with pytest.raises(ValueError):
+            fit_linear_proxy([1.0], [2.0])
+
+    def test_two_pairs_zero_residual_variance(self):
+        fit = fit_linear_proxy([0.0, 1.0], [3.0, 5.0])
+        assert fit.residual_variance == 0.0
+
+    def test_slope_consistency(self):
+        # |slope - truth| stays within 5 sd bounds for most seeds
+        sigma, hits = 0.5, 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            t = rng.uniform(0, 1, 10_000)
+            x = 1.0 + 2.0 * t + rng.normal(0, sigma, 10_000)
+            fit = fit_linear_proxy(t, x)
+            bound = 5.0 * sigma / np.sqrt(10_000 * np.var(t))
+            hits += abs(fit.slope - 2.0) < bound
+        assert hits == 20
+
 
 @st.composite
 def affine_designs(draw):
@@ -83,26 +103,6 @@ class TestUnitFreeDesign:
         assert mapped.slope * b == pytest.approx(base.slope, rel=rel)
         with pytest.raises(DegenerateDesignError, match=r"^all t values are \(numerically\) equal$"):
             fit_linear_proxy(np.full(r, a + b * t[r // 2]), x)
-
-    def test_too_few_pairs(self):
-        with pytest.raises(ValueError):
-            fit_linear_proxy([1.0], [2.0])
-
-    def test_two_pairs_zero_residual_variance(self):
-        fit = fit_linear_proxy([0.0, 1.0], [3.0, 5.0])
-        assert fit.residual_variance == 0.0
-
-    def test_slope_consistency(self):
-        # |slope - truth| stays within 5 sd bounds for most seeds
-        sigma, hits = 0.5, 0
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            t = rng.uniform(0, 1, 10_000)
-            x = 1.0 + 2.0 * t + rng.normal(0, sigma, 10_000)
-            fit = fit_linear_proxy(t, x)
-            bound = 5.0 * sigma / np.sqrt(10_000 * np.var(t))
-            hits += abs(fit.slope - 2.0) < bound
-        assert hits == 20
 
 
 class TestImpute:
