@@ -221,18 +221,10 @@ def _ndtri(p: float) -> float:
     return x if upper else -x
 
 
-@lru_cache(maxsize=None)
-def _z(alpha: float) -> float:
-    """z(1 - alpha/2), computed once per alpha: a study asks for the same
-    few alphas hundreds of times, and each pure-Python call costs
-    microseconds."""
-    return _ndtri(1.0 - alpha / 2.0)
-
-
 def _interval(num, den, v, n, alpha):
     """(1 - alpha) interval num/den +- z(1 - alpha/2) sqrt(v / n)."""
     est = num / den
-    half = _z(alpha) * np.sqrt(v) / np.sqrt(n)
+    half = _ndtri(1.0 - alpha / 2.0) * np.sqrt(v) / np.sqrt(n)
     return est - half, est + half
 
 
@@ -414,20 +406,20 @@ def simultaneous_band(
         # points with zero variance drop out of the sup: |draw| / inf = 0, so a
         # zero covariance gives q = 0
         scale = np.where(var > 0, se, np.inf)
-        # the draws in blocks of rows, in the generator's stream order; only
-        # each row's sup is kept
+        # the draws in blocks of rows, a serial pass in the generator's stream
+        # order; only each row's sup is kept
         rng = np.random.default_rng(seed)
-        sups = np.empty(n_sim)
         step = min(_block_len(len(grid)), n_sim)
-        for start in range(0, n_sim, step):
-            block = sups[start:start + step]
-            shape = (len(block), len(grid))
-            d = np.matmul(rng.standard_normal(out=_scratch(0, shape)), root,
-                          out=_scratch(1, shape))
+
+        def sup(start):
+            shape = (min(step, n_sim - start), len(grid))
+            d = np.matmul(rng.standard_normal(out=_scratch(0, shape)), root, out=_scratch(1, shape))
             d /= np.sqrt(n)
             np.abs(d, out=d)
             d /= scale
-            np.max(d, axis=1, out=block)
+            return d.max(axis=1)
+
+        sups = np.concatenate(_row_blocks(sup, n_sim, step, len(grid), serial=True))
     q = float(np.quantile(sups, 1.0 - alpha))
 
     meta["sup_quantile"] = q

@@ -35,17 +35,12 @@ _CV_MIN_FACTOR = 0.05
 _CV_MAX_FACTOR = 2.0
 
 
-def _gauss(u, h, span):
-    """The standard Gaussian density at ``u / h``, computed in place in ``u``,
-    whose entries are at most ``span`` in absolute value."""
-    return np.divide(_gauss_exp_into(u, h, span), _SQRT_2PI, out=u)
-
-
 def _kernel(h):
-    """The kernel of every NW fit and estimate at bandwidth ``h``."""
+    """The kernel of every NW fit and estimate at bandwidth ``h``: the standard
+    Gaussian density at ``u / h``, in place in the offsets ``u``, |u| <= ``span``."""
     if not 0 < h < np.inf:  # an infinite h would give the flat curve mean(y)
         raise ValueError(f"bandwidth must be positive and finite, got {h}")
-    return lambda u, span: _gauss(u, h, span)
+    return lambda u, span: np.divide(_gauss_exp_into(u, h, span), _SQRT_2PI, out=u)
 
 
 def nw_estimate(sample: TrainingSample, h: float, x: float) -> float:

@@ -226,15 +226,16 @@ def _simpson_adaptive(f, lo, hi, tol: float = _SIMPSON_TOL) -> np.ndarray:
     m = _SIMPSON_START
 
     def simpson(rows, m):
-        out = np.empty(len(rows))
         step = _block_len(m + 1)
-        for start in range(0, len(rows), step):
-            block = slice(start, start + step)
-            ys = f(rows[block], m)
-            h = (hi[rows[block]] - lo[rows[block]]) / m
-            out[block] = h / 3.0 * (ys[:, 0] + ys[:, -1] + 4.0 * ys[:, 1:-1:2].sum(axis=1)
-                                    + 2.0 * ys[:, 2:-1:2].sum(axis=1))
-        return out
+
+        def block(start):
+            chosen = rows[start:start + step]
+            ys, h = f(chosen, m), (hi[chosen] - lo[chosen]) / m
+            return h / 3.0 * (ys[:, 0] + ys[:, -1] + 4.0 * ys[:, 1:-1:2].sum(axis=1)
+                              + 2.0 * ys[:, 2:-1:2].sum(axis=1))
+
+        sums = known._row_blocks(block, len(rows), step, m + 1, serial=True)  # f: user code
+        return np.concatenate([np.empty(0), *sums])  # no rows: an empty array
 
     result = np.zeros(len(lo))
     rows = np.flatnonzero(hi > lo)

@@ -27,7 +27,6 @@ from coarsereg import (
     TrainingSample, covariance_matrix, fourier, known, nw, run_replications, simulation,
 )
 from coarsereg.known import _centered_variance, _flat_support, _kernel_moments, _moments_at
-from coarsereg.nw import _gauss
 from pooling import pool_of, replicate_threads
 
 pytestmark = pytest.mark.thorough
@@ -67,7 +66,7 @@ def passes(draw):
         kernel = draw(st.sampled_from(DENSITIES))._pdf_into
     elif kind == "nw":
         h = draw(st.sampled_from([0.01, 0.1]))
-        kernel = lambda u, span: _gauss(u, h, span)  # noqa: E731
+        kernel = nw._kernel(h)
     if kind.endswith("cf"):
         # a symmetric odd-length grid, of which _mean_exp evaluates t >= 0
         t = np.linspace(-20.0, 20.0, 2 * g + 1)
@@ -127,7 +126,7 @@ def stacks(draw):
         kernel = draw(st.sampled_from(DENSITIES))._pdf_into
     else:
         h = draw(st.sampled_from([0.01, 0.1]))
-        kernel = lambda u, span: _gauss(u, h, span)  # noqa: E731
+        kernel = nw._kernel(h)
     per_row = draw(st.sampled_from(PER_ROW))
     at = draw(st.lists(st.integers(0, g - 1), min_size=1, unique=True).map(sorted))
     rows = draw(st.integers(1, 3) | st.integers(1, 2 * c * g))
@@ -624,7 +623,9 @@ BENCH_M1_POINTS = dict(coverage_points=(0.25, 0.5, 0.75), rmse_points=(0.5,))
 
 def known_study(reps, cpus):
     """The report of the m1 cell's known-error study on ``cpus`` CPUs, with
-    the threads of its replicates and its block passes."""
+    the threads of its replicates and its kernel and replicate passes: those
+    of width n and n x 101, not the oracle's serial quadrature passes over
+    2^k + 1 nodes."""
     passes = []
     threads, recording = replicate_threads()
     with mock.patch.object(known.os, "sched_getaffinity", lambda pid: set(range(cpus))), \
@@ -632,7 +633,8 @@ def known_study(reps, cpus):
         report = run_replications(BENCH_M1, EstimatorSpec(), reps=reps, master_seed=7,
                                   **BENCH_M1_POINTS)
     assert report.failures == 0 and len(threads) == reps
-    return report.to_json(), threads, passes
+    n = BENCH_M1.n
+    return report.to_json(), threads, [p for p in passes if p[1] in (n, n * 101)]
 
 
 def test_a_known_study_shares_its_stacked_pass_with_the_pool_thread():
