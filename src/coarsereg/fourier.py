@@ -115,7 +115,8 @@ def _exp_sums(rows, points, weights):
     blocks of rows; each sum is numpy's pairwise sum over its own row. A
     block's exponentials fill slot 0 of :func:`_scratch`, the products but
     the last go to slot 1 and the last overwrites the exponentials, so a
-    one-weight pass holds one block per thread."""
+    one-weight pass holds one block per thread. No rows give one empty
+    array per weight."""
     step = _block_len(len(points), itemsize=16)
 
     def block(start):
@@ -130,7 +131,8 @@ def _exp_sums(rows, points, weights):
             sums.append(product.sum(axis=1))
         return tuple(sums)
 
-    return _joined(_row_blocks(block, len(rows), step, len(points)))
+    blocks = _row_blocks(block, len(rows), step, len(points))
+    return _joined(blocks) if blocks else tuple(np.empty(0, complex) for _ in weights)
 
 
 def _mean_exp(t: np.ndarray, points: np.ndarray, weights=None):

@@ -246,8 +246,11 @@ def covariance_matrix(
 ) -> CovarianceMatrix:
     """Plug-in covariance of the limit process on all grid-point pairs.
 
-    The rows and columns of points with zero :func:`variance_at` (the
-    responses on their kernel support take one value) are exactly 0.
+    The rows and columns of points whose responses on their kernel support
+    take one value are exactly 0, as :func:`variance_at` is there. Elsewhere
+    the two can disagree on 0 only by underflow: with y of order 1e-162 a
+    diagonal entry can be 5e-324 where :func:`variance_at` is 0, or 0 where
+    it is 5e-324.
 
     Raises
     ------

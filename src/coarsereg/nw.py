@@ -57,6 +57,8 @@ def fit_nw(sample: TrainingSample, h: float, grid: EvalGrid) -> RegressionCurve:
 
 def cv_grid(sample: TrainingSample) -> np.ndarray:
     """The geometric bandwidth grid the CV search runs over."""
+    if sample.n < 2:  # np.std of one point warns and gives NaN
+        raise ValueError(f"the CV grid needs at least 2 points, got {sample.n}")
     scale = float(np.std(sample.w, ddof=1)) * sample.n ** (-0.2)
     if scale <= 0:
         raise ValueError("predictors have no variation; CV grid undefined")
@@ -118,8 +120,11 @@ def loo_score(sample: TrainingSample, h: float) -> float:
     """Mean leave-one-out squared prediction error at bandwidth ``h``.
 
     Held-out points whose remaining kernel weights underflow to zero make
-    the score infinite, so such bandwidths are never selected.
+    the score infinite, as does ``h = 0``, so such bandwidths are never
+    selected. Any other ``h`` must pass the bandwidth check of every NW fit.
     """
+    if h != 0:
+        _kernel(h)
     return float(_loo_scores(sample, (h,))[0])
 
 

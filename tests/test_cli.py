@@ -466,6 +466,7 @@ class TestSimulate:
             "--reps", "8", "--seed", "7", "--grid=-0.3:0.3:5",
             "--rmse-at", "0", "--coverage-at", "0"]
 
+    @pytest.mark.golden
     def test_matches_golden_report(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(self.ARGS + ["--out", str(out)])

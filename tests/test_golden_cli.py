@@ -175,6 +175,7 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted([*CASES, *SIDE_FILES])
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("name", sorted([*CASES, *SIDE_FILES]))
 def test_output_is_byte_identical(golden, outputs, name):
     assert outputs[name] == golden[name]

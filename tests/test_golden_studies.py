@@ -116,6 +116,7 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(CASES)
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_is_byte_identical(golden, name):
     report, warnings = run_case(name)

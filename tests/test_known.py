@@ -14,8 +14,11 @@ from coarsereg import (
     DegenerateDenominatorError,
     ErrorDensity,
     EvalGrid,
+    ReplicatedSample,
     TrainingSample,
     UnsupportedDerivativeError,
+    empirical_cfs,
+    error_cf_from_replicates,
     find_extremum,
     find_zeros,
     fit_known,
@@ -74,6 +77,16 @@ class TestDensityAverages:
         for err in (GAUSS, ErrorDensity.laplace(0.5), ErrorDensity.uniform(0.5)):
             out = average(s, err, [])
             assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    @pytest.mark.parametrize("cfs", [
+        lambda t: empirical_cfs(TrainingSample([0.0, 1.0], [1.0, 2.0]), t),
+        lambda t: error_cf_from_replicates(ReplicatedSample([[0.0, 0.1], [1.0, 0.8]]), t),
+    ], ids=["empirical", "replicates"])
+    def test_an_empty_frequency_grid_meets_the_cf_tables_rule(self, cfs):
+        # a complex pass over no frequencies joined no blocks into (), which
+        # the CF's mean then indexed: IndexError
+        with pytest.raises(ValueError, match="grid must have odd length >= 3"):
+            cfs([])
 
     def test_zero_responses(self):
         s = TrainingSample([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])

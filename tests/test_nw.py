@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -177,6 +178,14 @@ class TestCvBandwidth:
         with np.errstate(divide="ignore", invalid="ignore"):
             assert loo_score(s, 0.0) == float("inf")
 
+    @pytest.mark.parametrize("h", [-0.1, np.inf, np.nan])
+    def test_score_refuses_what_every_fit_refuses(self, h):
+        # -0.1 scored as 0.1, inf gave a finite score and nan a nan
+        rng = np.random.default_rng(29)
+        s = TrainingSample(rng.uniform(0, 1, 50), rng.normal(size=50))
+        with pytest.raises(ValueError, match="positive and finite"):
+            loo_score(s, h)
+
     def test_subnormal_only_weights_keep_score_finite(self):
         h = 0.01
         w = np.concatenate([np.linspace(0.0, 0.1, 11), [0.1 + 38.0 * h]])
@@ -262,6 +271,13 @@ class TestCvBandwidth:
         s = TrainingSample([0.0, 0.4, 1.0], [2.0, 2.0, 2.0])
         grid = cv_grid(s)
         assert cv_bandwidth(s) == grid[0]
+
+    def test_grid_needs_two_points(self):
+        # the standard deviation of one point warned twice and gave 32 NaNs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least 2 points"):
+                cv_grid(TrainingSample([0.5], [1.0]))
 
     def test_needs_three_points(self):
         s = TrainingSample([0.0, 1.0], [0.0, 1.0])
