@@ -124,7 +124,7 @@ def loo_score(sample: TrainingSample, h: float) -> float:
     selected. Any other ``h`` must pass the bandwidth check of every NW fit.
     """
     if h != 0:
-        _kernel(h)
+        _kernel(h)  # raises where every NW fit does
     return float(_loo_scores(sample, (h,))[0])
 
 
