@@ -80,7 +80,7 @@ def other_densities(paths):
     density, whose 512 x n scans run the dense kernel pass, and ``band``
     under a uniform density, whose kernel has zeros: every Laplace kernel
     value is positive, so the analysis band never takes the branch of
-    ``known._flat_support`` that finds each point's kernel support."""
+    ``known._centered_variance`` that finds each point's kernel support."""
     known = ["--train", paths["train"], "--delta", "gaussian:0.1"]
     return [("extrema-gaussian", ["extrema", *known, "--interval", "0.3:0.7"]),
             ("zeros-gaussian", ["zeros", *known, "--interval", "0:1", "--level", "3"]),

@@ -24,8 +24,7 @@ from .data import EvalGrid, RegressionCurve, TrainingSample
 from .densities import ErrorDensity
 from .errors import DegenerateDenominatorError
 from .known import (
-    _block_len, _centered_variance, _defined, _flat_support, _kernel_moments, _known_curve,
-    _moments_at, _row_blocks, _scratch,
+    _block_len, _defined, _kernel_moments, _known_curve, _moments_at, _row_blocks, _scratch,
 )
 
 # Covariance eigenvalues below this fraction of the largest are zeroed
@@ -238,19 +237,19 @@ def variance_at(sample: TrainingSample, err: ErrorDensity, x: float) -> float:
     a constant. :func:`pointwise_band` and :func:`simultaneous_band` give
     each grid point the same bits.
     """
-    return float(_moments_at(err._pdf_into, x, sample.w, sample.y, _centered_variance)[2][0])
+    return float(_moments_at(err._pdf_into, x, sample.w, sample.y, variance=True)[2][0])
 
 
 def covariance_matrix(
     sample: TrainingSample, err: ErrorDensity, grid: EvalGrid
 ) -> CovarianceMatrix:
-    """Plug-in covariance of the limit process on all grid-point pairs.
+    """Plug-in covariance of the limit process on all grid-point pairs: the
+    matrix :func:`simultaneous_band` decomposes, bit for bit, from the same
+    two passes.
 
-    The rows and columns of points whose responses on their kernel support
-    take one value are exactly 0, as :func:`variance_at` is there. Elsewhere
-    the two can disagree on 0 only by underflow: with y of order 1e-162 a
-    diagonal entry can be 5e-324 where :func:`variance_at` is 0, or 0 where
-    it is 5e-324.
+    The rows and columns of the points where :func:`variance_at` is 0 are
+    exactly 0. Elsewhere a diagonal entry can still underflow to 0: with y
+    of order 1e-162 it can be 0 where :func:`variance_at` is 5e-324.
 
     Raises
     ------
@@ -258,18 +257,18 @@ def covariance_matrix(
         Naming the first grid point where the ratio is undefined.
     """
     x = grid.points
-    den, num, flat = _moments_at(err._pdf_into, x, sample.w, sample.y, _flat_support)
+    den, num, var = _moments_at(err._pdf_into, x, sample.w, sample.y, variance=True)
     with _one_blas_thread():
-        entries = _centered_covariance(sample, err, x, den, num, flat)
-    return CovarianceMatrix(grid=grid, entries=entries)
+        return CovarianceMatrix(grid, _centered_covariance(sample, err, x, den, num, var == 0))
 
 
 def _centered_covariance(sample, err, x, den, num, zero):
     """The covariance entries on the points ``x`` from their den/num.
 
-    The rows and columns of the points in the mask ``zero``, those with flat
-    responses on their kernel support, are exactly 0, as their centered
-    terms are; the rounded m_hat alone would leave roundoff there.
+    The rows and columns of the points in the mask ``zero``, those with zero
+    variance, are exactly 0, as their centered terms are where the responses
+    on their kernel support are flat; the rounded m_hat alone would leave
+    roundoff there.
     """
     w, y, n = sample.w, sample.y, sample.n
     # B B^T / n for the centered factor B = k (y - m_hat) / den, summed over
@@ -317,7 +316,7 @@ def pointwise_ci(
     alpha == 1 is accepted and gives the degenerate zero-width interval.
     """
     _check_alpha(alpha, sample.n)
-    den, num, var = _moments_at(err._pdf_into, x, sample.w, sample.y, _centered_variance)
+    den, num, var = _moments_at(err._pdf_into, x, sample.w, sample.y, variance=True)
     return _interval(float(num[0]), float(den[0]), var[0], sample.n, alpha)
 
 
@@ -338,7 +337,7 @@ def pointwise_band(
     """
     _check_alpha(alpha, sample.n)
     den, num, var = _kernel_moments(err._pdf_into, grid.points, sample.w, sample.y,
-                                    _centered_variance)
+                                    variance=True)
     ok = _defined(den)
     if not np.any(ok):
         raise DegenerateDenominatorError("interval undefined on the whole grid")
@@ -368,12 +367,12 @@ def simultaneous_band(
     covariance (scaled by 1/n, via the symmetric square root V sqrt(L) V^T
     with eigenvalue clipping, which does not depend on the signs of the
     eigenvectors), takes the empirical (1 - alpha) quantile q of the studentized
-    supremum over the grid points with positive variance, and returns bands
-    estimate +- q * sqrt(variance/n). The variance is :func:`variance_at`'s
-    at each point, bit for bit, from the same pass as the fit; it is exactly
-    0 at points whose kernel support holds a single response value, and the
-    covariance rows and columns of those points are 0. The covariance only
-    shapes the draws.
+    supremum over the grid points with a positive standard error
+    sqrt(variance/n), and returns bands estimate +- q * sqrt(variance/n).
+    The variance is :func:`variance_at`'s at each point, bit for bit, from
+    the same pass as the fit; it is exactly 0 at points whose kernel support
+    holds a single response value. The covariance is
+    :func:`covariance_matrix`'s, bit for bit, and only shapes the draws.
 
     A covariance that is exactly zero (the responses are constant on every
     point's kernel support, constant responses in particular) yields
@@ -391,7 +390,7 @@ def simultaneous_band(
     # one pass gives the fit and the pointwise variance; the covariance,
     # built in a second, only shapes the draws
     den, num, var = _moments_at(err._pdf_into, grid.points, sample.w, sample.y,
-                                _centered_variance)
+                                variance=True)
     curve = _known_curve(err, grid, den, num)
     n = sample.n
     se = np.sqrt(var / n)
@@ -406,9 +405,10 @@ def simultaneous_band(
         eigval[eigval < EIGENVALUE_CLIP * eigval.max()] = 0.0
         root = (eigvec * np.sqrt(eigval)[None, :]) @ eigvec.T
 
-        # points with zero variance drop out of the sup: |draw| / inf = 0, so a
-        # zero covariance gives q = 0
-        scale = np.where(var > 0, se, np.inf)
+        # points whose standard error is 0 (zero variance, or var / n
+        # underflowing) drop out of the sup: |draw| / inf = 0, so a zero
+        # covariance gives q = 0
+        scale = np.where(se > 0, se, np.inf)
         # the draws in blocks of rows, a serial pass in the generator's stream
         # order; only each row's sup is kept
         rng = np.random.default_rng(seed)

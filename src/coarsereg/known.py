@@ -50,9 +50,9 @@ _U = 2.0**-53
 # passes, the covariance's column blocks (at least 2G columns), the band
 # draws, the CFs and their inversion, LOO-CV and the oracle's quadrature
 # rows. Dense paths so take O(n + G + block) memory. A loop holds at most two
-# blocks per thread, the two slots of _scratch (a kernel pass with a per-row
-# statistic: its offsets, overwritten by the kernel, and the k * y scratch;
-# without one, k * y overwrites the kernel), so 512 KiB keeps them in a 1 MiB
+# blocks per thread, the two slots of _scratch (a kernel pass with the
+# variance: its offsets, overwritten by the kernel, and the k * y scratch;
+# without it, k * y overwrites the kernel), so 512 KiB keeps them in a 1 MiB
 # per-core L2 cache through the block's ~9 elementwise passes; 4 MiB blocks
 # ran from L3. Each row's results depend on that row alone, so the size
 # moves no output but the band's bounds.
@@ -196,8 +196,8 @@ def _scratch(slot, shape, dtype=float):
 
     A view is valid until the thread next asks for its slot, so a block
     body must not start another pass while it holds one. None does: the
-    kernel bodies call only the density and the per-row statistic, and a
-    study's replicate body holds no slot.
+    kernel bodies call only the density and the variance, and a study's
+    replicate body holds no slot.
     """
     nbytes = np.dtype(dtype).itemsize * math.prod(shape)
     if nbytes > _BLOCK_BYTES:
@@ -229,12 +229,12 @@ def _row_mean(a):
     return np.add.reduce(a, axis=1) / a.shape[1]
 
 
-def _kernel_moments(kernel, x, w, y, per_row=None):
+def _kernel_moments(kernel, x, w, y, variance=False):
     """den ``mean(k, axis=1)`` and num ``mean(k * y, axis=1)`` for
     ``k = kernel(x[:, None] - w[None, :], span)`` built in blocks of grid
     rows, with ``span`` at least every |offset| of the pass, not the block;
-    with ``per_row`` (:func:`_centered_variance` or :func:`_flat_support`),
-    also its values on each block, given the responses less their median.
+    with ``variance``, also each row's :func:`_centered_variance`, given the
+    responses less their median.
 
     ``w`` and ``y`` may also be (c, n) stacks of c samples. The rows are then
     x's rows on each sample in turn, so every result has c * len(x) entries,
@@ -242,22 +242,22 @@ def _kernel_moments(kernel, x, w, y, per_row=None):
     and the pass pools by :func:`_row_blocks`' rule on its c * len(x) * n cells.
 
     ``kernel`` may overwrite its argument, the offsets in slot 0 of
-    :func:`_scratch`, and return it. ``k * y``, and ``per_row``'s work after
-    it, go to slot 1, or over the kernel's values when there is no
-    ``per_row`` and they are in the offsets' block. Each row's values depend
-    on that row alone: not on the blocking, the other rows of ``x``, the
-    other samples of a stack, the thread of :func:`_row_blocks` that
-    computes it, nor on the BLAS library or its thread count.
+    :func:`_scratch`, and return it. ``k * y``, and the variance's work after
+    it, go to slot 1, or over the kernel's values when there is no variance
+    and they are in the offsets' block. Each row's values depend on that row
+    alone: not on the blocking, the other rows of ``x``, the other samples of
+    a stack, the thread of :func:`_row_blocks` that computes it, nor on the
+    BLAS library or its thread count.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     w, y = np.atleast_2d(w), np.atleast_2d(y)
     (c, n), g = w.shape, len(x)
     if not g:  # no rows: every result is empty
-        return tuple(np.empty(0) for _ in range(2 if per_row is None else 3))
+        return tuple(np.empty(0) for _ in range(3 if variance else 2))
     step = _block_len(n)
     if c > 1 or step >= g:  # whole samples per block
         step = max(1, step // g) * g
-    yc = None if per_row is None else y - np.median(y, axis=1, keepdims=True)
+    yc = y - np.median(y, axis=1, keepdims=True) if variance else None
     # at least every |x - w|, since rounding is monotone; a one-block pass
     # leaves the search for far offsets to the kernel, which costs as much
     span = max(x.max() - w.min(), w.max() - x.min()) if step < c * g else np.inf
@@ -275,31 +275,32 @@ def _kernel_moments(kernel, x, w, y, per_row=None):
         # keeping long replication studies deterministic and
         # well-conditioned
         den = _row_mean(k)
-        # per_row needs k beside k * y, and k may be a custom pdf's own
+        # the variance needs k beside k * y, and k may be a custom pdf's own
         # array; otherwise k * y overwrites the kernel's own block
-        scratch = k if per_row is None and k is offsets else _scratch(1, k.shape)
+        scratch = k if not variance and k is offsets else _scratch(1, k.shape)
         np.multiply(k.reshape(shape), y[s0:s1, None, :], out=scratch.reshape(shape))
         num = _row_mean(scratch)
-        if per_row is None:
+        if not variance:
             return den, num
         # each row's own sample's responses
         rows_yc = yc[s0] if s1 - s0 == 1 else np.repeat(yc[s0:s1], r1 - r0, axis=0)
-        return den, num, per_row(k, rows_yc, den, scratch)
+        return den, num, _centered_variance(k, rows_yc, den, scratch)
 
     # a custom density's pdf is the user's code, which need not be thread-safe
     custom = getattr(getattr(kernel, "__self__", None), "kind", None) == "custom"
     return _joined(_row_blocks(block, c * g, step, n, serial=custom))
 
 
-def _centered_variance(k, yc, den, scratch=None):
+def _centered_variance(k, yc, den, scratch):
     """The plug-in variance E[f(x - W)^2 (Y - m(x))^2] / f_X(x)^2 of the ratio
     at each kernel row's point, as ``mean(b**2) / den**2`` over the row with
-    ``b = k * (yc - mean(k * yc) / den)``, built in ``scratch`` (k's shape)
-    when given; ``yc`` is the responses less a sample constant, which cancels
-    in ``b``. It is >= 0, NaN where den is 0, and each row's value does not
-    depend on the other rows. It is exactly 0 on the rows of
-    :func:`_flat_support`, as the centered terms are; the rounded center
-    alone would leave roundoff.
+    ``b = k * (yc - mean(k * yc) / den)``, built in ``scratch`` (k's shape);
+    ``yc`` is the responses less a sample constant, which cancels in ``b``,
+    one row for every kernel row or one per kernel row. It is >= 0, NaN
+    where den is 0, and each row's value does not depend on the other rows.
+    It is exactly 0 on the rows with den > 0 whose responses on their kernel
+    support (``k > 0``) take one value, as the centered terms are; the
+    rounded center alone would leave roundoff.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         b = np.multiply(k, yc, out=scratch)
@@ -307,22 +308,14 @@ def _centered_variance(k, yc, den, scratch=None):
         b *= k
         b *= b
         var = _row_mean(b) / den**2
-    var[_flat_support(k, yc, den)] = 0.0
-    return var
-
-
-def _flat_support(k, yc, den, scratch=None):
-    """Rows with den > 0 on whose kernel support (``k > 0``) ``yc`` takes
-    one value; ``yc`` is one row of responses for every kernel row, or one
-    per kernel row. ``scratch`` is unused; it keeps the signature of
-    :func:`_centered_variance`."""
     if k.min(initial=np.inf) > 0:  # every row's support is its whole sample
         flat = np.broadcast_to(np.all(yc == yc[..., :1], axis=-1), len(k))
     else:
         # a response on each row's support
         ref = np.take_along_axis(np.broadcast_to(yc, k.shape), np.argmax(k, axis=1)[:, None], 1)
         flat = ~np.any((yc != ref) & (k > 0), axis=1)
-    return flat & (den > 0)  # a row with no support is not flat
+    var[flat & (den > 0)] = 0.0  # a row with no support is not flat
+    return var
 
 
 def _undefined(den, xs):
@@ -337,7 +330,7 @@ def _undefined(den, xs):
     return None
 
 
-def _moments_at(kernel, xs, w, y, per_row=None):
+def _moments_at(kernel, xs, w, y, variance=False):
     """:func:`_kernel_moments` at ``xs`` (a point or a sequence of points),
     the one entry point of the queries that must be defined at every point.
 
@@ -346,7 +339,7 @@ def _moments_at(kernel, xs, w, y, per_row=None):
     DegenerateDenominatorError
         Naming the first point of ``xs`` where the ratio is undefined.
     """
-    moments = _kernel_moments(kernel, xs, w, y, per_row)
+    moments = _kernel_moments(kernel, xs, w, y, variance)
     error = _undefined(moments[0], np.atleast_1d(xs))
     if error is not None:
         raise error
@@ -467,8 +460,8 @@ def _scan_ratios(err, xs, w, y):
     """The ratios ``r`` of the scan at the ascending points ``xs`` and radii
     ``e`` with ``|r - r_dense| <= e``, where ``r_dense`` is num / den of
     :func:`_moments_at` at ``xs``. A point left undecided has ``r = 0`` and
-    ``e = inf``. The one scan of :func:`find_extremum` and
-    :func:`find_zeros`.
+    ``e = inf``; :func:`find_extremum` and :func:`find_zeros` take the dense
+    rows of those points, their one dense path.
 
     Under a Laplace density of scale b, the kernel sums
     ``S_g = sum_i v_i k(x_g - w_i)`` for v = 1, y and |y| (D, N and A) are
@@ -519,13 +512,13 @@ def _scan_ratios(err, xs, w, y):
     A point is undecided where r is not finite or e is not finite and
     positive. Unless every point is certainly defined, (D - 2 e_D) / n at
     or above ``DEGENERACY_THRESHOLD`` (which puts D - e_D above it,
-    roundings included), the dense scan runs instead and raises
-    DegenerateDenominatorError as it does. Every other density kind runs
-    the dense scan, with e = 0 where r is finite. No floating-point warning
+    roundings included), every point is undecided, so the finders' dense
+    rows raise DegenerateDenominatorError as the dense scan does; so is
+    every point under every other density kind. No floating-point warning
     escapes.
     """
     g, n = len(xs), len(w)
-    e = None
+    r, e = np.zeros(g), np.full(g, np.inf)
     with np.errstate(all="ignore"):
         if err.kind == "laplace":
             b = err.scale
@@ -560,12 +553,9 @@ def _scan_ratios(err, xs, w, y):
             if c < 0.5 and np.all(_defined((den - 2.0 * e_den) / n)):
                 r = num / den
                 e = (c * mag + tiny + np.abs(r) * e_den) / (den - e_den) + 4.0 * _U * np.abs(r)
-                e[~(e > 0.0)] = np.inf  # a radius lost to underflow or NaN
-        if e is None:
-            den, num = _moments_at(err._pdf_into, xs, w, y)
-            r, e = num / den, np.zeros(g)
-        undecided = ~(np.isfinite(r) & np.isfinite(e))
-        r[undecided], e[undecided] = 0.0, np.inf
+                # a ratio or a radius lost to overflow, underflow or NaN
+                undecided = ~(np.isfinite(r) & (e > 0.0) & np.isfinite(e))
+                r[undecided], e[undecided] = 0.0, np.inf
     return r, e
 
 

@@ -34,7 +34,7 @@ from .densities import ErrorDensity
 from .errors import CoarseRegError, DegenerateDenominatorError
 from .inference import _check_alpha, _interval
 from .io import json_text
-from .known import _block_len, _centered_variance, _defined, _golden_section
+from .known import _block_len, _defined, _golden_section
 from .nw import _CV_POINTS, _kernel, cv_bandwidth
 
 logger = logging.getLogger(__name__)
@@ -477,7 +477,7 @@ def _replicates(scn, spec, density, xs, g, cover, alpha, master_seed, idxs):
             return [exc]
     den, num = (m.reshape(reps, -1) for m in known._kernel_moments(kernel, xs, w, y))
     if len(cover):
-        var = known._kernel_moments(kernel, xs[cover], w, y, _centered_variance)[2]
+        var = known._kernel_moments(kernel, xs[cover], w, y, variance=True)[2]
     defined = _defined(den)
     lo, hi = np.full((2, reps, len(xs)), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):  # at the failing replicates' points

@@ -28,7 +28,7 @@ from coarsereg import (
 )
 from coarsereg import fourier, known
 from coarsereg.cli import main
-from coarsereg.known import _centered_variance, _kernel_moments
+from coarsereg.known import _kernel_moments
 
 pytestmark = pytest.mark.thorough
 
@@ -118,7 +118,7 @@ def test_blocking_leaves_results_unchanged(case):
 
     def run():
         with np.errstate(invalid="ignore"):  # the variance is NaN where den is 0
-            moments = _kernel_moments(err._pdf_into, grid.points, w, y, _centered_variance)
+            moments = _kernel_moments(err._pdf_into, grid.points, w, y, variance=True)
         return (
             moments,
             outcome(lambda: fit_known(s, err, grid).values),
@@ -243,16 +243,16 @@ FAULTS_CHILD = """
 import resource
 import numpy as np
 from coarsereg import ErrorDensity
-from coarsereg.known import _centered_variance, _kernel_moments
+from coarsereg.known import _kernel_moments
 rng = np.random.default_rng(89)
 w = rng.uniform(0.0, 1.0, 500)
 y = np.sin(3.0 * w) + rng.normal(0.0, 0.3, 500)
 x = np.linspace(0.0, 1.0, 101)
 kernel = ErrorDensity.gaussian(0.1)._pdf_into
-_kernel_moments(kernel, x, w, y, _centered_variance)
+_kernel_moments(kernel, x, w, y, variance=True)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(200):
-    _kernel_moments(kernel, x, w, y, _centered_variance)
+    _kernel_moments(kernel, x, w, y, variance=True)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

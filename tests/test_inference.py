@@ -1,6 +1,8 @@
 import math
 import sys
 import threading
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -132,7 +134,33 @@ class TestVariance:
             variance_at(s, ErrorDensity.uniform(0.5), 3.0)
 
 
+def tiny_responses():
+    """Responses of order 1e-162, whose plug-in variance is 0 or 5e-324 at
+    the grid points, so var / n underflows to 0 where var is positive."""
+    rng = np.random.default_rng(0)
+    w = rng.uniform(0.0, 1.0, 200)
+    s = TrainingSample(w, rng.standard_normal(200) * 1e-162)
+    return s, ErrorDensity.gaussian(0.1), EvalGrid.linspace(0.2, 0.8, 5)
+
+
+def ordinary_responses():
+    rng = np.random.default_rng(67)
+    w = rng.uniform(0.0, 1.0, 300)
+    s = TrainingSample(w, np.sin(3.0 * w) + rng.normal(0.0, 0.3, 300))
+    return s, ErrorDensity.laplace(0.1), EvalGrid.linspace(0.1, 0.9, 17)
+
+
 class TestCovariance:
+    @pytest.mark.parametrize("case", [ordinary_responses, tiny_responses])
+    def test_is_the_matrix_the_band_decomposes(self, case):
+        # one zero rule: the rows and columns where the band's variance is
+        # 0, so the two agree where var underflows too
+        s, err, grid = case()
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            simultaneous_band(s, err, grid, n_sim=200, seed=1)
+        (decomposed,), _ = eigh.call_args
+        assert np.array_equal(covariance_matrix(s, err, grid).entries, decomposed)
+
     def test_constant_responses_zero_matrix(self):
         s = TrainingSample([0.0, 0.5, 1.0], [2.0, 2.0, 2.0])
         cov = covariance_matrix(s, GAUSS, EvalGrid([0.0, 0.5, 1.0]))
@@ -329,8 +357,7 @@ class TestPointMoments:
             w = rng.uniform(0, 1, n)
             s = TrainingSample(w, np.cos(3 * w) + rng.normal(0, 0.5, n))
             xs = tuple(float(x) for x in np.linspace(0.25, 0.75, 5))
-            den, num, var = known._moments_at(err._pdf_into, xs, s.w, s.y,
-                                              known._centered_variance)
+            den, num, var = known._moments_at(err._pdf_into, xs, s.w, s.y, variance=True)
             for i, x in enumerate(xs):
                 lo, hi = pointwise_ci(s, err, x, 0.05)
                 est = float(num[i]) / float(den[i])
@@ -468,6 +495,18 @@ class TestSimultaneousBand:
             simultaneous_band(one, GAUSS, grid, n_sim=0)
         with pytest.raises(ValueError, match="n >= 2"):
             simultaneous_band(one, GAUSS, grid, n_sim=10, seed=1)
+
+    def test_a_standard_error_that_underflows_leaves_the_sup(self):
+        # where var > 0 but var / n underflows to 0, the standard error the
+        # sup divides by is 0: such a point drops out of the sup, as a
+        # zero-variance one does, instead of making q NaN
+        s, err, grid = tiny_responses()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            band = simultaneous_band(s, err, grid, n_sim=200)
+        assert np.any((band.variance > 0) & (band.variance / s.n == 0))
+        assert math.isfinite(band.meta["sup_quantile"])
+        assert np.all(np.isfinite(band.band_lower)) and np.all(np.isfinite(band.band_upper))
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(31)

@@ -1,5 +1,4 @@
 import math
-import re
 import threading
 import warnings
 from unittest import mock
@@ -376,17 +375,20 @@ def test_the_scan_radius_holds_and_decides_as_the_dense_scan(scan):
             warnings.simplefilter("error")
             return known._scan_ratios(err, xs, s.w, s.y)
 
+    r, e = scan_ratios()
+    assert np.all(e >= 0.0)
     try:
         with np.errstate(all="ignore"):
             den, num = known._moments_at(err._pdf_into, xs, s.w, s.y)
             dense = num / den
     except DegenerateDenominatorError as exc:
-        with pytest.raises(DegenerateDenominatorError, match=re.escape(str(exc))):
-            scan_ratios()
+        # the scan leaves every point to the finders' dense rows, which
+        # raise the dense scan's error
+        assert np.all(e == np.inf)
+        undefined = f"DegenerateDenominatorError: {exc}"
         level = 0.0
     else:
-        r, e = scan_ratios()
-        assert np.all(e >= 0.0)
+        undefined = None
         bounded = np.isfinite(e)
         assert np.all(np.abs(r - dense)[bounded] <= e[bounded])
         level = float(dense[at]) if np.isfinite(dense[at]) else 0.0
@@ -400,6 +402,8 @@ def test_the_scan_radius_holds_and_decides_as_the_dense_scan(scan):
                     outcome(lambda: find_zeros(s, err, lo, hi, level, g))]
 
     certified = finders()
+    if undefined is not None:
+        assert certified == [undefined] * 3
     # with an infinite unit roundoff no radius certifies anything, and the
     # scan is the dense one
     with mock.patch.object(known, "_U", np.inf):

@@ -26,7 +26,7 @@ from coarsereg import (
     DegenerateDenominatorError, ErrorDensity, EstimatorSpec, EvalGrid, ScenarioConfig,
     TrainingSample, covariance_matrix, fourier, known, nw, run_replications, simulation,
 )
-from coarsereg.known import _centered_variance, _flat_support, _kernel_moments, _moments_at
+from coarsereg.known import _kernel_moments, _moments_at
 from pooling import pool_of, replicate_threads
 
 pytestmark = pytest.mark.thorough
@@ -35,7 +35,7 @@ pytestmark = pytest.mark.thorough
 # data hit the exp's underflow and, for the uniform kind, undefined points
 DENSITIES = [ErrorDensity.gaussian(0.1), ErrorDensity.gaussian(0.02),
              ErrorDensity.laplace(0.05), ErrorDensity.uniform(0.1)]
-PER_ROW = [None, _centered_variance, _flat_support]
+PER_ROW = [False, True]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -56,7 +56,7 @@ def passes(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.0, 1.0, n)
-    y = np.round(rng.normal(size=n), draw(st.sampled_from([0, 3])))  # ties for _flat_support
+    y = np.round(rng.normal(size=n), draw(st.sampled_from([0, 3])))  # ties: flat rows
     hi = draw(st.sampled_from([1.0, 1.5, 3.0]))
     x = np.linspace(-0.2, hi, g)
     kind = draw(st.sampled_from(["density", "nw", "cf", "weighted cf", "inversion",
@@ -118,7 +118,7 @@ def stacks(draw):
     c, n, g = draw(st.integers(1, 5)), draw(st.integers(1, 60)), draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     w = rng.uniform(0.0, 1.0, (c, n))
-    # each sample its own median; ties for _flat_support
+    # each sample its own median; ties for the variance's flat rows
     y = np.round(rng.normal(size=(c, n)) + rng.normal(0.0, 5.0, (c, 1)),
                  draw(st.sampled_from([0, 3])))
     x = np.linspace(-0.2, draw(st.sampled_from([1.0, 1.5, 3.0])), g)

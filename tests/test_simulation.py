@@ -339,7 +339,7 @@ class TestRunReplications:
         # replicate, are the 4 grid points, then the 3 query points (0.0,
         # 0.1, 0.2), and one computing the variance on the 2 coverage points
         shapes, variance_rows = [], []
-        pdf_into, variance = ErrorDensity._pdf_into, simulation._centered_variance
+        pdf_into, variance = ErrorDensity._pdf_into, known._centered_variance
 
         def recording(self, u, span=math.inf):
             # the oracle's kernel is the density's pdf too, on quadrature
@@ -354,7 +354,7 @@ class TestRunReplications:
             return variance(k, *args)
 
         monkeypatch.setattr(ErrorDensity, "_pdf_into", recording)
-        monkeypatch.setattr(simulation, "_centered_variance", counting)
+        monkeypatch.setattr(known, "_centered_variance", counting)
 
         def stacked(budget):
             shapes.clear()
@@ -493,9 +493,8 @@ def replicate_by_replicate(scn, spec, reps, grid, master_seed, coverage_points, 
             curve = fit_known(sample, density, grid)
             at, ci = {}, {}
             if points:
-                den, num, *var = known._moments_at(
-                    density._pdf_into, points, sample.w, sample.y,
-                    known._centered_variance if coverage_points else None)
+                den, num, *var = known._moments_at(density._pdf_into, points, sample.w,
+                                                   sample.y, bool(coverage_points))
                 at = {p: float(num[i]) / float(den[i]) for i, p in enumerate(points)}
                 ci = {p: _interval(float(num[i]), float(den[i]), var[0][i], sample.n, alpha)
                       for i, p in enumerate(points) if p in coverage_points}
