@@ -24,7 +24,7 @@ from .data import EvalGrid, RegressionCurve, TrainingSample
 from .densities import ErrorDensity
 from .errors import DegenerateDenominatorError
 from .known import (
-    _block_len, _defined, _kernel_moments, _known_curve, _moments_at, _row_blocks, _scratch,
+    _block_len, _defined, _kernel_moments, _moments_at, _row_blocks, _scratch,
 )
 
 # Covariance eigenvalues below this fraction of the largest are zeroed
@@ -245,32 +245,29 @@ def covariance_matrix(
 ) -> CovarianceMatrix:
     """Plug-in covariance of the limit process on all grid-point pairs: the
     matrix :func:`simultaneous_band` decomposes, bit for bit, from the same
-    two passes.
-
-    The rows and columns of the points where :func:`variance_at` is 0 are
-    exactly 0. Elsewhere a diagonal entry can still underflow to 0: with y
-    of order 1e-162 it can be 0 where :func:`variance_at` is 5e-324.
+    step, :func:`_centered_covariance`, so with the same zero rows.
 
     Raises
     ------
     DegenerateDenominatorError
         Naming the first grid point where the ratio is undefined.
     """
-    x = grid.points
-    den, num, var = _moments_at(err._pdf_into, x, sample.w, sample.y, variance=True)
     with _one_blas_thread():
-        return CovarianceMatrix(grid, _centered_covariance(sample, err, x, den, num, var == 0))
+        return CovarianceMatrix(grid, _centered_covariance(sample, err, grid.points)[4])
 
 
-def _centered_covariance(sample, err, x, den, num, zero):
-    """The covariance entries on the points ``x`` from their den/num.
+def _centered_covariance(sample, err, x):
+    """The band's one step on the points ``x``: (den, num, var, se, cov).
 
-    The rows and columns of the points in the mask ``zero``, those with zero
-    variance, are exactly 0, as their centered terms are where the responses
-    on their kernel support are flat; the rounded m_hat alone would leave
-    roundoff there.
+    A first pass gives den, num and :func:`variance_at`'s var, and
+    se = sqrt(var / n); a second builds cov. Its rows and columns where se
+    is 0 (var is 0, or var / n underflows) are exactly 0: where var is 0 the
+    centered terms are too, but the rounded m_hat alone would leave roundoff.
+    Raises DegenerateDenominatorError naming the first undefined point.
     """
     w, y, n = sample.w, sample.y, sample.n
+    den, num, var = _moments_at(err._pdf_into, x, w, y, variance=True)
+    se = np.sqrt(var / n)
     # B B^T / n for the centered factor B = k (y - m_hat) / den, summed over
     # blocks of sample columns; numpy runs b @ b.T as a symmetric rank-k
     # update, so the sum is exactly symmetric with a nonnegative diagonal.
@@ -302,8 +299,8 @@ def _centered_covariance(sample, err, x, den, num, zero):
     _row_blocks(product, n, step, len(x), serial=err.kind == "custom",
                 fold=lambda p: np.add(cov, p, out=cov))
     cov /= n
-    cov[zero] = cov[:, zero] = 0.0
-    return cov
+    cov[se == 0] = cov[:, se == 0] = 0.0
+    return den, num, var, se, cov
 
 
 def pointwise_ci(
@@ -373,10 +370,12 @@ def simultaneous_band(
     the same pass as the fit; it is exactly 0 at points whose kernel support
     holds a single response value. The covariance is
     :func:`covariance_matrix`'s, bit for bit, and only shapes the draws.
+    Both come from one step, :func:`_centered_covariance`, whose standard
+    error decides which points leave the sup and have zero covariance rows.
 
-    A covariance that is exactly zero (the responses are constant on every
-    point's kernel support, constant responses in particular) yields
-    q = 0, zero-width bands, and ``meta["degenerate_covariance"] = True``.
+    A standard error that is 0 everywhere (the responses are constant on
+    every point's kernel support, or var / n underflows) yields q = 0,
+    zero-width bands, and ``meta["degenerate_covariance"] = True``.
 
     Raises
     ------
@@ -387,20 +386,12 @@ def simultaneous_band(
         Naming the first grid point where the ratio is undefined.
     """
     _check_alpha(alpha, sample.n, n_sim)
-    # one pass gives the fit and the pointwise variance; the covariance,
-    # built in a second, only shapes the draws
-    den, num, var = _moments_at(err._pdf_into, grid.points, sample.w, sample.y,
-                                variance=True)
-    curve = _known_curve(err, grid, den, num)
-    n = sample.n
-    se = np.sqrt(var / n)
-    meta = dict(curve.meta)
-    meta.update({"alpha": alpha, "n_sim": n_sim, "seed": seed, "kind": "simultaneous"})
-    if not np.any(var > 0):
-        meta["degenerate_covariance"] = True
-
+    meta = {"estimator": "known-error ratio", "density": err.describe(), "undefined": 0,
+            "alpha": alpha, "n_sim": n_sim, "seed": seed, "kind": "simultaneous"}
     with _one_blas_thread():
-        cov = _centered_covariance(sample, err, grid.points, den, num, var == 0)
+        den, num, var, se, cov = _centered_covariance(sample, err, grid.points)
+        if np.all(se == 0):
+            meta["degenerate_covariance"] = True
         eigval, eigvec = np.linalg.eigh(cov)
         eigval[eigval < EIGENVALUE_CLIP * eigval.max()] = 0.0
         root = (eigvec * np.sqrt(eigval)[None, :]) @ eigvec.T
@@ -417,7 +408,7 @@ def simultaneous_band(
         def sup(start):
             shape = (min(step, n_sim - start), len(grid))
             d = np.matmul(rng.standard_normal(out=_scratch(0, shape)), root, out=_scratch(1, shape))
-            d /= np.sqrt(n)
+            d /= np.sqrt(sample.n)
             np.abs(d, out=d)
             d /= scale
             return d.max(axis=1)
@@ -426,12 +417,12 @@ def simultaneous_band(
     q = float(np.quantile(sups, 1.0 - alpha))
 
     meta["sup_quantile"] = q
-    half = q * se
+    values, half = num / den, q * se
     return RegressionCurve(
         grid=grid,
-        values=curve.values,
+        values=values,
         variance=var,
-        band_lower=curve.values - half,
-        band_upper=curve.values + half,
+        band_lower=values - half,
+        band_upper=values + half,
         meta=meta,
     )

@@ -399,11 +399,6 @@ def fit_known(sample: TrainingSample, err: ErrorDensity, grid: EvalGrid) -> Regr
         If every grid point is undefined.
     """
     den, num = _kernel_moments(err._pdf_into, grid.points, sample.w, sample.y)
-    return _known_curve(err, grid, den, num)
-
-
-def _known_curve(err, grid, den, num) -> RegressionCurve:
-    """:func:`fit_known`'s curve from its den/num."""
     return _ratio_curve(grid, den, num, {"estimator": "known-error ratio",
                                          "density": err.describe()})
 

@@ -461,6 +461,38 @@ class TestCliCommands:
         assert message.endswith(f"limit of {MAX_T_NODES}")
 
 
+SIM = ["simulate", "--model", "m1", "--nsdelta", "0.2", "--nseps", "0.1", "--grid", "0:1:5"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["extrema", "--train", "{train}", "--delta", "gaussian:0.1", "--interval", "0.7:0.3"],
+     "--interval needs lo < hi, got '0.7:0.3'"),
+    ([*SIM, "--n", "20", "--reps", "0"], "need at least one replicate"),
+    ([*SIM, "--n", "1", "--reps", "2"], "need n >= 2, got 1"),
+    ([*SIM, "--n", "20", "--reps", "2", "--nsdelta", "0", "--estimator", "known"],
+     "degenerate contamination has no density representation"),
+    (["fit-fourier", "--train", "{train}", "--replicates", "{reps}", "--grid", "0:1:5",
+      "--tau", "5", "--tstep", "0"], "t_step must be positive, got 0.0"),
+    (["cf", "--replicates", "{reps}", "--tmax", "5", "--tstep", "0"],
+     "step must be positive, got 0.0"),
+    (["cf", "--replicates", "{reps}", "--tmax", "0.01", "--tstep", "1"],
+     "cutoff 0.01 too small for step 1.0"),
+    (["nw", "--train", "{flat}", "--grid", "0:1:5", "--bandwidth", "cv"],
+     "predictors have no variation; CV grid undefined"),
+], ids=["extrema-interval", "simulate-reps", "simulate-n", "simulate-nsdelta",
+        "fit-fourier-tstep", "cf-tstep", "cf-cutoff", "nw-flat-cv"])
+def test_argument_check_error_record(args, message, train_csv, replicates_csv, tmp_path,
+                                     capsys):
+    flat, out = tmp_path / "flat.csv", tmp_path / "out"
+    flat.write_text("w,y\n" + "".join(f"0.5,{y}\n" for y in range(10)))
+    paths = {"{train}": str(train_csv), "{reps}": str(replicates_csv), "{flat}": str(flat)}
+    assert main([paths.get(a, a) for a in args] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": message}
+    assert not out.exists()
+
+
 class TestSimulate:
     ARGS = ["simulate", "--model", "logistic", "--n", "40", "--nsdelta", "0.25",
             "--reps", "8", "--seed", "7", "--grid=-0.3:0.3:5",

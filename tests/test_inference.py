@@ -134,13 +134,18 @@ class TestVariance:
             variance_at(s, ErrorDensity.uniform(0.5), 3.0)
 
 
-def tiny_responses():
+def tiny_responses(seed=0):
     """Responses of order 1e-162, whose plug-in variance is 0 or 5e-324 at
     the grid points, so var / n underflows to 0 where var is positive."""
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     w = rng.uniform(0.0, 1.0, 200)
     s = TrainingSample(w, rng.standard_normal(200) * 1e-162)
     return s, ErrorDensity.gaussian(0.1), EvalGrid.linspace(0.2, 0.8, 5)
+
+
+def tiny_responses_seed_1():
+    """:func:`tiny_responses` from a second draw: var is 5e-324 at 0.35 only."""
+    return tiny_responses(1)
 
 
 def ordinary_responses():
@@ -151,15 +156,18 @@ def ordinary_responses():
 
 
 class TestCovariance:
-    @pytest.mark.parametrize("case", [ordinary_responses, tiny_responses])
+    @pytest.mark.parametrize("case", [ordinary_responses, tiny_responses, tiny_responses_seed_1])
     def test_is_the_matrix_the_band_decomposes(self, case):
-        # one zero rule: the rows and columns where the band's variance is
-        # 0, so the two agree where var underflows too
+        # one step and one zero rule: the rows and columns where the band's
+        # standard error is 0, so the two agree where var / n underflows too
         s, err, grid = case()
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-            simultaneous_band(s, err, grid, n_sim=200, seed=1)
+            band = simultaneous_band(s, err, grid, n_sim=200, seed=1)
         (decomposed,), _ = eigh.call_args
-        assert np.array_equal(covariance_matrix(s, err, grid).entries, decomposed)
+        cov = covariance_matrix(s, err, grid).entries
+        assert np.array_equal(cov, decomposed)
+        dead = np.sqrt(band.variance / s.n) == 0
+        assert not np.any(cov[dead]) and not np.any(cov[:, dead])
 
     def test_constant_responses_zero_matrix(self):
         s = TrainingSample([0.0, 0.5, 1.0], [2.0, 2.0, 2.0])
@@ -496,16 +504,19 @@ class TestSimultaneousBand:
         with pytest.raises(ValueError, match="n >= 2"):
             simultaneous_band(one, GAUSS, grid, n_sim=10, seed=1)
 
-    def test_a_standard_error_that_underflows_leaves_the_sup(self):
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_standard_error_that_underflows_leaves_the_sup(self, seed):
         # where var > 0 but var / n underflows to 0, the standard error the
         # sup divides by is 0: such a point drops out of the sup, as a
-        # zero-variance one does, instead of making q NaN
-        s, err, grid = tiny_responses()
+        # zero-variance one does, instead of making q NaN; here every
+        # standard error is 0, so the band is flagged degenerate
+        s, err, grid = tiny_responses(seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             band = simultaneous_band(s, err, grid, n_sim=200)
         assert np.any((band.variance > 0) & (band.variance / s.n == 0))
-        assert math.isfinite(band.meta["sup_quantile"])
+        assert band.meta["degenerate_covariance"] is True
+        assert band.meta["sup_quantile"] == 0.0
         assert np.all(np.isfinite(band.band_lower)) and np.all(np.isfinite(band.band_upper))
 
     def test_deterministic_given_seed(self):

@@ -561,6 +561,42 @@ def test_shared_nw_failures_are_logged_in_index_order(caplog):
     assert 1 < len(failed) < 12 and failed == sorted(failed)
 
 
+def test_failed_nw_cross_validations_are_logged_in_index_order(caplog):
+    # the study-nw benchmark's m1 cell, with cv_bandwidth failing on the
+    # samples of replicates 3 and 11, chosen by their predictors and not by
+    # call order, so the pool thread may fail first; the report and the
+    # warnings are the serial ones, and the other replicates are untouched
+    scn = ScenarioConfig(model="m1", n=250, predictor_noise=0.25, response_noise=0.1)
+    failing = {simulation.generate(scn, np.random.default_rng((8, idx))).x.tobytes()
+               for idx in (3, 11)}
+    cv_bandwidth = simulation.cv_bandwidth
+
+    def failing_cv(sample):
+        if sample.w.tobytes() in failing:
+            raise DegenerateDenominatorError("cross-validation failed")
+        return cv_bandwidth(sample)
+
+    def study():
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="coarsereg.simulation"):
+            report = run_replications(scn, EstimatorSpec(method="nw"), reps=20, master_seed=8,
+                                      rmse_points=(0.5,))
+        return report, [record.getMessage() for record in caplog.records]
+
+    clean, _ = study()
+    with mock.patch.object(simulation, "cv_bandwidth", failing_cv):
+        with pool_of(1):
+            want, logged = study()
+        threads, recording = replicate_threads(delay=0.2)
+        with pool_of(2), recording:
+            got, got_logged = study()
+    assert got.to_json() == want.to_json() and got_logged == logged
+    assert any(name.startswith("coarsereg-rows") for name in threads)
+    assert clean.failures == 0 and want.failures == 2
+    assert [int(message.split()[1]) for message in logged] == [3, 11]
+    assert want.ise == [None if idx in (3, 11) else ise for idx, ise in enumerate(clean.ise)]
+
+
 def test_an_nw_study_runs_each_loo_pass_on_its_replicate_thread():
     # the replicates are shared with the pool thread; each one's LOO-CV
     # pass, 15 blocks of 4 held-out rows, runs serially on the thread that
